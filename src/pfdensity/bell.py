@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CoefficientOverflow, ResonanceDetected
-from .poly import Polynomial
+from .poly import Polynomial, _horner
 
 __all__ = [
     "MapSpec1D",
@@ -66,10 +66,7 @@ class MapSpec1D:
         return tuple(Fraction(c) for c in self.coeffs)
 
     def __call__(self, x):
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     @classmethod
     def logistic(cls, lam: float) -> "MapSpec1D":

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 domain error (machine-readable JSON on stderr),
 2 usage error.  All numeric CSV fields carry 17 significant digits so
 64-bit floats round-trip exactly; outputs are byte-identical for
-identical inputs, seeds and thread counts.
+identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -84,13 +83,6 @@ def _write_json(path, obj):
             fh.write(text)
 
 
-def _pool_map(fn, items, threads):
-    if threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _cmd_hermite(args) -> int:
     f = _load_map(args.map)
     if args.action == "gen":
@@ -116,36 +108,30 @@ def _cmd_density(args) -> int:
     f = _load_map(args.map)
     cfg = RootConfig(precision_bits=args.precision_bits)
     points = _range_points(args.s)
+
+    def qfun(s):
+        return saddle.zero_density_q(saddle.SaddleProblem(f, s), cfg)
+
     if args.action == "saddle":
-        qs = _pool_map(
-            lambda s: saddle.zero_density_q(saddle.SaddleProblem(f, s), cfg),
-            points, args.threads)
-        lines = ["s,q"]
-        lines += [f"{_fmt(s)},{_fmt(q)}" for s, q in zip(points, qs)]
-        _write_lines(args.out, lines)
-        return 0
-    # invariant: p = -x q'(x) on a support
-    if args.support is not None:
-        support = args.support
+        header = "s,q"
+        values = [qfun(s) for s in points]
     else:
-        support = _scan_support(f, cfg)
-    qfun = lambda s: saddle.zero_density_q(saddle.SaddleProblem(f, s), cfg)
-    ps = _pool_map(
-        lambda x: saddle.invariant_density_p(qfun, x, support),
-        points, args.threads)
-    lines = ["s,p"]
-    lines += [f"{_fmt(s)},{_fmt(p)}" for s, p in zip(points, ps)]
-    _write_lines(args.out, lines)
+        # invariant: p = -x q'(x) on a support
+        support = args.support
+        if support is None:
+            support = _scan_support(f.lam, qfun)
+        header = "s,p"
+        values = [saddle.invariant_density_p(qfun, s, support) for s in points]
+    _write_lines(args.out,
+                 [header] + [f"{_fmt(s)},{_fmt(v)}" for s, v in zip(points, values)])
     return 0
 
 
-def _scan_support(f, cfg, n_scan: int = 512):
+def _scan_support(lam, qfun, n_scan: int = 512):
     """Estimate the q > 0 region by a coarse scan (used when --support is absent)."""
-    lam = f.lam
     hi_guess = 8.0 / (lam * lam) if lam != 0 else 8.0
     xs = [hi_guess * (k + 0.5) / n_scan for k in range(n_scan)]
-    pos = [x for x in xs
-           if saddle.zero_density_q(saddle.SaddleProblem(f, x), cfg) > 0.0]
+    pos = [x for x in xs if qfun(x) > 0.0]
     if not pos:
         raise ToolkitError("could not locate a q > 0 region; pass --support")
     return min(pos), max(pos)
@@ -181,7 +167,7 @@ def _cmd_ode(args) -> int:
             "critical_tau": res.critical_tau,
             "eigenvector": None if res.eigenvector is None
                            else [float(v) for v in res.eigenvector],
-            "singular_taus": list(res.singular_taus),
+            "singular_taus": list(res.taus),  # kept in the schema; equals taus
             "eigenvalues": [[z.real, z.imag] for z in res.eigenvalues],
         })
         return 0
@@ -262,8 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pfdensity",
         description="Invariant densities of bounded polynomial iterations")
     ap.add_argument("--seed", type=int, default=0, help="orbit seed (default 0)")
-    ap.add_argument("--threads", type=int, default=0,
-                    help="worker threads for grid sweeps (default: all cores)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     hermite = sub.add_parser("hermite", help="generating-chain polynomials")
@@ -335,9 +319,6 @@ def run(argv) -> int:
             ap.error("ode frequencies requires --a")
         if args.action == "euler" and args.a0 is None:
             ap.error("ode euler requires --a0")
-    if args.threads <= 0:
-        import os
-        args.threads = os.cpu_count() or 1
     try:
         return args.fn(args)
     except (ToolkitError, ValueError, OSError, json.JSONDecodeError) as exc:

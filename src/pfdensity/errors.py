@@ -29,13 +29,16 @@ class ResonanceDetected(ToolkitError):
 
 
 class CoefficientOverflow(ToolkitError):
-    """A generated coefficient exceeded the double-precision range."""
+    """A coefficient exceeded the double-precision range.
 
-    def __init__(self, order):
+    `order` is the chain order of a generated coefficient; it is None for a
+    coefficient handed to a 53-bit root solve.
+    """
+
+    def __init__(self, order=None, remedy="lower n or use the scaled variant"):
+        where = "" if order is None else f" at order {order}"
         super().__init__(
-            f"coefficient magnitude exceeds float range at order {order}; "
-            "lower n or use the scaled variant"
-        )
+            f"coefficient magnitude exceeds float range{where}; {remedy}")
         self.order = order
 
 

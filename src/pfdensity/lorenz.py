@@ -268,9 +268,8 @@ def cycle_sample(s_point) -> CycleSample:
                        admissible=admissible, density=density)
 
 
-def cycle_density(dec: LorenzDecomposition, s_point) -> float:
+def cycle_density(s_point) -> float:
     """Density value at a normalised direction; 0 outside the admissible set."""
-    del dec  # the delta->0 sample depends only on the normalised direction
     return cycle_sample(s_point).density
 
 

@@ -299,7 +299,6 @@ class FrequencyResult:
     taus: tuple
     critical_tau: Optional[float]
     eigenvector: Optional[np.ndarray]
-    singular_taus: tuple
     eigenvalues: tuple
 
 
@@ -326,5 +325,4 @@ def critical_frequencies(sys: OdeSystem, a) -> FrequencyResult:
         vec = _left_eigenvector(J, lam)
 
     return FrequencyResult(a=a, taus=taus, critical_tau=critical,
-                           eigenvector=vec, singular_taus=taus,
-                           eigenvalues=tuple(eig))
+                           eigenvector=vec, eigenvalues=tuple(eig))

@@ -7,10 +7,10 @@ exact rational arithmetic and only round when solving for roots.
 
 Roots are found with the Aberth-Ehrlich simultaneous iteration, started
 from points equally spaced on a circle bounding the root moduli (the
-tighter of the Cauchy and Fujiwara bounds).  The iteration runs either in
-double precision or, for cfg.precision_bits > 53, in mpmath arbitrary
-precision (needed for high-degree polynomials whose monomial-basis
-conditioning is poor).
+tighter of the Cauchy and Fujiwara bounds).  One iteration runs over one of
+two number types: Python complex at cfg.precision_bits == 53, or mpmath at
+higher precision (needed for high-degree polynomials whose monomial-basis
+conditioning is poor).  Degrees 1 and 2 use closed forms in the same types.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, Callable
 
 import mpmath
 
-from .errors import DegreeZero, NonConvergence
+from .errors import CoefficientOverflow, DegreeZero, NonConvergence
 
 # mpmath's working precision is process-global state; hold this lock around
-# any block that changes it so batch callers can run in parallel safely.
+# any block that changes it so that concurrent library callers stay correct.
 MP_LOCK = threading.Lock()
 
 __all__ = [
@@ -86,12 +87,16 @@ class RootConfig:
             raise ValueError("precision_bits must be >= 53")
 
 
-def poly_eval(p: Polynomial, x):
-    """Horner evaluation; the result type follows the operand types."""
-    acc = p.coeffs[-1]
-    for c in reversed(p.coeffs[:-1]):
+def _horner(coeffs, x):
+    """Horner evaluation of ascending coeffs; the result type follows the operands."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
+
+
+def poly_eval(p: Polynomial, x):
+    return _horner(p.coeffs, x)
 
 
 def poly_derivative(p: Polynomial) -> Polynomial:
@@ -100,21 +105,50 @@ def poly_derivative(p: Polynomial) -> Polynomial:
     return Polynomial([k * c for k, c in enumerate(p.coeffs)][1:])
 
 
-def _pow2_scale(maxmag: float) -> float:
-    # Power-of-two normalisation keeps the iteration exactly scale-invariant.
-    if maxmag == 0.0 or not math.isfinite(maxmag):
-        return 1.0
-    return 2.0 ** round(math.log2(maxmag))
+@dataclass(frozen=True)
+class _Arith:
+    """The number type one root solve works in."""
+
+    num: Callable[[Any], Any]   # coefficient (or numeric string) -> working number
+    one: Any
+    exp: Callable
+    sqrt: Callable
+    pi: Any
+    eps: Any    # freeze a root once its relative Aberth step is below this
+    tiny: Any   # stand-in for z_i - z_j == 0
 
 
-def _horner(coeffs, x):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
+def _to_complex(c) -> complex:
+    try:
+        return complex(c)
+    except OverflowError:  # an int or Fraction beyond the double range
+        raise CoefficientOverflow(
+            remedy="a higher --precision-bits (precision_bits > 53) "
+                   "solves in mpmath instead") from None
 
 
-def _start_radius(mags):
+def _to_mp(c):
+    if isinstance(c, Fraction):
+        return mpmath.mpf(c.numerator) / c.denominator
+    if isinstance(c, complex):
+        return mpmath.mpc(c.real, c.imag)
+    return mpmath.mpf(c)
+
+
+# eps stays 1e-15 rather than 2**(4-53): the invariant density's difference
+# stencil amplifies last-bit changes in the roots.
+_DOUBLE = _Arith(num=_to_complex, one=1.0, exp=cmath.exp, sqrt=cmath.sqrt,
+                 pi=math.pi, eps=1e-15, tiny=1e-30)
+
+
+def _mp_arith(bits: int) -> _Arith:
+    """mpmath arithmetic; build and use it under mpmath.workprec(bits)."""
+    return _Arith(num=_to_mp, one=mpmath.mpf(1), exp=mpmath.exp,
+                  sqrt=mpmath.sqrt, pi=+mpmath.pi, eps=mpmath.mpf(2) ** (4 - bits),
+                  tiny=mpmath.mpf("1e-60"))
+
+
+def _start_radius(mags, one):
     """Initial circle radius: min of the Cauchy and Fujiwara root bounds.
 
     The Cauchy bound 1 + max|a_k/a_n| explodes when the leading coefficient
@@ -123,15 +157,15 @@ def _start_radius(mags):
     """
     n = len(mags) - 1
     an = mags[-1]
-    cauchy = 1.0 + max(mags[:-1]) / an
-    fuji = 0.0
+    cauchy = one + max(mags[:-1]) / an
+    fuji = 0
     for k in range(1, n + 1):
-        m = mags[n - k] / (an if k < n else 2.0 * an)
-        if m > 0.0:
-            fuji = max(fuji, m ** (1.0 / k))
-    fuji *= 2.0
-    if fuji == 0.0:
-        return min(cauchy, 1.0)
+        m = mags[n - k] / (an if k < n else 2 * an)
+        if m > 0:
+            fuji = max(fuji, m ** (one / k))
+    fuji *= 2
+    if fuji == 0:
+        return min(cauchy, one)
     return min(cauchy, fuji)
 
 
@@ -145,22 +179,34 @@ def _residual_ok(residual, maxc, r_abs, degree, tolerance):
     return log_res <= log_bound, log_res - log_bound
 
 
-def _aberth_complex(coeffs, max_iterations, tolerance):
-    """Aberth-Ehrlich in double precision. coeffs: complex, leading nonzero."""
-    n = len(coeffs) - 1
-    maxmag = max(abs(c) for c in coeffs)
-    scale = _pow2_scale(maxmag)
-    c = [complex(x) / scale for x in coeffs]
+def _quadratic(c0, c1, c2, sqrt):
+    """Stable closed form; a zero discriminant yields an exact double root."""
+    sq = sqrt(c1 * c1 - 4 * c2 * c0)
+    q = -0.5 * (c1 + sq if (c1.conjugate() * sq).real >= 0 else c1 - sq)
+    if q == 0:
+        return [0j, 0j]
+    return [q / c2, c0 / q]
+
+
+def _aberth(c, ar: _Arith, max_iterations, tolerance):
+    """Aberth-Ehrlich iteration on working numbers c (leading one nonzero)."""
+    n = len(c) - 1
+    # Power-of-two normalisation keeps the iteration exactly scale-invariant.
+    # The exponent comes from a float so the 53-bit path calls no mpmath; an
+    # mpf beyond the double range gets exponent 0, harmless since mpf has no
+    # overflow.
+    scale = 2.0 ** (math.frexp(float(max(abs(x) for x in c)))[1] - 1)
+    c = [x / scale for x in c]
     d = [k * c[k] for k in range(1, n + 1)]
     maxc = max(abs(x) for x in c)
 
-    radius = _start_radius([abs(x) for x in c])
-    offset = math.pi / (2 * n)
-    z = [radius * cmath.exp(1j * (2 * math.pi * k / n + offset)) for k in range(n)]
+    radius = _start_radius([abs(x) for x in c], ar.one)
+    offset = ar.pi / (2 * n)
+    z = [radius * ar.exp(1j * (2 * ar.pi * k / n + offset)) for k in range(n)]
     frozen = [False] * n
 
     for _ in range(max_iterations):
-        moved = 0.0
+        moved = 0
         for i in range(n):
             if frozen[i]:
                 continue
@@ -171,195 +217,75 @@ def _aberth_complex(coeffs, max_iterations, tolerance):
                 continue
             dv = _horner(d, zi)
             if dv == 0:
-                z[i] = zi * 1.000000001 + 1e-9  # deterministic nudge off the stationary point
-                moved = max(moved, 1.0)
+                # deterministic nudge off the stationary point
+                z[i] = zi * ar.num("1.000000001") + ar.num("1e-9")
+                moved = max(moved, ar.one)
                 continue
             ratio = pv / dv
-            s = 0j
+            s = 0
             for j in range(n):
                 if j != i:
                     dz = zi - z[j]
                     if dz == 0:
-                        dz = 1e-30
-                    s += 1.0 / dz
-            den = 1.0 - ratio * s
+                        dz = ar.tiny
+                    s += 1 / dz
+            den = 1 - ratio * s
             w = ratio if den == 0 else ratio / den
             z[i] = zi - w
-            rel = abs(w) / max(1.0, abs(z[i]))
-            if rel < 1e-15:
+            rel = abs(w) / max(ar.one, abs(z[i]))
+            if rel < ar.eps:
                 frozen[i] = True
             moved = max(moved, rel)
-        if moved < 1e-15:
+        if moved < ar.eps:
             break
 
-    residuals = [abs(_horner(c, zi)) for zi in z]
-    checks = [_residual_ok(r, maxc, abs(zi), n, tolerance)
+    residuals = [float(abs(_horner(c, zi))) for zi in z]
+    checks = [_residual_ok(r, float(maxc), float(abs(zi)), n, tolerance)
               for r, zi in zip(residuals, z)]
     if not all(ok for ok, _ in checks):
+        worst = max(residuals) * scale  # in the caller's units, not the scaled ones
         raise NonConvergence(
             f"Aberth iteration did not meet the residual bound "
-            f"(worst residual {max(residuals):.3e})",
-            worst_residual=max(residuals),
+            f"(worst residual {worst:.3e})",
+            worst_residual=worst,
         )
     return z
 
 
-def _to_mp(c):
-    if isinstance(c, Fraction):
-        return mpmath.mpf(c.numerator) / c.denominator
-    if isinstance(c, complex):
-        return mpmath.mpc(c.real, c.imag)
-    return mpmath.mpf(c)
-
-
-def _quadratic_complex(c0, c1, c2):
-    """Stable closed form; a zero discriminant yields an exact double root."""
-    disc = c1 * c1 - 4.0 * c2 * c0
-    sq = cmath.sqrt(disc)
-    if (c1.conjugate() * sq).real >= 0:
-        q = -0.5 * (c1 + sq)
+def _solve(coeffs, ar: _Arith, cfg: RootConfig) -> list:
+    """Roots of a polynomial of degree >= 1 with nonzero constant term."""
+    c = [ar.num(x) for x in coeffs]
+    if len(c) == 2:
+        roots = [-c[0] / c[1]]
+    elif len(c) == 3:
+        roots = _quadratic(*c, ar.sqrt)
     else:
-        q = -0.5 * (c1 - sq)
-    if q == 0:
-        r1 = r2 = 0j
-    else:
-        r1, r2 = q / c2, c0 / q
-    return [r1, r2]
-
-
-def _quadratic_mp(c0, c1, c2, precision_bits):
-    with MP_LOCK, mpmath.workprec(precision_bits):
-        c0, c1, c2 = _to_mp(c0), _to_mp(c1), _to_mp(c2)
-        disc = c1 * c1 - 4 * c2 * c0
-        sq = mpmath.sqrt(disc)
-        if mpmath.re(mpmath.conj(c1) * sq) >= 0:
-            q = -(c1 + sq) / 2
-        else:
-            q = -(c1 - sq) / 2
-        if q == 0:
-            return [0j, 0j]
-        return [complex(q / c2), complex(c0 / q)]
-
-
-def _start_radius_mp(mags):
-    """_start_radius carried out in mp arithmetic (no float under/overflow)."""
-    n = len(mags) - 1
-    an = mags[-1]
-    cauchy = 1 + max(mags[:-1]) / an
-    fuji = mpmath.mpf(0)
-    for k in range(1, n + 1):
-        m = mags[n - k] / (an if k < n else 2 * an)
-        if m > 0:
-            fuji = max(fuji, m ** (mpmath.mpf(1) / k))
-    fuji *= 2
-    if fuji == 0:
-        return min(cauchy, mpmath.mpf(1))
-    return min(cauchy, fuji)
-
-
-def _aberth_mp(coeffs, max_iterations, tolerance, precision_bits):
-    """Same iteration carried out with mpmath at the requested precision."""
-    with MP_LOCK, mpmath.workprec(precision_bits):
-        n = len(coeffs) - 1
-        c = [_to_mp(x) for x in coeffs]
-        maxmag = max(abs(x) for x in c)
-        scale = mpmath.mpf(2) ** int(mpmath.nint(mpmath.log(maxmag, 2)))
-        c = [x / scale for x in c]
-        d = [k * c[k] for k in range(1, n + 1)]
-        maxc = max(abs(x) for x in c)
-
-        radius = _start_radius_mp([abs(x) for x in c])
-        offset = mpmath.pi / (2 * n)
-        two_pi = 2 * mpmath.pi
-        z = [radius * mpmath.exp(1j * (two_pi * k / n + offset)) for k in range(n)]
-        frozen = [False] * n
-        eps = mpmath.mpf(2) ** (4 - precision_bits)
-
-        for _ in range(max_iterations):
-            moved = mpmath.mpf(0)
-            for i in range(n):
-                if frozen[i]:
-                    continue
-                zi = z[i]
-                pv = _horner(c, zi)
-                if pv == 0:
-                    frozen[i] = True
-                    continue
-                dv = _horner(d, zi)
-                if dv == 0:
-                    z[i] = zi * mpmath.mpf("1.000000001") + mpmath.mpf("1e-9")
-                    moved = max(moved, mpmath.mpf(1))
-                    continue
-                ratio = pv / dv
-                s = mpmath.mpc(0)
-                for j in range(n):
-                    if j != i:
-                        dz = zi - z[j]
-                        if dz == 0:
-                            dz = mpmath.mpf("1e-60")
-                        s += 1 / dz
-                den = 1 - ratio * s
-                w = ratio if den == 0 else ratio / den
-                z[i] = zi - w
-                rel = abs(w) / max(mpmath.mpf(1), abs(z[i]))
-                if rel < eps:
-                    frozen[i] = True
-                moved = max(moved, rel)
-            if moved < eps:
-                break
-
-        residuals = [float(abs(_horner(c, zi))) for zi in z]
-        checks = [_residual_ok(r, float(maxc), float(abs(zi)), n, tolerance)
-                  for r, zi in zip(residuals, z)]
-        if not all(ok for ok, _ in checks):
-            raise NonConvergence(
-                f"Aberth iteration did not meet the residual bound "
-                f"(worst residual {max(residuals):.3e})",
-                worst_residual=max(residuals),
-            )
-        return [complex(zi) for zi in z]
+        roots = _aberth(c, ar, cfg.max_iterations, cfg.tolerance)
+    return [complex(r) for r in roots]
 
 
 def poly_roots(p: Polynomial, cfg: RootConfig = RootConfig()) -> list:
     """All `degree` roots of p, with multiplicity, deterministically ordered.
 
     Exact zero trailing coefficients are peeled off as roots at the origin
-    before the simultaneous iteration runs on the deflated polynomial.
+    before the rest are solved for.  At 53 bits a coefficient beyond the
+    double range raises CoefficientOverflow.
     """
     coeffs = list(p.coeffs)
     if len(coeffs) == 1:
         raise DegreeZero("constant polynomial has no roots to solve for")
 
-    origin = []
+    roots = []
     while len(coeffs) > 1 and _is_zero(coeffs[0]):
-        origin.append(0j)
+        roots.append(0j)
         coeffs.pop(0)
 
-    if len(coeffs) == 1:
-        roots = origin
-    elif len(coeffs) == 2:
-        if cfg.precision_bits > 53:
+    if len(coeffs) > 1:
+        if cfg.precision_bits == 53:
+            roots += _solve(coeffs, _DOUBLE, cfg)
+        else:
             with MP_LOCK, mpmath.workprec(cfg.precision_bits):
-                r = -_to_mp(coeffs[0]) / _to_mp(coeffs[1])
-                roots = origin + [complex(r)]
-        else:
-            roots = origin + [-complex(coeffs[0]) / complex(coeffs[1])]
-    elif len(coeffs) == 3:
-        if cfg.precision_bits > 53:
-            roots = origin + _quadratic_mp(coeffs[0], coeffs[1], coeffs[2],
-                                           cfg.precision_bits)
-        else:
-            roots = origin + _quadratic_complex(complex(coeffs[0]),
-                                                complex(coeffs[1]),
-                                                complex(coeffs[2]))
-    else:
-        if cfg.precision_bits > 53:
-            found = _aberth_mp(coeffs, cfg.max_iterations, cfg.tolerance,
-                               cfg.precision_bits)
-        else:
-            found = _aberth_complex([complex(c) for c in coeffs],
-                                    cfg.max_iterations, cfg.tolerance)
-        roots = origin + found
+                roots += _solve(coeffs, _mp_arith(cfg.precision_bits), cfg)
 
     roots.sort(key=lambda r: (r.real, r.imag))
     return roots

@@ -1,7 +1,7 @@
 """Orthogonal splitting of quadratic maps f(a) = lam*a + Q a^2 in R^d.
 
 For a dual vector s the projected quadratic form S = sum_l s_l Q_l is
-symmetric; a cyclic-Jacobi diagonalisation S = T D T^t separates the
+symmetric; its eigen-decomposition S = T D T^t separates the
 exponent into independent one-dimensional pieces
 
     gamma_+(u) = Lambda_l u + K_l^2 u^2 - ln u   (D_l > 0)
@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .bell import MapSpec1D
-from .errors import DegenerateForm, NonConvergence
+from .errors import DegenerateForm
 from .saddle import SaddleProblem, zero_density_q
 
 __all__ = [
@@ -76,57 +76,14 @@ class SymmetricForm:
         return M
 
 
-def _jacobi_rotate(A: np.ndarray, V: np.ndarray, p: int, q: int):
-    app, aqq, apq = A[p, p], A[q, q], A[p, q]
-    phi = 0.5 * np.arctan2(2.0 * apq, aqq - app)
-    c, s = np.cos(phi), np.sin(phi)
-    n = A.shape[0]
-    for i in range(n):
-        aip, aiq = A[i, p], A[i, q]
-        A[i, p] = c * aip - s * aiq
-        A[i, q] = s * aip + c * aiq
-    for i in range(n):
-        api, aqi = A[p, i], A[q, i]
-        A[p, i] = c * api - s * aqi
-        A[q, i] = s * api + c * aqi
-    A[p, q] = 0.0
-    A[q, p] = 0.0
-    for i in range(n):
-        vip, viq = V[i, p], V[i, q]
-        V[i, p] = c * vip - s * viq
-        V[i, q] = s * vip + c * viq
-
-
-def symmetric_eigen(S: SymmetricForm, max_sweeps: int = 50):
-    """Cyclic Jacobi diagonalisation.
+def symmetric_eigen(S: SymmetricForm):
+    """S = T diag(eig) T^t by LAPACK's symmetric eigensolver (np.linalg.eigh).
 
     Returns (eigenvalues ascending, T) with unit-norm columns whose first
     non-negligible component is positive, so results are deterministic.
     """
-    A = S.matrix()
-    d = A.shape[0]
-    V = np.eye(d)
-    if d > 1:
-        norm = float(np.linalg.norm(A)) or 1.0
-        stop = 1e-15 * norm
-        for _ in range(max_sweeps):
-            off = float(np.sqrt(np.sum(np.tril(A, -1) ** 2) * 2.0))
-            if off <= stop:
-                break
-            for p in range(d - 1):
-                for q in range(p + 1, d):
-                    if abs(A[p, q]) > stop / d:
-                        _jacobi_rotate(A, V, p, q)
-        else:
-            raise NonConvergence(
-                f"Jacobi sweeps exceeded {max_sweeps} without reaching "
-                f"off-diagonal norm {stop:.3e}")
-
-    eig = np.diag(A).copy()
-    order = np.argsort(eig, kind="stable")
-    eig = eig[order]
-    V = V[:, order]
-    for j in range(d):
+    eig, V = np.linalg.eigh(S.matrix())
+    for j in range(V.shape[1]):
         col = V[:, j]
         lead = 0.0
         for v in col:

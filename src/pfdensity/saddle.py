@@ -72,14 +72,7 @@ def critical_points(prob: SaddleProblem, cfg: RootConfig = RootConfig()) -> list
 
 
 def _gamma(prob: SaddleProblem, a: complex) -> complex:
-    return prob.s * _eval_map(prob.f, a) - cmath.log(a)
-
-
-def _eval_map(f: MapSpec1D, a: complex) -> complex:
-    acc = complex(f.coeffs[-1])
-    for c in reversed(f.coeffs[:-1]):
-        acc = acc * a + c
-    return acc
+    return prob.s * prob.f(a) - cmath.log(a)
 
 
 def analyze(prob: SaddleProblem, cfg: RootConfig = RootConfig()) -> SaddleResult:
@@ -103,7 +96,7 @@ def analyze(prob: SaddleProblem, cfg: RootConfig = RootConfig()) -> SaddleResult
 
     a_sel = points[selected]
     gamma_real = _gamma(prob, a_sel).real
-    q = abs(_eval_map(prob.f, a_sel).imag) / math.pi
+    q = abs(prob.f(a_sel).imag) / math.pi
     return SaddleResult(tuple(points), residuals, selected, gamma_real, q)
 
 

@@ -182,17 +182,31 @@ def test_domain_error_exit_code_and_json(tmp_path, capsys):
     assert err["error"]["type"] == "ValueError"
 
 
+def test_threads_option_is_a_usage_error(logistic_map_file):
+    with pytest.raises(SystemExit) as exc:
+        run(["--threads", "1", "density", "saddle", "--map", logistic_map_file,
+             "--s", "0.1:0.9:3"])
+    assert exc.value.code == 2
+
+
+def test_53_bit_coefficient_overflow_exit_code_and_json(tmp_path, capsys):
+    # H_2 has a y^2 coefficient near 1e600: beyond doubles, fine in mpmath
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"coeffs": [0.0, 1e300, -0.5]}))
+    argv = ["hermite", "zeros", "--map", str(big), "-n", "2", "--out", "-"]
+    assert run(argv + ["--precision-bits", "53"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "CoefficientOverflow"
+    assert "--precision-bits" in err["error"]["message"]
+    assert run(argv + ["--precision-bits", "128"]) == 0
+
+
 def test_byte_identical_reruns(logistic_map_file, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
         run(["density", "saddle", "--map", logistic_map_file,
              "--s", "0.05:0.95:19", "--out", str(out)])
     assert a.read_bytes() == b.read_bytes()
-    # thread count must not change the bytes either
-    c = tmp_path / "c.csv"
-    run(["--threads", "1", "density", "saddle", "--map", logistic_map_file,
-         "--s", "0.05:0.95:19", "--out", str(c)])
-    assert a.read_bytes() == c.read_bytes()
 
 
 def test_seventeen_digit_roundtrip(logistic_map_file, tmp_path):

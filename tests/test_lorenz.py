@@ -247,7 +247,7 @@ def test_cycle_sample_on_reduced_slice():
     expected = 2.0 * math.sqrt(8.0 * math.sqrt(2.0) - 4.0) / \
         (8.0 * math.pi * math.sqrt(2.0))
     assert cs.density == pytest.approx(expected, abs=1e-12)
-    assert cycle_density(q_decomposition(s_point), s_point) == cs.density
+    assert cycle_density(s_point) == cs.density
 
 
 def test_cycle_density_zero_when_l2_vanishes():

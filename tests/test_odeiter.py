@@ -203,7 +203,6 @@ def test_critical_frequencies_diag():
     res = critical_frequencies(DIAG23, [1.0, 1.0])
     assert res.taus == pytest.approx((0.5, 1.0 / 3.0))
     assert res.critical_tau == pytest.approx(0.5)
-    assert res.singular_taus == res.taus
     # the flagged eigenvector is the left eigenvector for lambda = -2
     J = DIAG23.jacobian([1.0, 1.0])
     v = res.eigenvector

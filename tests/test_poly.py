@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfdensity.errors import DegreeZero, NonConvergence
+from pfdensity.errors import CoefficientOverflow, DegreeZero, NonConvergence
 from pfdensity.poly import (Polynomial, RootConfig, poly_derivative, poly_eval,
                             poly_roots, real_zeros)
 
@@ -81,6 +81,27 @@ def test_non_convergence_reports_worst_residual():
     with pytest.raises(NonConvergence) as exc:
         poly_roots(Polynomial([-1.0, 0.0, 0.0, 1.0]), RootConfig(max_iterations=1))
     assert exc.value.worst_residual > 0
+
+
+def test_worst_residual_is_in_the_polynomials_units():
+    cfg = RootConfig(max_iterations=1)
+    p = Polynomial([-1.0, 0.0, 0.0, 1.0])
+    worst = {}
+    for c in (1.0, 2.0**40):
+        with pytest.raises(NonConvergence) as exc:
+            poly_roots(Polynomial([c * x for x in p.coeffs]), cfg)
+        worst[c] = exc.value.worst_residual
+    assert worst[2.0**40] == 2.0**40 * worst[1.0]
+
+
+def test_coefficient_beyond_double_range():
+    # (10^400) x^2 - 1: the 53-bit solve cannot hold the coefficient
+    p = Polynomial([-1, 0, 10**400])
+    with pytest.raises(CoefficientOverflow) as exc:
+        poly_roots(p)
+    assert "precision-bits" in str(exc.value)
+    roots = poly_roots(p, RootConfig(precision_bits=128))
+    assert [abs(r) for r in roots] == pytest.approx([1e-200, 1e-200], rel=1e-15)
 
 
 def test_origin_roots_are_exact():
