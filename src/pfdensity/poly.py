@@ -5,12 +5,25 @@ ints, Fractions, floats or complex; exact coefficient types survive
 arithmetic and evaluation, which lets callers generate polynomials in
 exact rational arithmetic and only round when solving for roots.
 
-Roots are found with the Aberth-Ehrlich simultaneous iteration, started
-from points equally spaced on a circle bounding the root moduli (the
-tighter of the Cauchy and Fujiwara bounds).  One iteration runs over one of
-two number types: Python complex at cfg.precision_bits == 53, or mpmath at
-higher precision (needed for high-degree polynomials whose monomial-basis
-conditioning is poor).  Degrees 1 and 2 use closed forms in the same types.
+Roots are found with the Aberth-Ehrlich simultaneous iteration.  One
+iteration runs over one of two number types: Python complex at
+cfg.precision_bits == 53, or mpmath at higher precision (needed for
+high-degree polynomials whose monomial-basis conditioning is poor).  At 53
+bits it starts from points equally spaced on a circle bounding the root
+moduli (the tighter of the Cauchy and Fujiwara bounds).  Above 53 bits it
+first solves a double copy of the polynomial the same way, then polishes
+those roots in mpmath; the circle is the fallback when the double copy
+cannot stand in for the polynomial.
+
+A root stops moving (is frozen) by one of two rules: its relative Aberth
+step falls below a fixed eps, or, in mpmath only, its residual is within
+the running-error bound of Horner's rule, |p(z)| <= 4 n u sum|a_k||z|^k
+with u = 2^-bits (Bini & Fiorentino's stopping rule in MPSolve).  The
+second rule is what ends the mpmath iteration; the first is the only one
+at 53 bits, whose last bits the invariant density depends on.  Every
+result must then pass a residual test against cfg.tolerance, and a root
+beyond the double range is an error.  Degrees 1 and 2 use closed forms in
+the same types.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ from typing import Any, Callable
 
 import mpmath
 
-from .errors import CoefficientOverflow, DegreeZero, NonConvergence
+from .errors import CoefficientOverflow, DegreeZero, DomainError, NonConvergence
 
 # mpmath's working precision is process-global state; hold this lock around
 # any block that changes it so that concurrent library callers stay correct.
@@ -107,14 +120,20 @@ def poly_derivative(p: Polynomial) -> Polynomial:
 
 @dataclass(frozen=True)
 class _Arith:
-    """The number type one root solve works in."""
+    """The number type one root solve works in.
+
+    _DOUBLE serves 53-bit solves and the seeds of wider ones; _mp_arith(bits)
+    polishes those seeds.  A root freezes on the first of two rules.
+    """
 
     num: Callable[[Any], Any]   # coefficient (or numeric string) -> working number
     one: Any
     exp: Callable
     sqrt: Callable
+    frexp: Callable  # (mantissa, exponent) computed in the working type
     pi: Any
-    eps: Any    # freeze a root once its relative Aberth step is below this
+    eps: Any    # freeze rule 1: a root's relative Aberth step fell below eps
+    unit: Any   # freeze rule 2: |p(z)| <= 4*n*unit*sum|a_k||z|^k; 0 disables it
     tiny: Any   # stand-in for z_i - z_j == 0
 
 
@@ -136,15 +155,18 @@ def _to_mp(c):
 
 
 # eps stays 1e-15 rather than 2**(4-53): the invariant density's difference
-# stencil amplifies last-bit changes in the roots.
+# stencil amplifies last-bit changes in the roots.  The error-bound rule is
+# off (unit=0): at 53 bits it changes those last bits and stops some roots
+# of the chain polynomials before they reach the real axis.
 _DOUBLE = _Arith(num=_to_complex, one=1.0, exp=cmath.exp, sqrt=cmath.sqrt,
-                 pi=math.pi, eps=1e-15, tiny=1e-30)
+                 frexp=math.frexp, pi=math.pi, eps=1e-15, unit=0, tiny=1e-30)
 
 
 def _mp_arith(bits: int) -> _Arith:
     """mpmath arithmetic; build and use it under mpmath.workprec(bits)."""
     return _Arith(num=_to_mp, one=mpmath.mpf(1), exp=mpmath.exp,
-                  sqrt=mpmath.sqrt, pi=+mpmath.pi, eps=mpmath.mpf(2) ** (4 - bits),
+                  sqrt=mpmath.sqrt, frexp=mpmath.frexp, pi=+mpmath.pi,
+                  eps=mpmath.mpf(2) ** (4 - bits), unit=mpmath.mpf(2) ** -bits,
                   tiny=mpmath.mpf("1e-60"))
 
 
@@ -169,6 +191,14 @@ def _start_radius(mags, one):
     return min(cauchy, fuji)
 
 
+def _circle(c, ar: _Arith):
+    """Start points equally spaced on a circle bounding the root moduli."""
+    n = len(c) - 1
+    radius = _start_radius([abs(x) for x in c], ar.one)
+    offset = ar.pi / (2 * n)
+    return [radius * ar.exp(1j * (2 * ar.pi * k / n + offset)) for k in range(n)]
+
+
 def _residual_ok(residual, maxc, r_abs, degree, tolerance):
     """|p(r)| <= tol * max|c| * max(1,|r|)^degree, compared in log space."""
     if residual == 0.0:
@@ -188,21 +218,18 @@ def _quadratic(c0, c1, c2, sqrt):
     return [q / c2, c0 / q]
 
 
-def _aberth(c, ar: _Arith, max_iterations, tolerance):
-    """Aberth-Ehrlich iteration on working numbers c (leading one nonzero)."""
-    n = len(c) - 1
-    # Power-of-two normalisation keeps the iteration exactly scale-invariant.
-    # The exponent comes from a float so the 53-bit path calls no mpmath; an
-    # mpf beyond the double range gets exponent 0, harmless since mpf has no
-    # overflow.
-    scale = 2.0 ** (math.frexp(float(max(abs(x) for x in c)))[1] - 1)
-    c = [x / scale for x in c]
-    d = [k * c[k] for k in range(1, n + 1)]
-    maxc = max(abs(x) for x in c)
+def _aberth(c, ar: _Arith, z, max_iterations):
+    """Aberth-Ehrlich iteration on working numbers c from start points z.
 
-    radius = _start_radius([abs(x) for x in c], ar.one)
-    offset = ar.pi / (2 * n)
-    z = [radius * ar.exp(1j * (2 * ar.pi * k / n + offset)) for k in range(n)]
+    A root whose residual meets the error bound still takes the step computed
+    there before it is frozen; freezing it first costs accuracy at high
+    degree (H_128 at 128 bits: 2e-9 relative error instead of 3e-11).
+    """
+    n = len(c) - 1
+    d = [k * c[k] for k in range(1, n + 1)]
+    mags = [abs(x) for x in c]
+    bound = 4 * n * ar.unit  # running-error bound of Horner, in units of sum|a_k||z|^k
+    z = list(z)
     frozen = [False] * n
 
     for _ in range(max_iterations):
@@ -233,17 +260,55 @@ def _aberth(c, ar: _Arith, max_iterations, tolerance):
             w = ratio if den == 0 else ratio / den
             z[i] = zi - w
             rel = abs(w) / max(ar.one, abs(z[i]))
-            if rel < ar.eps:
+            if rel < ar.eps or (
+                    bound and abs(pv) <= bound * _horner(mags, abs(zi))):
                 frozen[i] = True
             moved = max(moved, rel)
         if moved < ar.eps:
             break
+    return z
 
+
+def _double_seeds(c, max_iterations):
+    """53-bit Aberth roots of c (max|c_k| in [1, 2)), or None where the
+    double copy of c cannot stand in for it.
+
+    After that normalisation no coefficient overflows a double; small ones
+    may underflow, and a leading one that underflows to 0 leaves no
+    polynomial of the same degree to solve.
+    """
+    cd = [complex(x) for x in c]
+    if cd[-1] == 0:
+        return None
+    z = _aberth(cd, _DOUBLE, _circle(cd, _DOUBLE), max_iterations)
+    if not all(cmath.isfinite(x) for x in z):
+        return None
+    return z
+
+
+def _aberth_roots(c, ar: _Arith, cfg: RootConfig) -> list:
+    """Aberth roots of working numbers c, held to the residual bound.
+
+    Above 53 bits a double-precision solve supplies the start points and
+    the working type only polishes them; the circle is the fallback.
+    """
+    n = len(c) - 1
+    # Power-of-two normalisation keeps the iteration exactly scale-invariant.
+    # The exponent comes from the working type: a float would overflow for
+    # an mpf beyond the double range and leave c unscaled.
+    scale = (2 * ar.one) ** (ar.frexp(max(abs(x) for x in c))[1] - 1)
+    c = [x / scale for x in c]
+    seeds = None if ar is _DOUBLE else _double_seeds(c, cfg.max_iterations)
+    z = _aberth(c, ar, _circle(c, ar) if seeds is None else map(ar.num, seeds),
+                cfg.max_iterations)
+
+    maxc = max(abs(x) for x in c)
     residuals = [float(abs(_horner(c, zi))) for zi in z]
-    checks = [_residual_ok(r, float(maxc), float(abs(zi)), n, tolerance)
+    checks = [_residual_ok(r, float(maxc), float(abs(zi)), n, cfg.tolerance)
               for r, zi in zip(residuals, z)]
     if not all(ok for ok, _ in checks):
-        worst = max(residuals) * scale  # in the caller's units, not the scaled ones
+        # in the caller's units, not the scaled ones
+        worst = float(max(residuals) * scale)
         raise NonConvergence(
             f"Aberth iteration did not meet the residual bound "
             f"(worst residual {worst:.3e})",
@@ -260,8 +325,17 @@ def _solve(coeffs, ar: _Arith, cfg: RootConfig) -> list:
     elif len(c) == 3:
         roots = _quadratic(*c, ar.sqrt)
     else:
-        roots = _aberth(c, ar, cfg.max_iterations, cfg.tolerance)
-    return [complex(r) for r in roots]
+        roots = _aberth_roots(c, ar, cfg)
+    out = [complex(r) for r in roots]
+    for r, o in zip(roots, out):
+        if not cmath.isfinite(o):
+            mant, exp2 = ar.frexp(abs(r))
+            size = ""
+            if 0 < mant < 1:  # finite in the working type
+                decades = math.log10(mant) + exp2 * math.log10(2)
+                size = f" of modulus about 1e{round(decades)}"
+            raise DomainError(f"a root{size} is not finite as a double")
+    return out
 
 
 def poly_roots(p: Polynomial, cfg: RootConfig = RootConfig()) -> list:
@@ -269,7 +343,8 @@ def poly_roots(p: Polynomial, cfg: RootConfig = RootConfig()) -> list:
 
     Exact zero trailing coefficients are peeled off as roots at the origin
     before the rest are solved for.  At 53 bits a coefficient beyond the
-    double range raises CoefficientOverflow.
+    double range raises CoefficientOverflow; at any precision a root that
+    is not finite as a double raises DomainError.
     """
     coeffs = list(p.coeffs)
     if len(coeffs) == 1:

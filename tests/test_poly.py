@@ -1,12 +1,15 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfdensity.errors import CoefficientOverflow, DegreeZero, NonConvergence
+from pfdensity.bell import MapSpec1D, bell_sequence_exact
+from pfdensity.errors import (CoefficientOverflow, DegreeZero, DomainError,
+                              NonConvergence)
 from pfdensity.poly import (Polynomial, RootConfig, poly_derivative, poly_eval,
                             poly_roots, real_zeros)
 
@@ -102,6 +105,57 @@ def test_coefficient_beyond_double_range():
     assert "precision-bits" in str(exc.value)
     roots = poly_roots(p, RootConfig(precision_bits=128))
     assert [abs(r) for r in roots] == pytest.approx([1e-200, 1e-200], rel=1e-15)
+
+
+def test_residual_check_holds_beyond_double_range():
+    # 10^400 (x^4 + 3x^2 - 1) must be judged like x^4 + 3x^2 - 1
+    base = [-1, 0, 3, 0, 1]
+    polys = [Polynomial(base), Polynomial([10**400 * c for c in base])]
+    for p in polys:
+        with pytest.raises(NonConvergence):
+            poly_roots(p, RootConfig(precision_bits=256, max_iterations=1))
+    want, got = (poly_roots(p, RootConfig(precision_bits=256)) for p in polys)
+    assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+
+def test_root_beyond_double_range_is_an_error():
+    # x^2 - 10^700 has roots +-10^350, which no double can hold
+    with pytest.raises(DomainError, match="1e350"):
+        poly_roots(Polynomial([-10**700, 0, 1]), RootConfig(precision_bits=128))
+    # x^4 + 10^400 x^3 - 1: one root near -10^400, three of modulus ~1e-133.
+    # From the circle of radius ~10^400 the small ones need ~1400 sweeps, so
+    # the default budget fails loudly instead of returning inf.
+    p = Polynomial([-1, 0, 0, 10**400, 1])
+    with pytest.raises(NonConvergence):
+        poly_roots(p, RootConfig(precision_bits=256))
+    with pytest.raises(DomainError, match="1e400"):
+        poly_roots(p, RootConfig(precision_bits=256, max_iterations=1500))
+    # at 53 bits the linear closed form -c0/c1 overflows
+    with pytest.raises(DomainError):
+        poly_roots(Polynomial([1e308, 1e-308]))
+
+
+def test_seed_fallback_when_leading_coefficient_underflows():
+    # x^4 / 10^400 - 1: the leading coefficient underflows to 0 as a double
+    # even after normalisation, so the 53-bit seeds are skipped
+    roots = poly_roots(Polynomial([-1, 0, 0, 0, Fraction(1, 10**400)]),
+                       RootConfig(precision_bits=256))
+    assert [abs(r) for r in roots] == pytest.approx([1e100] * 4, rel=1e-15)
+
+
+def test_logistic_h128_zeros_match_hermite_nodes():
+    # The positive zeros of H_n(y, 0) for the logistic map are y = 2h^2/lam^2
+    # over the positive Hermite nodes h; the other n/2 zeros sit at 0.
+    n, lam = 128, 2.0
+    poly = bell_sequence_exact(MapSpec1D.logistic(lam), n)[n]
+    nodes, _ = np.polynomial.hermite.hermgauss(n)
+    want = np.sort(2.0 * nodes[nodes > 0] ** 2 / lam**2)
+    cfg = RootConfig(precision_bits=256)
+    zeros = real_zeros(poly_roots(poly, cfg), cfg)
+    assert len(zeros) == n
+    assert zeros.count(0.0) == n // 2
+    got = np.array([y for y in zeros if y > 0.0])
+    assert np.max(np.abs(got - want) / want) < 1e-14
 
 
 def test_origin_roots_are_exact():

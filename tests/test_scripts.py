@@ -37,3 +37,17 @@ def test_lorenz_study_script(tmp_path):
     assert out.exists()
     assert "admissible directions" in proc.stdout
     assert "partial-sum residual" in proc.stdout
+
+
+def test_semicircle_zeros_script(tmp_path):
+    proc = _run([str(ROOT / "scripts" / "semicircle_zeros.py"), str(tmp_path)],
+                cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()
+            if line.split() and line.split()[0].isdigit()]
+    assert [int(r[0]) for r in rows] == [8, 16, 32, 64, 128]
+    ks = [float(r[3]) for r in rows]
+    assert all(a > b for a, b in zip(ks, ks[1:]))
+    csv = (tmp_path / "scaled_zeros_n128.csv").read_text().splitlines()
+    assert csv[0] == "index,t"
+    assert len(csv) == 1 + 64
