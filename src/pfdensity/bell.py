@@ -2,13 +2,19 @@
 
 For a map f with f(0) = 0, the polynomials H_n(y, a) are defined by
 
-    d^n/da^n e^{y f(a)} = H_n(y, a) e^{y f(a)},
+    d^n/da^n e^{y f(a)} = H_n(y, a) e^{y f(a)}.
 
-generated here by the recurrence H_0 = 1, H_{n+1} = dH_n/da + H_n * y f'(a).
-Everything is carried out in exact rational arithmetic (every float is a
-dyadic rational, so no rounding enters the chain); callers choose between
-float and exact coefficient views.  The resolving gap e^n(y) = y^n - H_n(y,0)
-and the triangular coefficient system built on the gaps live here too.
+Differentiating e^{y f} n times gives the complete-Bell recurrence
+(Comtet, Advanced Combinatorics, 1974, sec. 3.3)
+
+    H_0 = 1,  H_n = y sum_{i=1}^{min(n, deg f)} C(n-1, i-1) f^(i)(a) H_{n-i},
+
+so at fixed a the chain needs only the derivatives f^(i)(a); at a = 0
+they are i! f_i.  Everything is carried out in exact rational arithmetic
+(every float is a dyadic rational, so no rounding enters the chain);
+callers choose between float and exact coefficient views.  The resolving
+gap e^n(y) = y^n - H_n(y,0) and the triangular coefficient system built on
+the gaps live here too.
 """
 
 from __future__ import annotations
@@ -23,10 +29,8 @@ from .poly import Polynomial, _horner
 
 __all__ = [
     "MapSpec1D",
-    "BivariatePolynomial",
     "CoefficientSystem",
-    "bell_next",
-    "bell_bivariate_sequence",
+    "bell_chain",
     "bell_sequence",
     "bell_sequence_exact",
     "resolving_gap",
@@ -94,78 +98,32 @@ class MapSpec1D:
         return {"coeffs": list(self.coeffs)}
 
 
-class BivariatePolynomial:
-    """Dense bivariate polynomial; coeffs[i][j] multiplies y^i a^j."""
+def bell_chain(derivs, n: int) -> list:
+    """[H_0(y,a), ..., H_n(y,a)] at one point a, as exact polynomials in y.
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = [list(row) for row in coeffs]
-
-    @property
-    def deg_y(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def deg_a(self) -> int:
-        return max(len(row) for row in self.coeffs) - 1
-
-    def at_a0(self) -> Polynomial:
-        """Restriction to a = 0: the polynomial H_n(y)."""
-        return Polynomial([row[0] if row else 0 for row in self.coeffs])
-
-    def eval(self, y, a):
-        total = 0
-        for i, row in enumerate(self.coeffs):
-            inner = 0
-            for c in reversed(row):
-                inner = inner * a + c
-            total += inner * y**i
-        return total
-
-    @classmethod
-    def one(cls) -> "BivariatePolynomial":
-        return cls([[Fraction(1)]])
-
-
-def _fprime_exact(f: MapSpec1D):
-    fc = f.exact_coeffs()
-    return [k * c for k, c in enumerate(fc)][1:]
-
-
-def bell_next(H: BivariatePolynomial, f: MapSpec1D) -> BivariatePolynomial:
-    """One step of the chain: H_{n+1} = dH/da + H * y f'(a), exact."""
-    fp = _fprime_exact(f)
-    ny = len(H.coeffs)
-    na = max(len(row) for row in H.coeffs)
-    out_rows = ny + 1
-    out_cols = na + max(len(fp) - 1, 0)
-    out = [[Fraction(0)] * out_cols for _ in range(out_rows)]
-    for i, row in enumerate(H.coeffs):
-        for j, c in enumerate(row):
-            if c == 0:
-                continue
-            if j >= 1:
-                out[i][j - 1] += j * c
-            for k, fk in enumerate(fp):
-                if fk:
-                    out[i + 1][j + k] += c * fk
-    return BivariatePolynomial(out)
-
-
-def bell_bivariate_sequence(f: MapSpec1D, n: int) -> list:
-    """[H_0(y,a), ..., H_n(y,a)] as exact bivariate polynomials."""
+    derivs[i-1] is f^(i)(a) for i = 1 .. deg f; the rows follow from the
+    complete-Bell recurrence in O(n^2 deg f) Fraction operations.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    chain = [BivariatePolynomial.one()]
-    for _ in range(n):
-        chain.append(bell_next(chain[-1], f))
-    return chain
+    x = [Fraction(c) for c in derivs]
+    rows = [[Fraction(1)]]
+    for m in range(1, n + 1):
+        row = [Fraction(0)] * (m + 1)
+        for i, xi in enumerate(x[:m], start=1):
+            if xi:
+                w = math.comb(m - 1, i - 1) * xi
+                for k, c in enumerate(rows[m - i]):
+                    if c:
+                        row[k + 1] += w * c
+        rows.append(row)
+    return [Polynomial(row) for row in rows]
 
 
 def bell_sequence_exact(f: MapSpec1D, n: int) -> list:
     """[H_0(y), ..., H_n(y)] at a = 0 with exact Fraction coefficients."""
-    return [H.at_a0() for H in bell_bivariate_sequence(f, n)]
+    return bell_chain([math.factorial(i) * c
+                       for i, c in enumerate(f.exact_coeffs()) if i], n)
 
 
 def _check_float_range(p: Polynomial, order: int) -> Polynomial:

@@ -23,7 +23,10 @@ second rule is what ends the mpmath iteration; the first is the only one
 at 53 bits, whose last bits the invariant density depends on.  Every
 result must then pass a residual test against cfg.tolerance, and a root
 beyond the double range is an error.  Degrees 1 and 2 use closed forms in
-the same types.
+the same types.  All three work on the coefficients divided by the power
+of two that brings the largest into [1, 2), which keeps the closed forms'
+products inside the double range; the closed forms keep the caller's
+coefficients where that division would round one of them.
 """
 
 from __future__ import annotations
@@ -286,18 +289,14 @@ def _double_seeds(c, max_iterations):
     return z
 
 
-def _aberth_roots(c, ar: _Arith, cfg: RootConfig) -> list:
+def _aberth_roots(c, ar: _Arith, cfg: RootConfig, scale) -> list:
     """Aberth roots of working numbers c, held to the residual bound.
 
-    Above 53 bits a double-precision solve supplies the start points and
-    the working type only polishes them; the circle is the fallback.
+    c is the caller's polynomial divided by scale.  Above 53 bits a
+    double-precision solve supplies the start points and the working type
+    only polishes them; the circle is the fallback.
     """
     n = len(c) - 1
-    # Power-of-two normalisation keeps the iteration exactly scale-invariant.
-    # The exponent comes from the working type: a float would overflow for
-    # an mpf beyond the double range and leave c unscaled.
-    scale = (2 * ar.one) ** (ar.frexp(max(abs(x) for x in c))[1] - 1)
-    c = [x / scale for x in c]
     seeds = None if ar is _DOUBLE else _double_seeds(c, cfg.max_iterations)
     z = _aberth(c, ar, _circle(c, ar) if seeds is None else map(ar.num, seeds),
                 cfg.max_iterations)
@@ -320,12 +319,20 @@ def _aberth_roots(c, ar: _Arith, cfg: RootConfig) -> list:
 def _solve(coeffs, ar: _Arith, cfg: RootConfig) -> list:
     """Roots of a polynomial of degree >= 1 with nonzero constant term."""
     c = [ar.num(x) for x in coeffs]
-    if len(c) == 2:
-        roots = [-c[0] / c[1]]
-    elif len(c) == 3:
-        roots = _quadratic(*c, ar.sqrt)
+    # Power-of-two normalisation to max|c_k| in [1, 2).  The exponent comes
+    # from the working type: a float would overflow for an mpf beyond the
+    # double range and leave c unscaled.
+    scale = (2 * ar.one) ** (ar.frexp(max(map(abs, c)))[1] - 1)
+    scaled = [x / scale for x in c]
+    if len(c) > 3:
+        roots = _aberth_roots(scaled, ar, cfg, scale)
     else:
-        roots = _aberth_roots(c, ar, cfg)
+        # The scale changes no rounding unless, above 1, it rounds a double
+        # into the subnormal range or to zero (1e300 x^2 + 1e-300 would gain
+        # a double root at 0); keep c then.
+        if scale <= 1 or [x * scale for x in scaled] == c:
+            c = scaled
+        roots = [-c[0] / c[1]] if len(c) == 2 else _quadratic(*c, ar.sqrt)
     out = [complex(r) for r in roots]
     for r, o in zip(roots, out):
         if not cmath.isfinite(o):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfdensity.bell import (BivariatePolynomial, MapSpec1D, bell_bivariate_sequence,
-                            bell_next, bell_sequence, bell_sequence_exact,
-                            classify_multiplier, resolving_gap,
-                            resolving_gap_exact, scaled_float_coeffs,
-                            solve_coefficient_system)
+from pfdensity.bell import (MapSpec1D, bell_chain, bell_sequence,
+                            bell_sequence_exact, classify_multiplier,
+                            resolving_gap, resolving_gap_exact,
+                            scaled_float_coeffs, solve_coefficient_system)
+from pfdensity.cli import run
 from pfdensity.errors import CoefficientOverflow, ResonanceDetected
+from pfdensity.poly import Polynomial
 
 
 def hermite_phys(m, t):
@@ -23,6 +25,30 @@ def hermite_phys(m, t):
     for k in range(1, m):
         prev, cur = cur, 2 * t * cur - 2 * k * prev
     return cur
+
+
+def derivs_at(f, a):
+    """[f'(a), ..., f^(deg f)(a)] exactly: f^(i)(a) = sum_k k!/(k-i)! f_k a^(k-i)."""
+    fc = f.exact_coeffs()
+    return [sum(math.perm(k, i) * c * a ** (k - i) for k, c in enumerate(fc) if k >= i)
+            for i in range(1, len(fc))]
+
+
+def faa_di_bruno_chain(f, n):
+    """Independent oracle: the y^k coefficient of H_m(y, 0) is m!/k! [a^m] f(a)^k.
+
+    Powers of f are truncated at degree n; row m lists k = 0..m.
+    """
+    fc = f.exact_coeffs()
+    powers = [[Fraction(1)] + [Fraction(0)] * n]
+    for _ in range(n):
+        nxt = [Fraction(0)] * (n + 1)
+        for i, p in enumerate(powers[-1]):
+            for j in range(1, min(len(fc), n + 1 - i)):
+                nxt[i + j] += p * fc[j]
+        powers.append(nxt)
+    return [[Fraction(math.factorial(m), math.factorial(k)) * powers[k][m]
+             for k in range(m + 1)] for m in range(n + 1)]
 
 
 def test_map_validation():
@@ -39,10 +65,11 @@ def test_map_json_roundtrip():
 
 def test_h1_is_y_fprime():
     f = MapSpec1D((0.0, 1.5, -0.5, 0.25))
-    H1 = bell_next(BivariatePolynomial.one(), f)
-    # y * f'(a) = y*(1.5 - a + 0.75 a^2)
-    assert H1.coeffs[1] == [Fraction(3, 2), Fraction(-1), Fraction(3, 4)]
-    assert all(c == 0 for c in H1.coeffs[0])
+    for a in (Fraction(0), Fraction(1, 3), Fraction(-5, 2)):
+        H0, H1 = bell_chain(derivs_at(f, a), 1)
+        # y * f'(a) with f'(a) = 1.5 - a + 0.75 a^2
+        assert H0.coeffs == (Fraction(1),)
+        assert H1.coeffs == (Fraction(0), Fraction(3, 2) - a + Fraction(3, 4) * a * a)
 
 
 def test_identity_map_powers():
@@ -67,7 +94,7 @@ def test_generating_identity_against_finite_differences(n, y, a):
     """d^n/da^n e^{y f(a)} = H_n(y,a) e^{y f(a)}, checked by a central
     finite-difference stencil evaluated in 60-digit arithmetic."""
     f = MapSpec1D((0.0, 1.25, -0.5))
-    H = bell_bivariate_sequence(f, n)[n]
+    H = bell_chain(derivs_at(f, Fraction(a)), n)[n]
     with mpmath.workdps(60):
         ym, am, h = mpmath.mpf(y), mpmath.mpf(a), mpmath.mpf("1e-3")
 
@@ -79,8 +106,42 @@ def test_generating_identity_against_finite_differences(n, y, a):
             stencil += (-1) ** k * mpmath.binomial(n, k) * g(am + (mpmath.mpf(n) / 2 - k) * h)
         stencil /= h**n
         expected = float(stencil / g(am))
-    got = float(H.eval(Fraction(y), Fraction(a)))
+    got = float(H(Fraction(y)))
     assert abs(got - expected) <= 1e-5 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("f", [
+    MapSpec1D((0.0, 0.7, 0.3, -0.2, 0.05)),
+    MapSpec1D.logistic(2.0),
+    MapSpec1D.m_hermite(2.0, 4),
+], ids=["dense-quartic", "logistic", "m-hermite-4"])
+def test_chain_matches_faa_di_bruno_oracle(f):
+    n = 96
+    chain = bell_sequence_exact(f, n)
+    assert len(chain) == n + 1
+    for m, (p, want) in enumerate(zip(chain, faa_di_bruno_chain(f, n))):
+        assert p.coeffs == Polynomial(want).coeffs, m
+
+
+def test_hermite_gen_csv_matches_oracle_bytes(tmp_path):
+    # Every coefficient of H_0..H_64 is exact, so the CLI's CSV must be the
+    # 17-significant-digit rendering of the oracle chain, byte for byte.
+    n = 64
+    f = MapSpec1D.logistic(2.0)
+    map_path, out = tmp_path / "logistic2.json", tmp_path / "coeffs.csv"
+    map_path.write_text(json.dumps(f.to_json()))
+    assert run(["hermite", "gen", "--map", str(map_path), "-n", str(n),
+                "--out", str(out)]) == 0
+    lines = ["m,k,coeff"]
+    for m, row in enumerate(faa_di_bruno_chain(f, n)):
+        lines += [f"{m},{k},{float(c):.17g}"
+                  for k, c in enumerate(Polynomial(row).coeffs)]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_chain_rejects_negative_order():
+    with pytest.raises(ValueError):
+        bell_sequence_exact(MapSpec1D.logistic(2.0), -1)
 
 
 def test_degree_and_leading_coefficient_exact():

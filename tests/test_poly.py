@@ -135,6 +135,21 @@ def test_root_beyond_double_range_is_an_error():
         poly_roots(Polynomial([1e308, 1e-308]))
 
 
+def test_closed_forms_see_normalised_coefficients():
+    # 1e308 (x^2 + x + 1): c1^2 - 4 c2 c0 overflows unless the quadratic
+    # is solved on the normalised coefficients
+    want = [cmath.exp(-2j * math.pi / 3), cmath.exp(2j * math.pi / 3)]
+    for bits in (53, 128):
+        roots = poly_roots(Polynomial([1e308, 1e308, 1e308]),
+                           RootConfig(precision_bits=bits))
+        roots.sort(key=lambda r: r.imag)
+        assert roots == pytest.approx(want, rel=1e-15, abs=0)
+    # A scale that would flush 1e-300 to zero leaves the closed forms on the
+    # caller's coefficients: 1e300 x^2 + 1e-300 keeps its roots +-1e-300 i.
+    roots = poly_roots(Polynomial([1e-300, 0.0, 1e300]))
+    assert roots == pytest.approx([-1e-300j, 1e-300j], rel=1e-15, abs=0)
+
+
 def test_seed_fallback_when_leading_coefficient_underflows():
     # x^4 / 10^400 - 1: the leading coefficient underflows to 0 as a double
     # even after normalisation, so the 53-bit seeds are skipped
