@@ -235,15 +235,15 @@ def solve_coefficient_system(f: MapSpec1D, n: int, b_n: float) -> CoefficientSys
     hs = bell_sequence_exact(f, n)
     lam = Fraction(f.lam)
 
-    def h_mk(m, k):
-        row = hs[m].coeffs
-        return row[k] if k < len(row) else Fraction(0)
+    rows = [p.coeffs for p in hs]
 
     b = {n: Fraction(b_n)}
     for k in range(n - 1, 0, -1):
         acc = Fraction(0)
         for m in range(k + 1, n + 1):
-            acc += b[m] * h_mk(m, k)
+            row = rows[m]
+            if k < len(row) and row[k]:   # H_m has no y^k below k = m / deg f
+                acc += b[m] * row[k]
         b[k] = acc / (1 - lam**k)
 
     b_star = tuple(float(b[m]) for m in range(1, n))

@@ -7,11 +7,23 @@ a_n - a_0 = delta * S_n), Newton location of the zeros of F, analytic
 Jacobians with Faddeev-LeVerrier characteristic polynomials, and the
 critical-frequency solve s(I + tau*J) = 1/a whose singularities sit at
 tau = -1/lambda for real eigenvalues lambda of J.
+
+Each OdeSystem is compiled once, at construction, into two term tables of
+rows (k, coef, ((index, exponent), ...)) that keep only nonzero exponents:
+`_terms` has one row per term of F_k, `_dterms` one row per term of
+dF_i/da_l (k = i*dim + l, coefficient coef*e_l).  F, J, the Euler loop and
+Newton all evaluate these tables on Python floats in the original term
+order (v = coef; v *= x_j**e for each factor; out[k] += v), and Euler keeps
+S += F, then a + delta*F, and the |a_i| <= GUARD test that also catches
+NaN.  Every result is therefore bit-identical to a direct loop over the
+(exps, coef) terms in numpy doubles; tests/test_odeiter.py keeps that loop
+as the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -42,12 +54,34 @@ _SINGULAR_DET = 1e-10
 _TAU_PROXIMITY = 1e-10
 
 
+def _max_abs(x: list) -> float:
+    """max |x_i|, NaN when any x_i is NaN (as np.max(np.abs(x)))."""
+    return math.nan if any(v != v for v in x) else max(map(abs, x))
+
+
+def _evaluate(rows, size: int, x: list) -> list:
+    """Sum the terms of a table at the point x (a list of floats): row
+    (k, coef, ((j, e), ...)) adds coef * x_j**e * ... to out[k], in row order."""
+    out = [0.0] * size
+    try:
+        for k, v, factors in rows:
+            for j, e in factors:
+                v *= x[j] ** e
+            out[k] += v
+    except OverflowError:
+        # float ** int raises where numpy's power returns +-inf; so do that
+        return _evaluate(rows, size, [np.float64(u) for u in x])
+    return out
+
+
 @dataclass(frozen=True)
 class OdeSystem:
     """Polynomial vector field; component l is a list of (exps, coef) terms."""
 
     dim: int
     components: tuple
+    _terms: tuple = field(init=False, compare=False, repr=False)
+    _dterms: tuple = field(init=False, compare=False, repr=False)
 
     def __init__(self, dim, components):
         if not (1 <= dim <= MAX_DIM):
@@ -68,36 +102,28 @@ class OdeSystem:
             raise ValueError("need one component per dimension")
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "components", tuple(comps))
+        object.__setattr__(self, "_terms", tuple(
+            (i, coef, tuple((j, e) for j, e in enumerate(exps) if e))
+            for i, terms in enumerate(comps) for exps, coef in terms))
+        object.__setattr__(self, "_dterms", tuple(
+            (i * self.dim + l, coef * e,
+             tuple((m, em - (m == l)) for m, em in enumerate(exps) if em - (m == l)))
+            for i, terms in enumerate(comps) for exps, coef in terms
+            for l, e in enumerate(exps) if e))
+
+    def _point(self, a) -> list:
+        a = np.asarray(a, dtype=float)
+        if a.shape != (self.dim,):
+            raise ValueError(
+                f"point has shape {a.shape}, the system needs ({self.dim},)")
+        return a.tolist()
 
     def __call__(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        out = np.zeros(self.dim)
-        for i, terms in enumerate(self.components):
-            acc = 0.0
-            for exps, coef in terms:
-                v = coef
-                for x, e in zip(a, exps):
-                    if e:
-                        v *= x**e
-                acc += v
-            out[i] = acc
-        return out
+        return np.array(_evaluate(self._terms, self.dim, self._point(a)))
 
     def jacobian(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        J = np.zeros((self.dim, self.dim))
-        for i, terms in enumerate(self.components):
-            for exps, coef in terms:
-                for l, e in enumerate(exps):
-                    if e == 0:
-                        continue
-                    v = coef * e
-                    for m, em in enumerate(exps):
-                        p = em - 1 if m == l else em
-                        if p:
-                            v *= a[m]**p
-                    J[i, l] += v
-        return J
+        d = self.dim
+        return np.reshape(_evaluate(self._dterms, d * d, self._point(a)), (d, d))
 
     @classmethod
     def linear(cls, matrix) -> "OdeSystem":
@@ -152,19 +178,17 @@ class EulerResult(NamedTuple):
 def euler_iterate(it: DifferentialIteration, a0) -> EulerResult:
     """n explicit Euler steps; S_n accumulates the field values so the
     identity a_n - a0 = delta * S_n holds up to rounding."""
-    a = np.array(a0, dtype=float)
-    if a.shape != (it.system.dim,):
-        raise ValueError("a0 has the wrong dimension")
-    S = np.zeros_like(a)
-    F = it.system
+    a = it.system._point(a0)
+    S = [0.0] * len(a)
+    terms, dim = it.system._terms, it.system.dim
     delta = it.delta
     for step in range(1, it.n + 1):
-        fa = F(a)
-        S += fa
-        a = a + delta * fa
-        if not np.all(np.abs(a) <= GUARD):
+        fa = _evaluate(terms, dim, a)
+        S = [s + f for s, f in zip(S, fa)]
+        a = [x + delta * f for x, f in zip(a, fa)]
+        if not all(abs(x) <= GUARD for x in a):
             raise TrajectoryEscape(step)
-    return EulerResult(a_n=a, S_n=S)
+    return EulerResult(a_n=np.array(a), S_n=np.array(S))
 
 
 def seed_lattice(dim: int, radius: float, per_axis: int = 5) -> list:
@@ -181,40 +205,36 @@ class FixedPoints(NamedTuple):
 
 def fixed_points(sys: OdeSystem, seeds=None, radius: float = 2.0,
                  max_iter: int = 60) -> FixedPoints:
-    """Newton iteration from every seed; converged roots are deduplicated
-    at distance 1e-8 and must satisfy |F(alpha)| <= 1e-12 (1 + |alpha|)."""
+    """Newton iteration from every seed; a root is accepted once
+    |F(alpha)| <= 1e-13 (1 + |alpha|) and deduplicated at distance 1e-8."""
     if seeds is None:
         seeds = seed_lattice(sys.dim, radius)
     found = []
     dropped = 0
     for seed in seeds:
-        a = np.array(seed, dtype=float)
+        x = sys._point(seed)
         ok = False
         for _ in range(max_iter):
-            fa = sys(a)
-            if np.max(np.abs(fa)) <= 1e-13 * (1.0 + float(np.max(np.abs(a)))):
+            fa = _evaluate(sys._terms, sys.dim, x)
+            tol = 1e-13 * (1.0 + _max_abs(x))
+            if all(abs(v) <= tol for v in fa):
                 ok = True
                 break
-            J = sys.jacobian(a)
             try:
-                step = np.linalg.solve(J, fa)
+                step = np.linalg.solve(sys.jacobian(x), fa)
             except np.linalg.LinAlgError:
                 break
-            a = a - step
-            if not np.all(np.isfinite(a)) or np.max(np.abs(a)) > GUARD:
+            x = [u - s for u, s in zip(x, step.tolist())]
+            if not all(abs(u) <= GUARD for u in x):
                 break
         if not ok:
             dropped += 1
             continue
-        resid = float(np.max(np.abs(sys(a))))
-        if resid > 1e-12 * (1.0 + float(np.max(np.abs(a)))):
-            dropped += 1
+        if any(all(abs(u - v) < 1e-8 for u, v in zip(x, b)) for b in found):
             continue
-        if any(np.max(np.abs(a - b)) < 1e-8 for b in found):
-            continue
-        found.append(a)
-    found.sort(key=lambda p: tuple(p))
-    return FixedPoints(found, dropped)
+        found.append(x)
+    found.sort(key=tuple)
+    return FixedPoints([np.array(p) for p in found], dropped)
 
 
 def char_poly_faddeev(J) -> Polynomial:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -132,6 +133,38 @@ def test_ode_euler(lorenz_system_file, tmp_path):
     S_n = np.array(obj["S_n"])
     resid = np.max(np.abs(a_n - np.ones(3) - 0.001 * S_n))
     assert resid < 1e-10 * max(1.0, float(np.max(np.abs(a_n))))
+
+
+# SHA-256 of the JSON the commands wrote before the ODE field was compiled
+# into term tables; any change to field evaluation that moves a bit fails here.
+EULER_SHA256 = "1a1b2c89ec313b41517bf7766f7047d75bbdcbfeddb9c8f70ded222c815df144"
+FIXED_POINTS_SHA256 = "71ee911a4f87834f34848c9d49bd74c2a319e026e666346d62e55135694c43ac"
+
+
+def test_ode_euler_golden_bytes(lorenz_system_file, tmp_path):
+    out = tmp_path / "euler.json"
+    assert run(["ode", "euler", "--system", lorenz_system_file,
+                "--a0=1.5,-2.25,20", "--delta", "0.001", "--steps", "5000",
+                "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EULER_SHA256
+
+
+def test_ode_fixed_points_golden_bytes(lorenz_system_file, tmp_path):
+    out = tmp_path / "fp.json"
+    assert run(["ode", "fixed-points", "--system", lorenz_system_file,
+                "--radius", "10", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXED_POINTS_SHA256
+
+
+@pytest.mark.parametrize("action,point", [
+    ("frequencies", "--a=1,2"), ("frequencies", "--a=1,2,3,4"),
+    ("euler", "--a0=1,2"), ("euler", "--a0=1,2,3,4")])
+def test_ode_wrong_dimension_point_exit_code_and_json(lorenz_system_file, capsys,
+                                                     action, point):
+    assert run(["ode", action, "--system", lorenz_system_file, point]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "ValueError"
 
 
 def test_lorenz_report_cli(tmp_path):

@@ -263,3 +263,219 @@ def test_iteration_validation():
         DifferentialIteration(DECAY, 0.1, 0)
     it = DifferentialIteration(DECAY, 0.25, 8)
     assert it.horizon == 2.0
+
+
+# --- the compiled term tables against the loops they replaced ------------------
+#
+# _ref_call, _ref_jacobian, _ref_euler and _ref_fixed_points copy the numpy
+# loops of OdeSystem.__call__, OdeSystem.jacobian, euler_iterate and
+# fixed_points from before the field was compiled into term tables (only
+# GUARD is written out as 1e6); the compiled path must agree bit for bit.
+
+def _ref_call(sys, a):
+    a = np.asarray(a, dtype=float)
+    out = np.zeros(sys.dim)
+    for i, terms in enumerate(sys.components):
+        acc = 0.0
+        for exps, coef in terms:
+            v = coef
+            for x, e in zip(a, exps):
+                if e:
+                    v *= x**e
+            acc += v
+        out[i] = acc
+    return out
+
+
+def _ref_jacobian(sys, a):
+    a = np.asarray(a, dtype=float)
+    J = np.zeros((sys.dim, sys.dim))
+    for i, terms in enumerate(sys.components):
+        for exps, coef in terms:
+            for l, e in enumerate(exps):
+                if e == 0:
+                    continue
+                v = coef * e
+                for m, em in enumerate(exps):
+                    p = em - 1 if m == l else em
+                    if p:
+                        v *= a[m]**p
+                J[i, l] += v
+    return J
+
+
+def _ref_euler(it, a0):
+    a = np.array(a0, dtype=float)
+    S = np.zeros_like(a)
+    delta = it.delta
+    for step in range(1, it.n + 1):
+        fa = _ref_call(it.system, a)
+        S += fa
+        a = a + delta * fa
+        if not np.all(np.abs(a) <= 1e6):
+            raise TrajectoryEscape(step)
+    return a, S
+
+
+def _ref_fixed_points(sys, seeds, max_iter=60):
+    found = []
+    dropped = 0
+    for seed in seeds:
+        a = np.array(seed, dtype=float)
+        ok = False
+        for _ in range(max_iter):
+            fa = _ref_call(sys, a)
+            if np.max(np.abs(fa)) <= 1e-13 * (1.0 + float(np.max(np.abs(a)))):
+                ok = True
+                break
+            J = _ref_jacobian(sys, a)
+            try:
+                step = np.linalg.solve(J, fa)
+            except np.linalg.LinAlgError:
+                break
+            a = a - step
+            if not np.all(np.isfinite(a)) or np.max(np.abs(a)) > 1e6:
+                break
+        if not ok:
+            dropped += 1
+            continue
+        resid = float(np.max(np.abs(_ref_call(sys, a))))
+        if resid > 1e-12 * (1.0 + float(np.max(np.abs(a)))):
+            dropped += 1
+            continue
+        if any(np.max(np.abs(a - b)) < 1e-8 for b in found):
+            continue
+        found.append(a)
+    found.sort(key=lambda p: tuple(p))
+    return found, dropped
+
+
+def _random_system(rng, dim):
+    """Up to four terms per component (some components empty), total degree <= 4."""
+    comps = []
+    for _ in range(dim):
+        terms = []
+        for _ in range(int(rng.integers(0, 5))):
+            exps = [0] * dim
+            for _ in range(int(rng.integers(0, 5))):
+                exps[int(rng.integers(dim))] += 1
+            terms.append((tuple(exps), float(rng.uniform(-2.0, 2.0))))
+        comps.append(terms)
+    return OdeSystem(dim, comps)
+
+
+def _outcome(run):
+    try:
+        a_n, S_n = run()
+    except TrajectoryEscape as exc:
+        return "escape", exc.step
+    return "bounded", a_n, S_n
+
+
+def test_compiled_field_matches_reference_bitwise():
+    rng = np.random.default_rng(20261018)
+    escapes = bounded = 0
+    for k in range(200):
+        sys = _random_system(rng, 1 + k % 8)
+        probe = rng.uniform(-3.0, 3.0, size=sys.dim)
+        assert np.array_equal(sys(probe), _ref_call(sys, probe))
+        assert np.array_equal(sys.jacobian(probe), _ref_jacobian(sys, probe))
+        a = rng.uniform(-1.0, 1.0, size=sys.dim)
+        it = DifferentialIteration(sys, float(rng.uniform(0.005, 0.05)), 200)
+        got = _outcome(lambda: euler_iterate(it, a))
+        want = _outcome(lambda: _ref_euler(it, a))
+        assert got[0] == want[0]
+        if want[0] == "escape":
+            escapes += 1
+            assert got[1] == want[1]
+        else:
+            bounded += 1
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[2], want[2])
+    assert escapes >= 50 and bounded >= 50
+
+
+def test_compiled_newton_matches_reference_bitwise():
+    rng = np.random.default_rng(7)
+    total = 0
+    for k in range(24):
+        sys = _random_system(rng, 1 + k % 3)
+        seeds = seed_lattice(sys.dim, 2.0)
+        pts, dropped = fixed_points(sys, seeds)
+        want, want_dropped = _ref_fixed_points(sys, seeds)
+        assert dropped == want_dropped
+        assert len(pts) == len(want)
+        assert all(np.array_equal(p, w) for p, w in zip(pts, want))
+        total += len(pts)
+    assert total > 0
+    pts, dropped = fixed_points(LORENZ, radius=10.0)
+    want, want_dropped = _ref_fixed_points(LORENZ, seed_lattice(3, 10.0))
+    assert dropped == want_dropped
+    assert all(np.array_equal(p, w) for p, w in zip(pts, want))
+
+
+def test_newton_non_finite_seeds_match_reference():
+    nan, inf = float("nan"), float("inf")
+    seeds = [[0.0, nan], [nan, 0.0], [inf, 1.0], [1.0, -inf], [0.5, 0.25]]
+    for sys in (OdeSystem(2, [[], []]), DIAG23, ROTATION,
+                OdeSystem(2, [[((1, 0), -1.0)], []])):
+        with np.errstate(all="ignore"):
+            pts, dropped = fixed_points(sys, seeds)
+            want, want_dropped = _ref_fixed_points(sys, seeds)
+        assert dropped == want_dropped
+        assert len(pts) == len(want)
+        assert all(np.array_equal(p, w, equal_nan=True) for p, w in zip(pts, want))
+
+
+def test_field_overflow_gives_inf_like_reference():
+    # float ** int raises OverflowError where numpy's power returns inf
+    sys = OdeSystem(2, [[((2, 0), 1.0), ((0, 1), 1.0)], [((1, 3), -1.0)]])
+    a = [1e200, -3.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, J = sys(a), sys.jacobian(a)
+        want_F, want_J = _ref_call(sys, a), _ref_jacobian(sys, a)
+        with pytest.raises(TrajectoryEscape) as exc:
+            euler_iterate(DifferentialIteration(sys, 0.1, 5), a)
+    assert np.array_equal(F, want_F) and np.isinf(F[0])
+    assert np.array_equal(J, want_J, equal_nan=True)
+    assert exc.value.step == 1
+
+
+def test_euler_nan_start_escapes_at_step_one():
+    with pytest.raises(TrajectoryEscape) as exc:
+        euler_iterate(DifferentialIteration(LORENZ, 1e-3, 10),
+                      [float("nan"), 1.0, 1.0])
+    assert exc.value.step == 1
+
+
+def test_jacobian_matches_central_differences():
+    rng = np.random.default_rng(11)
+    for k in range(40):
+        sys = _random_system(rng, 1 + k % 5)
+        a = rng.uniform(-1.5, 1.5, size=sys.dim)
+        J = sys.jacobian(a)
+        h = 1e-5
+        for l in range(sys.dim):
+            e = np.zeros(sys.dim)
+            e[l] = h
+            fd = (sys(a + e) - sys(a - e)) / (2 * h)
+            assert np.max(np.abs(J[:, l] - fd)) < 1e-7 * (1.0 + np.max(np.abs(J)))
+
+
+def test_wrong_dimension_points_are_errors():
+    for bad in ([1.0, 2.0], [1.0, 2.0, 3.0, 99.0], [[1.0, 2.0, 3.0]], 1.0):
+        with pytest.raises(ValueError):
+            LORENZ(bad)
+        with pytest.raises(ValueError):
+            LORENZ.jacobian(bad)
+    with pytest.raises(ValueError):
+        fixed_points(LORENZ, seeds=[[1.0, 2.0]])
+    with pytest.raises(ValueError):
+        critical_frequencies(LORENZ, [1.0, 2.0])
+
+
+def test_term_tables_stay_out_of_equality_hash_and_repr():
+    twin = OdeSystem.from_json(LORENZ.to_json())
+    assert twin == LORENZ and hash(twin) == hash(LORENZ)
+    assert "_terms" not in repr(LORENZ) and "_dterms" not in repr(LORENZ)
+    assert set(LORENZ.to_json()) == {"dim", "components"}
