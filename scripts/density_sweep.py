@@ -25,7 +25,6 @@ def main() -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     f = MapSpec1D.logistic(lam)
     hi = 4.0 / (lam * lam)
-    qfun = lambda s: zero_density_q(SaddleProblem(f, s))
 
     worst_q = worst_p = 0.0
     path = outdir / f"density_lam{lam:g}.csv"
@@ -33,9 +32,10 @@ def main() -> None:
         fh.write("s,q,q_closed,p,p_closed\n")
         for k in range(1, GRID + 1):
             s = hi * k / (GRID + 1)
-            q = qfun(s)
+            prob = SaddleProblem(f, s)
+            q = zero_density_q(prob)
             qc = logistic_closed_q(lam, s)
-            p = invariant_density_p(qfun, s, (0.0, hi))
+            p = invariant_density_p(prob)
             pc = logistic_closed_p(lam, s)
             worst_q = max(worst_q, abs(q - qc))
             worst_p = max(worst_p, abs(p - pc) / max(1.0, pc))

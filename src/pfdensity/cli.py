@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import bell, empirical, lorenz, odeiter, saddle
-from .errors import ToolkitError
+from .errors import DomainError, ToolkitError
 from .poly import RootConfig, poly_roots, real_zeros
 
 __all__ = ["main", "run"]
@@ -108,33 +108,19 @@ def _cmd_density(args) -> int:
     f = _load_map(args.map)
     cfg = RootConfig(precision_bits=args.precision_bits)
     points = _range_points(args.s)
-
-    def qfun(s):
-        return saddle.zero_density_q(saddle.SaddleProblem(f, s), cfg)
-
     if args.action == "saddle":
-        header = "s,q"
-        values = [qfun(s) for s in points]
+        header, value = "s,q", saddle.zero_density_q
     else:
-        # invariant: p = -x q'(x) on a support
-        support = args.support
-        if support is None:
-            support = _scan_support(f.lam, qfun)
-        header = "s,p"
-        values = [saddle.invariant_density_p(qfun, s, support) for s in points]
+        header, value = "s,p", saddle.invariant_density_p
+        if args.support is not None:
+            lo, hi = args.support
+            for s in points:
+                if not lo < s < hi:
+                    raise DomainError(f"s={s!r} outside the support ({lo!r}, {hi!r})")
+    values = [value(saddle.SaddleProblem(f, s), cfg) for s in points]
     _write_lines(args.out,
                  [header] + [f"{_fmt(s)},{_fmt(v)}" for s, v in zip(points, values)])
     return 0
-
-
-def _scan_support(lam, qfun, n_scan: int = 512):
-    """Estimate the q > 0 region by a coarse scan (used when --support is absent)."""
-    hi_guess = 8.0 / (lam * lam) if lam != 0 else 8.0
-    xs = [hi_guess * (k + 0.5) / n_scan for k in range(n_scan)]
-    pos = [x for x in xs if qfun(x) > 0.0]
-    if not pos:
-        raise ToolkitError("could not locate a q > 0 region; pass --support")
-    return min(pos), max(pos)
 
 
 def _cmd_orbit(args) -> int:
@@ -264,7 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     density.add_argument("--s", type=_parse_range, required=True,
                          metavar="LO:HI:COUNT")
     density.add_argument("--support", type=_parse_interval, default=None,
-                         metavar="LO:HI")
+                         metavar="LO:HI",
+                         help="invariant: every s must lie inside (LO, HI)")
     density.add_argument("--precision-bits", type=int, default=53)
     density.add_argument("--out", default=None)
     density.set_defaults(fn=_cmd_density)

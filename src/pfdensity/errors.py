@@ -42,10 +42,6 @@ class CoefficientOverflow(ToolkitError):
         self.order = order
 
 
-class EndpointProximity(ToolkitError):
-    """Evaluation point too close to the support boundary for the stencil."""
-
-
 class DomainError(ToolkitError):
     """Argument outside the mathematical domain of the operation."""
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateDirection, DomainError
 from .odeiter import OdeSystem, jacobian_eigen
-from .poly import Polynomial, RootConfig, poly_roots
+from .poly import Polynomial, poly_roots
 
 __all__ = [
     "LorenzParams",
@@ -286,8 +286,7 @@ def direction_grid(n_polar: int = 6, n_azimuth: int = 8) -> list:
     return grid
 
 
-def lorenz_report(p: LorenzParams, grid=None, delta: float = 1e-3,
-                  cfg: RootConfig = RootConfig()) -> dict:
+def lorenz_report(p: LorenzParams, grid=None, delta: float = 1e-3) -> dict:
     """JSON-able end-to-end report: fixed points with spectra, per-tag
     condition surfaces on the grid, admissibility mask and density samples."""
     if grid is None:
@@ -301,9 +300,9 @@ def lorenz_report(p: LorenzParams, grid=None, delta: float = 1e-3,
     fps = []
     for tag in tags:
         pt = fixed_point(p, tag)
-        eig = jacobian_eigen(sys, pt, cfg)
+        eig = jacobian_eigen(sys, pt)
         cubic = theta_cubic if tag == "theta" else alpha_cubic
-        roots = poly_roots(cubic, cfg)
+        roots = poly_roots(cubic)
         fps.append({
             "tag": tag,
             "point": [float(v) for v in pt],

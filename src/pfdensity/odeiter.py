@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, SingularTau, TrajectoryEscape
-from .poly import Polynomial, RootConfig, poly_roots
+from .poly import Polynomial, poly_roots
 
 __all__ = [
     "OdeSystem",
@@ -206,7 +206,8 @@ class FixedPoints(NamedTuple):
 def fixed_points(sys: OdeSystem, seeds=None, radius: float = 2.0,
                  max_iter: int = 60) -> FixedPoints:
     """Newton iteration from every seed; a root is accepted once
-    |F(alpha)| <= 1e-13 (1 + |alpha|) and deduplicated at distance 1e-8."""
+    |F(alpha)| <= 1e-13 (1 + |alpha|) with every coordinate finite, and
+    deduplicated at distance 1e-8."""
     if seeds is None:
         seeds = seed_lattice(sys.dim, radius)
     found = []
@@ -218,7 +219,8 @@ def fixed_points(sys: OdeSystem, seeds=None, radius: float = 2.0,
             fa = _evaluate(sys._terms, sys.dim, x)
             tol = 1e-13 * (1.0 + _max_abs(x))
             if all(abs(v) <= tol for v in fa):
-                ok = True
+                # an infinite coordinate makes tol infinite, so any F passes
+                ok = all(map(math.isfinite, x))
                 break
             try:
                 step = np.linalg.solve(sys.jacobian(x), fa)
@@ -258,10 +260,10 @@ class JacobianEigen(NamedTuple):
     eigenvalues: list
 
 
-def jacobian_eigen(sys: OdeSystem, a, cfg: RootConfig = RootConfig()) -> JacobianEigen:
+def jacobian_eigen(sys: OdeSystem, a) -> JacobianEigen:
     J = sys.jacobian(a)
     cp = char_poly_faddeev(J)
-    eig = poly_roots(cp, cfg)
+    eig = poly_roots(cp)
     return JacobianEigen(J=J, char_poly=cp, eigenvalues=eig)
 
 

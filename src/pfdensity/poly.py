@@ -20,13 +20,13 @@ step falls below a fixed eps, or, in mpmath only, its residual is within
 the running-error bound of Horner's rule, |p(z)| <= 4 n u sum|a_k||z|^k
 with u = 2^-bits (Bini & Fiorentino's stopping rule in MPSolve).  The
 second rule is what ends the mpmath iteration; the first is the only one
-at 53 bits, whose last bits the invariant density depends on.  Every
-result must then pass a residual test against cfg.tolerance, and a root
-beyond the double range is an error.  Degrees 1 and 2 use closed forms in
-the same types.  All three work on the coefficients divided by the power
-of two that brings the largest into [1, 2), which keeps the closed forms'
-products inside the double range; the closed forms keep the caller's
-coefficients where that division would round one of them.
+at 53 bits.  Every result must then pass a residual test against
+cfg.tolerance, and a root beyond the double range is an error.  Degrees 1
+and 2 use closed forms in the same types.  All three work on the
+coefficients divided by the power of two that brings the largest into
+[1, 2), which keeps the closed forms' products inside the double range;
+the closed forms keep the caller's coefficients where that division would
+round one of them.
 """
 
 from __future__ import annotations
@@ -157,10 +157,9 @@ def _to_mp(c):
     return mpmath.mpf(c)
 
 
-# eps stays 1e-15 rather than 2**(4-53): the invariant density's difference
-# stencil amplifies last-bit changes in the roots.  The error-bound rule is
-# off (unit=0): at 53 bits it changes those last bits and stops some roots
-# of the chain polynomials before they reach the real axis.
+# The error-bound rule is off (unit=0): at 53 bits it stops some roots of
+# the chain polynomials before they reach the real axis, so the relative
+# step, eps = 1e-15, is the only freeze rule there.
 _DOUBLE = _Arith(num=_to_complex, one=1.0, exp=cmath.exp, sqrt=cmath.sqrt,
                  frexp=math.frexp, pi=math.pi, eps=1e-15, unit=0, tiny=1e-30)
 
@@ -205,11 +204,10 @@ def _circle(c, ar: _Arith):
 def _residual_ok(residual, maxc, r_abs, degree, tolerance):
     """|p(r)| <= tol * max|c| * max(1,|r|)^degree, compared in log space."""
     if residual == 0.0:
-        return True, -math.inf
+        return True
     log_bound = math.log(tolerance) + math.log(maxc) \
         + degree * math.log(max(1.0, r_abs))
-    log_res = math.log(residual)
-    return log_res <= log_bound, log_res - log_bound
+    return math.log(residual) <= log_bound
 
 
 def _quadratic(c0, c1, c2, sqrt):
@@ -303,9 +301,8 @@ def _aberth_roots(c, ar: _Arith, cfg: RootConfig, scale) -> list:
 
     maxc = max(abs(x) for x in c)
     residuals = [float(abs(_horner(c, zi))) for zi in z]
-    checks = [_residual_ok(r, float(maxc), float(abs(zi)), n, cfg.tolerance)
-              for r, zi in zip(residuals, z)]
-    if not all(ok for ok, _ in checks):
+    if not all(_residual_ok(r, float(maxc), float(abs(zi)), n, cfg.tolerance)
+               for r, zi in zip(residuals, z)):
         # in the caller's units, not the scaled ones
         worst = float(max(residuals) * scale)
         raise NonConvergence(

@@ -3,8 +3,10 @@
 The critical points solve s*a*f'(a) - 1 = 0.  A complex critical point with
 maximal Re(gamma) carries the asymptotic density of real zeros,
 q(s) = |Im f(a_c)| / pi; when every critical point is real there is no
-oscillatory contribution and q = 0.  The invariant density follows as
-p(x) = -x dq/dx.  Closed forms for the logistic family serve as oracles.
+oscillatory contribution and q = 0.  The invariant density p(s) = -s dq/ds
+follows from the same saddle: differentiating the critical-point equation
+gives da_c/ds, hence dq/ds, in closed form, so p costs one root solve.
+Closed forms for the logistic family serve as oracles.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import mpmath
 
 from .bell import MapSpec1D
-from .errors import DomainError, EndpointProximity
-from .poly import MP_LOCK, Polynomial, RootConfig, poly_roots
+from .errors import DomainError
+from .poly import MP_LOCK, Polynomial, RootConfig, _horner, poly_roots
 
 __all__ = [
     "SaddleProblem",
@@ -138,26 +140,24 @@ def logistic_p_mass(lam: float) -> float:
     return float(val)
 
 
-def invariant_density_p(q: Callable[[float], float], x: float,
-                        support: tuple) -> float:
-    """p(x) = -x q'(x) with a 5-point central stencil on the sampled q.
+def invariant_density_p(prob: SaddleProblem,
+                        cfg: RootConfig = RootConfig()) -> float:
+    """p(s) = -s q'(s) from the selected saddle a_c, in closed form.
 
-    The step is 1e-5 of the support width; x must keep a 1e-3-width margin
-    from both endpoints because q carries square-root singularities there.
+    Differentiating s*a*f'(a) = 1 in s gives
+    a' = -1 / (s^2 (f'(a_c) + a_c f''(a_c))), and q = |Im f(a_c)| / pi gives
+    q' = sign(Im f(a_c)) Im(f'(a_c) a') / pi.  p = 0 where q = 0.
     """
-    lo, hi = support
-    width = hi - lo
-    if width <= 0:
-        raise DomainError("support must have positive width")
-    margin = 1e-3 * width
-    if x - lo < margin or hi - x < margin:
-        raise EndpointProximity(
-            f"x={x!r} closer than {margin!r} to the support boundary")
-    h = 1e-5 * width
-    # difference pairs first: the stencil is then exactly zero on constants
-    deriv = ((q(x - 2 * h) - q(x + 2 * h))
-             + 8.0 * (q(x + h) - q(x - h))) / (12.0 * h)
-    return -x * deriv
+    res = analyze(prob, cfg)
+    if res.selected is None:
+        return 0.0
+    a = res.critical_points[res.selected]
+    fc = prob.f.coeffs
+    slope = _horner([k * c for k, c in enumerate(fc)][1:], a)  # f'(a)
+    curvature = _horner([k * k * c for k, c in enumerate(fc)][1:], a)  # f' + a f''
+    da = -1.0 / (prob.s * prob.s * curvature)
+    sign = math.copysign(1.0, prob.f(a).imag)
+    return -prob.s * sign * (slope * da).imag / math.pi
 
 
 def wigner_change_of_variables(lam: float, s: float) -> tuple:

@@ -130,11 +130,10 @@ def test_criterion_4_invariant_density_shape():
         for lam in (2.0, 3.9):
             f = MapSpec1D.logistic(lam)
             hi = 4.0 / (lam * lam)
-            qfun = lambda s: zero_density_q(SaddleProblem(f, s))
             products = []
             for k in range(2, 100):
                 s = hi * k / 101.0
-                p = invariant_density_p(qfun, s, (0.0, hi))
+                p = invariant_density_p(SaddleProblem(f, s))
                 products.append(p * math.sqrt(s * (hi - s)))
             mean = sum(products) / len(products)
             assert all(abs(v - mean) <= 1e-6 * abs(mean) for v in products)

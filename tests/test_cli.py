@@ -82,16 +82,30 @@ def test_density_invariant(logistic_map_file, tmp_path):
     assert rows[0] == "s,p"
     s, p = (float(v) for v in rows[5].split(","))
     assert s == 0.5
-    assert p == pytest.approx(1.0 / math.pi, rel=1e-6)
+    assert p == pytest.approx(1.0 / math.pi, rel=1e-15)
 
 
 def test_density_invariant_auto_support(logistic_map_file, tmp_path):
-    # without --support the q > 0 region is located by a coarse scan
+    # without --support nothing is scanned: p = 0 wherever q = 0
     out = tmp_path / "p_auto.csv"
     assert run(["density", "invariant", "--map", logistic_map_file,
-                "--s", "0.5:0.5:1", "--out", str(out)]) == 0
-    s, p = (float(v) for v in out.read_text().splitlines()[1].split(","))
-    assert p == pytest.approx(1.0 / math.pi, rel=1e-4)
+                "--s", "0.5:1.5:3", "--out", str(out)]) == 0
+    rows = [[float(v) for v in row.split(",")]
+            for row in out.read_text().splitlines()[1:]]
+    assert rows[0] == [0.5, pytest.approx(1.0 / math.pi, rel=1e-15)]
+    assert rows[1:] == [[1.0, 0.0], [1.5, 0.0]]
+
+
+@pytest.mark.parametrize("support", ["0:1", "1:0"])
+def test_density_invariant_outside_support_is_an_error(logistic_map_file, tmp_path,
+                                                       capsys, support):
+    out = tmp_path / "p.csv"
+    assert run(["density", "invariant", "--map", logistic_map_file,
+                "--s", "0.5:1.5:2", "--support", support,
+                "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "DomainError"
+    assert not out.exists()
 
 
 def test_orbit_histogram_schema(logistic_map_file, tmp_path):
@@ -112,6 +126,25 @@ def test_ode_fixed_points(lorenz_system_file, tmp_path):
                 "--radius", "10", "--out", str(out)]) == 0
     obj = json.loads(out.read_text())
     assert len(obj["fixed_points"]) == 3
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_ode_fixed_points_infinite_radius_is_valid_json(tmp_path):
+    # linspace(-inf, inf, 5) seeds inf, -inf and NaN; none is a fixed point
+    system = tmp_path / "decay.json"
+    system.write_text(json.dumps(
+        {"dim": 1, "components": [[{"exps": [1], "coef": -1.0}]]}))
+    out = tmp_path / "fp.json"
+    with np.errstate(all="ignore"):
+        assert run(["ode", "fixed-points", "--system", str(system),
+                    "--radius", "inf", "--out", str(out)]) == 0
+    obj = _strict_json(out.read_text())
+    assert obj == {"fixed_points": [], "non_converged_seeds": 5}
 
 
 def test_ode_frequencies(lorenz_system_file, tmp_path):

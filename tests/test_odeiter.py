@@ -415,6 +415,8 @@ def test_compiled_newton_matches_reference_bitwise():
 
 
 def test_newton_non_finite_seeds_match_reference():
+    # The reference accepts an infinite seed (its tolerance is infinite there);
+    # fixed_points drops it instead and otherwise keeps the reference decisions.
     nan, inf = float("nan"), float("inf")
     seeds = [[0.0, nan], [nan, 0.0], [inf, 1.0], [1.0, -inf], [0.5, 0.25]]
     for sys in (OdeSystem(2, [[], []]), DIAG23, ROTATION,
@@ -422,9 +424,18 @@ def test_newton_non_finite_seeds_match_reference():
         with np.errstate(all="ignore"):
             pts, dropped = fixed_points(sys, seeds)
             want, want_dropped = _ref_fixed_points(sys, seeds)
-        assert dropped == want_dropped
-        assert len(pts) == len(want)
-        assert all(np.array_equal(p, w, equal_nan=True) for p, w in zip(pts, want))
+        finite = [w for w in want if np.all(np.isfinite(w))]
+        assert dropped == want_dropped + len(want) - len(finite)
+        assert len(pts) == len(finite)
+        assert all(np.array_equal(p, w) for p, w in zip(pts, finite))
+
+
+def test_newton_rejects_infinite_seed():
+    sys = OdeSystem(2, [[((1, 0), -1.0)], []])  # F = (-a0, 0)
+    assert fixed_points(sys, [[float("inf"), 1.0]]) == ([], 1)
+    pts, dropped = fixed_points(DIAG23, [[float("inf"), 1.0], [3.0, 1.0]])
+    assert dropped == 1 and len(pts) == 1
+    assert np.array_equal(pts[0], [0.0, 0.0])
 
 
 def test_field_overflow_gives_inf_like_reference():

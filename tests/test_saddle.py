@@ -1,11 +1,12 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from pfdensity.bell import MapSpec1D
-from pfdensity.errors import DomainError, EndpointProximity
+from pfdensity.errors import DomainError
 from pfdensity.saddle import (SaddleProblem, analyze, critical_points,
                               invariant_density_p, logistic_closed_p,
                               logistic_closed_q, logistic_p_mass,
@@ -101,15 +102,12 @@ def test_conjugate_saddles_same_q():
     assert abs(abs(f(pts[0]).imag) - abs(f(pts[1]).imag)) < 1e-12
 
 
+def p_at(f, s):
+    return invariant_density_p(SaddleProblem(f, s))
+
+
 def test_invariant_density_logistic_half():
-    qfun = lambda s: logistic_closed_q(2.0, s)
-    p = invariant_density_p(qfun, 0.5, (0.0, 1.0))
-    assert p == pytest.approx(1.0 / math.pi, abs=1e-9)
-
-
-def test_invariant_density_constant_q_is_zero():
-    p = invariant_density_p(lambda s: 0.77, 0.3, (0.0, 1.0))
-    assert p == 0.0
+    assert p_at(LOGISTIC2, 0.5) == pytest.approx(1.0 / math.pi, rel=1e-15)
 
 
 def test_invariant_density_matches_symbolic_derivative_oracle():
@@ -117,40 +115,75 @@ def test_invariant_density_matches_symbolic_derivative_oracle():
     # p(s) = -s q'(s) = lam/(4 pi) / (s sqrt(1/s - lam^2/4))
     lam, s = 2.0, 0.25
     oracle = lam / (4.0 * math.pi) / (s * math.sqrt(1.0 / s - lam * lam / 4.0))
-    qfun = lambda x: logistic_closed_q(lam, x)
-    got = invariant_density_p(qfun, s, (0.0, 1.0))
-    assert got == pytest.approx(oracle, rel=1e-8)
-    assert got == pytest.approx(logistic_closed_p(lam, s), rel=1e-8)
-
-
-def test_invariant_density_endpoint_guard():
-    qfun = lambda s: logistic_closed_q(2.0, s)
-    with pytest.raises(EndpointProximity):
-        invariant_density_p(qfun, 0.9999, (0.0, 1.0))
-    with pytest.raises(EndpointProximity):
-        invariant_density_p(qfun, 1e-5, (0.0, 1.0))
+    got = p_at(MapSpec1D.logistic(lam), s)
+    assert got == pytest.approx(oracle, rel=1e-14)
+    assert got == pytest.approx(logistic_closed_p(lam, s), rel=1e-14)
 
 
 def test_numeric_p_from_saddle_q_matches_closed_p():
-    lam = 2.0
-    f = MapSpec1D.logistic(lam)
-    qfun = lambda s: zero_density_q(SaddleProblem(f, s))
     for s in (0.2, 0.5, 0.8):
-        got = invariant_density_p(qfun, s, (0.0, 1.0))
-        assert got == pytest.approx(logistic_closed_p(lam, s), rel=1e-7)
+        assert p_at(LOGISTIC2, s) == pytest.approx(logistic_closed_p(2.0, s),
+                                                   rel=1e-14)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 3.9])
+def test_logistic_p_matches_closed_p_across_support(lam):
+    f = MapSpec1D.logistic(lam)
+    hi = 4.0 / (lam * lam)
+    for t in np.linspace(0.002, 0.998, 499):
+        s = float(t) * hi
+        want = logistic_closed_p(lam, s)
+        assert abs(p_at(f, s) - want) <= 1e-13 * want
+
+
+def test_p_is_zero_where_q_is():
+    # beyond the support, at its end and for maps with no complex saddle
+    assert p_at(LOGISTIC2, 1.0) == 0.0
+    assert p_at(LOGISTIC2, 2.0) == 0.0
+    assert p_at(MapSpec1D.identity(), 0.5) == 0.0
+    assert p_at(MapSpec1D((0.0, 1.3, 0.5)), 0.5) == 0.0
+
+
+def _mp_quartic_q(lam, s):
+    """q(s) for f = lam a - a^4/4 in mpmath: roots of s a f'(a) - 1 from
+    mpmath.polyroots, the complex one of largest (Re gamma, Im a) selected."""
+    f = lambda a: lam * a - a**4 / 4
+    roots = mpmath.polyroots([-s, 0, 0, s * lam, -1], maxsteps=200,
+                             extraprec=200)
+    best = max((r for r in roots if abs(mpmath.im(r)) > mpmath.mpf("1e-30")),
+               key=lambda a: (mpmath.re(s * f(a) - mpmath.log(a)), mpmath.im(a)))
+    return abs(mpmath.im(f(best))) / mpmath.pi
+
+
+def _mp_quartic_p(lam, s):
+    """-s q'(s) by a central difference of q at 50 digits."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(s)
+        h = mpmath.mpf("1e-20")
+        dq = (_mp_quartic_q(lam, s + h) - _mp_quartic_q(lam, s - h)) / (2 * h)
+        return float(-s * dq)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_quartic_p_matches_mpmath_difference_oracle(lam):
+    f = MapSpec1D((0.0, lam, 0.0, 0.0, -0.25))
+    # s a f'(a) = 1 gains two real roots at s = 1 / max_a (lam a - a^4)
+    a_max = (lam / 4.0) ** (1.0 / 3.0)
+    s_end = 1.0 / (lam * a_max - a_max**4)
+    for t in np.linspace(0.1, 0.9, 17):
+        s = float(t) * s_end
+        want = _mp_quartic_p(lam, s)
+        assert abs(p_at(f, s) - want) <= 1e-12 * abs(want)
 
 
 def test_p_shape_is_arcsine():
     # p(s) * sqrt(s (4/lam^2 - s)) is constant = 1/(2 pi) for the raw form
     lam = 3.9
     hi = 4.0 / (lam * lam)
-    qfun = lambda s: logistic_closed_q(lam, s)
-    values = []
-    for s in [hi * k / 101 for k in range(2, 100)]:
-        p = invariant_density_p(qfun, s, (0.0, hi))
-        values.append(p * math.sqrt(s * (hi - s)))
-    mean = sum(values) / len(values)
-    assert all(abs(v - mean) <= 1e-6 * abs(mean) for v in values)
+    f = MapSpec1D.logistic(lam)
+    values = [p_at(f, s) * math.sqrt(s * (hi - s))
+              for s in [hi * k / 101 for k in range(2, 100)]]
+    assert all(abs(v - 1.0 / (2.0 * math.pi)) <= 1e-13 for v in values)
 
 
 def test_raw_p_mass_is_half():
