@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import bell, empirical, lorenz, odeiter, saddle
-from .errors import DomainError, ToolkitError
+from .errors import DomainError, EmptySample, ToolkitError
 from .poly import RootConfig, poly_roots, real_zeros
 
 __all__ = ["main", "run"]
@@ -189,6 +189,10 @@ def _read_sample(path: str):
         rest = fh.read().splitlines()
     if first.startswith("bin_lo"):
         rows = [line.split(",") for line in rest if line]
+        if not rows:
+            raise EmptySample("the histogram has a header and no rows")
+        if any(len(r) < 3 for r in rows):
+            raise ValueError("every histogram row needs bin_lo,bin_hi,count")
         edges = [float(r[0]) for r in rows] + [float(rows[-1][1])]
         counts = [int(r[2]) for r in rows]
         return "histogram", (np.array(edges), np.array(counts))

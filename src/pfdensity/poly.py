@@ -15,18 +15,19 @@ first solves a double copy of the polynomial the same way, then polishes
 those roots in mpmath; the circle is the fallback when the double copy
 cannot stand in for the polynomial.
 
-A root stops moving (is frozen) by one of two rules: its relative Aberth
-step falls below a fixed eps, or, in mpmath only, its residual is within
-the running-error bound of Horner's rule, |p(z)| <= 4 n u sum|a_k||z|^k
-with u = 2^-bits (Bini & Fiorentino's stopping rule in MPSolve).  The
-second rule is what ends the mpmath iteration; the first is the only one
-at 53 bits.  Every result must then pass a residual test against
-cfg.tolerance, and a root beyond the double range is an error.  Degrees 1
-and 2 use closed forms in the same types.  All three work on the
-coefficients divided by the power of two that brings the largest into
-[1, 2), which keeps the closed forms' products inside the double range;
-the closed forms keep the caller's coefficients where that division would
-round one of them.
+One rule decides every root at every precision: a root is frozen once its
+residual is within the running-error bound of Horner's rule,
+|p(z)| <= 4 n u sum|a_k||z|^k with u = 2^-bits (Bini & Fiorentino's
+stopping rule in MPSolve).  The iteration stops when every root is frozen,
+and a root still unfrozen after cfg.max_iterations sweeps raises
+NonConvergence.  The bound is relative to the terms of p at z, so tiny
+roots are judged like any others.  A root beyond the double range is an
+error.  Degrees 1 and 2 use closed forms in the same types.  All three work
+on the coefficients divided by the power of two that brings the largest
+into [1, 2), which keeps the closed forms' products inside the double
+range; the closed forms keep the caller's coefficients where that division
+would round one of them, and at 53 bits Aberth refuses a coefficient that
+it would flush to zero.
 """
 
 from __future__ import annotations
@@ -92,13 +93,10 @@ class Polynomial:
 @dataclass(frozen=True)
 class RootConfig:
     max_iterations: int = 400
-    tolerance: float = 1e-12
     precision_bits: int = 53
     real_axis_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
         if self.precision_bits < 53:
             raise ValueError("precision_bits must be >= 53")
 
@@ -126,7 +124,7 @@ class _Arith:
     """The number type one root solve works in.
 
     _DOUBLE serves 53-bit solves and the seeds of wider ones; _mp_arith(bits)
-    polishes those seeds.  A root freezes on the first of two rules.
+    polishes those seeds.
     """
 
     num: Callable[[Any], Any]   # coefficient (or numeric string) -> working number
@@ -135,8 +133,7 @@ class _Arith:
     sqrt: Callable
     frexp: Callable  # (mantissa, exponent) computed in the working type
     pi: Any
-    eps: Any    # freeze rule 1: a root's relative Aberth step fell below eps
-    unit: Any   # freeze rule 2: |p(z)| <= 4*n*unit*sum|a_k||z|^k; 0 disables it
+    unit: Any   # a root freezes once |p(z)| <= 4*n*unit*sum|a_k||z|^k
     tiny: Any   # stand-in for z_i - z_j == 0
 
 
@@ -157,18 +154,15 @@ def _to_mp(c):
     return mpmath.mpf(c)
 
 
-# The error-bound rule is off (unit=0): at 53 bits it stops some roots of
-# the chain polynomials before they reach the real axis, so the relative
-# step, eps = 1e-15, is the only freeze rule there.
 _DOUBLE = _Arith(num=_to_complex, one=1.0, exp=cmath.exp, sqrt=cmath.sqrt,
-                 frexp=math.frexp, pi=math.pi, eps=1e-15, unit=0, tiny=1e-30)
+                 frexp=math.frexp, pi=math.pi, unit=2.0 ** -53, tiny=1e-30)
 
 
 def _mp_arith(bits: int) -> _Arith:
     """mpmath arithmetic; build and use it under mpmath.workprec(bits)."""
     return _Arith(num=_to_mp, one=mpmath.mpf(1), exp=mpmath.exp,
                   sqrt=mpmath.sqrt, frexp=mpmath.frexp, pi=+mpmath.pi,
-                  eps=mpmath.mpf(2) ** (4 - bits), unit=mpmath.mpf(2) ** -bits,
+                  unit=mpmath.mpf(2) ** -bits,
                   tiny=mpmath.mpf("1e-60"))
 
 
@@ -201,15 +195,6 @@ def _circle(c, ar: _Arith):
     return [radius * ar.exp(1j * (2 * ar.pi * k / n + offset)) for k in range(n)]
 
 
-def _residual_ok(residual, maxc, r_abs, degree, tolerance):
-    """|p(r)| <= tol * max|c| * max(1,|r|)^degree, compared in log space."""
-    if residual == 0.0:
-        return True
-    log_bound = math.log(tolerance) + math.log(maxc) \
-        + degree * math.log(max(1.0, r_abs))
-    return math.log(residual) <= log_bound
-
-
 def _quadratic(c0, c1, c2, sqrt):
     """Stable closed form; a zero discriminant yields an exact double root."""
     sq = sqrt(c1 * c1 - 4 * c2 * c0)
@@ -222,7 +207,8 @@ def _quadratic(c0, c1, c2, sqrt):
 def _aberth(c, ar: _Arith, z, max_iterations):
     """Aberth-Ehrlich iteration on working numbers c from start points z.
 
-    A root whose residual meets the error bound still takes the step computed
+    Returns the roots and, for each, whether it met Horner's error bound.
+    A root whose residual meets the bound still takes the step computed
     there before it is frozen; freezing it first costs accuracy at high
     degree (H_128 at 128 bits: 2e-9 relative error instead of 3e-11).
     """
@@ -234,7 +220,8 @@ def _aberth(c, ar: _Arith, z, max_iterations):
     frozen = [False] * n
 
     for _ in range(max_iterations):
-        moved = 0
+        if all(frozen):
+            break
         for i in range(n):
             if frozen[i]:
                 continue
@@ -247,7 +234,6 @@ def _aberth(c, ar: _Arith, z, max_iterations):
             if dv == 0:
                 # deterministic nudge off the stationary point
                 z[i] = zi * ar.num("1.000000001") + ar.num("1e-9")
-                moved = max(moved, ar.one)
                 continue
             ratio = pv / dv
             s = 0
@@ -258,16 +244,9 @@ def _aberth(c, ar: _Arith, z, max_iterations):
                         dz = ar.tiny
                     s += 1 / dz
             den = 1 - ratio * s
-            w = ratio if den == 0 else ratio / den
-            z[i] = zi - w
-            rel = abs(w) / max(ar.one, abs(z[i]))
-            if rel < ar.eps or (
-                    bound and abs(pv) <= bound * _horner(mags, abs(zi))):
-                frozen[i] = True
-            moved = max(moved, rel)
-        if moved < ar.eps:
-            break
-    return z
+            z[i] = zi - (ratio if den == 0 else ratio / den)
+            frozen[i] = abs(pv) <= bound * _horner(mags, abs(zi))
+    return z, frozen
 
 
 def _double_seeds(c, max_iterations):
@@ -276,37 +255,35 @@ def _double_seeds(c, max_iterations):
 
     After that normalisation no coefficient overflows a double; small ones
     may underflow, and a leading one that underflows to 0 leaves no
-    polynomial of the same degree to solve.
+    polynomial of the same degree to solve.  Seeds need not meet the
+    53-bit error bound; the polish decides.
     """
     cd = [complex(x) for x in c]
     if cd[-1] == 0:
         return None
-    z = _aberth(cd, _DOUBLE, _circle(cd, _DOUBLE), max_iterations)
+    z, _ = _aberth(cd, _DOUBLE, _circle(cd, _DOUBLE), max_iterations)
     if not all(cmath.isfinite(x) for x in z):
         return None
     return z
 
 
 def _aberth_roots(c, ar: _Arith, cfg: RootConfig, scale) -> list:
-    """Aberth roots of working numbers c, held to the residual bound.
+    """Aberth roots of working numbers c, each within Horner's error bound.
 
     c is the caller's polynomial divided by scale.  Above 53 bits a
     double-precision solve supplies the start points and the working type
     only polishes them; the circle is the fallback.
     """
-    n = len(c) - 1
     seeds = None if ar is _DOUBLE else _double_seeds(c, cfg.max_iterations)
-    z = _aberth(c, ar, _circle(c, ar) if seeds is None else map(ar.num, seeds),
-                cfg.max_iterations)
-
-    maxc = max(abs(x) for x in c)
-    residuals = [float(abs(_horner(c, zi))) for zi in z]
-    if not all(_residual_ok(r, float(maxc), float(abs(zi)), n, cfg.tolerance)
-               for r, zi in zip(residuals, z)):
+    z, frozen = _aberth(c, ar, _circle(c, ar) if seeds is None
+                        else map(ar.num, seeds), cfg.max_iterations)
+    if not all(frozen):
         # in the caller's units, not the scaled ones
-        worst = float(max(residuals) * scale)
+        worst = float(max(abs(_horner(c, zi)) for zi, done in zip(z, frozen)
+                          if not done) * scale)
         raise NonConvergence(
-            f"Aberth iteration did not meet the residual bound "
+            f"{frozen.count(False)} of {len(z)} Aberth roots did not meet "
+            f"Horner's error bound in {cfg.max_iterations} sweeps "
             f"(worst residual {worst:.3e})",
             worst_residual=worst,
         )
@@ -322,6 +299,10 @@ def _solve(coeffs, ar: _Arith, cfg: RootConfig) -> list:
     scale = (2 * ar.one) ** (ar.frexp(max(map(abs, c)))[1] - 1)
     scaled = [x / scale for x in c]
     if len(c) > 3:
+        if any(x == 0 and y != 0 for x, y in zip(scaled, c)):
+            raise DomainError(
+                "a coefficient underflows to 0 when scaled to the largest; "
+                "a higher --precision-bits (precision_bits > 53) keeps it")
         roots = _aberth_roots(scaled, ar, cfg, scale)
     else:
         # The scale changes no rounding unless, above 1, it rounds a double

@@ -1,8 +1,8 @@
 """Steepest-descent analysis of gamma(a) = s*f(a) - ln(a) for 1-D maps.
 
-The critical points solve s*a*f'(a) - 1 = 0.  A complex critical point with
-maximal Re(gamma) carries the asymptotic density of real zeros,
-q(s) = |Im f(a_c)| / pi; when every critical point is real there is no
+The critical points solve s*a*f'(a) - 1 = 0.  When the critical point of
+maximal Re(gamma) is complex, it carries the asymptotic density of real
+zeros, q(s) = |Im f(a_c)| / pi; when it is real it dominates every
 oscillatory contribution and q = 0.  The invariant density p(s) = -s dq/ds
 follows from the same saddle: differentiating the critical-point equation
 gives da_c/ds, hence dq/ds, in closed form, so p costs one root solve.
@@ -78,28 +78,21 @@ def _gamma(prob: SaddleProblem, a: complex) -> complex:
 
 
 def analyze(prob: SaddleProblem, cfg: RootConfig = RootConfig()) -> SaddleResult:
-    """Locate critical points, select the dominant complex saddle, report q."""
+    """Locate critical points, select the dominant one if complex, report q."""
     points = critical_points(prob, cfg)
     cp = critical_polynomial(prob)
     residuals = tuple(abs(cp(a)) for a in points)
 
-    selected = None
-    best_key = None
-    for i, a in enumerate(points):
-        if abs(a.imag) <= _IMAG_CUTOFF:
-            continue
-        key = (_gamma(prob, a).real, a.imag)  # conjugates tie on Re(gamma)
-        if best_key is None or key > best_key:
-            best_key = key
-            selected = i
-
-    if selected is None:
+    # conjugates tie on Re(gamma); a real point in the lead means no saddle
+    best = max(range(len(points)),
+               key=lambda i: (_gamma(prob, points[i]).real, points[i].imag))
+    if abs(points[best].imag) <= _IMAG_CUTOFF:
         return SaddleResult(tuple(points), residuals, None, None, 0.0)
 
-    a_sel = points[selected]
+    a_sel = points[best]
     gamma_real = _gamma(prob, a_sel).real
     q = abs(prob.f(a_sel).imag) / math.pi
-    return SaddleResult(tuple(points), residuals, selected, gamma_real, q)
+    return SaddleResult(tuple(points), residuals, best, gamma_real, q)
 
 
 def zero_density_q(prob: SaddleProblem, cfg: RootConfig = RootConfig()) -> float:

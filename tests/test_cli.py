@@ -233,6 +233,36 @@ def test_compare_reads_histogram(tmp_path, capsys, logistic_map_file):
     assert code == 0
 
 
+@pytest.mark.parametrize("body, error", [("", "EmptySample"),
+                                         ("0.0,0.5,3\n0.5,1.0\n", "ValueError")])
+def test_compare_bad_histogram_is_a_json_error(tmp_path, capsys, body, error):
+    hist = tmp_path / "hist.csv"
+    hist.write_text("bin_lo,bin_hi,count\n" + body)
+    code = run(["compare", "--metric", "ks", "--sample", str(hist),
+                "--reference", "arcsine"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == error
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_density_is_zero_past_the_quartic_support_end(tmp_path, lam):
+    # f = lam a - a^4/4: beyond s* real saddles dominate, so q = p = 0
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps({"coeffs": [0.0, lam, 0.0, 0.0, -0.25]}))
+    a_max = (lam / 4.0) ** (1.0 / 3.0)
+    s_end = 1.0 / (lam * a_max - a_max**4)
+    for action, header in (("saddle", "s,q"), ("invariant", "s,p")):
+        for t in (1.001, 1.1, 2.0):
+            out = tmp_path / f"{action}.csv"
+            s = t * s_end
+            assert run(["density", action, "--map", str(path),
+                        "--s", f"{s!r}:{s!r}:1", "--out", str(out)]) == 0
+            rows = out.read_text().splitlines()
+            assert rows[0] == header
+            assert [float(v) for v in rows[1].split(",")] == [s, 0.0]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["density", "saddle", "--bogus-flag", "1"])

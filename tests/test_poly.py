@@ -104,7 +104,7 @@ def test_coefficient_beyond_double_range():
         poly_roots(p)
     assert "precision-bits" in str(exc.value)
     roots = poly_roots(p, RootConfig(precision_bits=128))
-    assert [abs(r) for r in roots] == pytest.approx([1e-200, 1e-200], rel=1e-15)
+    assert [abs(r) for r in roots] == pytest.approx([1e-200, 1e-200], rel=1e-15, abs=0)
 
 
 def test_residual_check_holds_beyond_double_range():
@@ -171,6 +171,41 @@ def test_logistic_h128_zeros_match_hermite_nodes():
     assert zeros.count(0.0) == n // 2
     got = np.array([y for y in zeros if y > 0.0])
     assert np.max(np.abs(got - want) / want) < 1e-14
+
+
+@pytest.mark.parametrize("n, bound", [(24, 1e-11), (40, 1e-7), (48, 1e-5)])
+def test_logistic_zeros_at_53_bits_match_hermite_nodes(n, bound):
+    lam = 2.0
+    poly = bell_sequence_exact(MapSpec1D.logistic(lam), n)[n]
+    nodes, _ = np.polynomial.hermite.hermgauss(n)
+    want = np.sort(2.0 * nodes[nodes > 0] ** 2 / lam**2)
+    zeros = real_zeros(poly_roots(poly))
+    assert len(zeros) == n
+    assert zeros.count(0.0) == n // 2
+    got = np.array([y for y in zeros if y > 0.0])
+    assert np.max(np.abs(got - want) / want) <= bound
+
+
+def test_quartic_trinomial_zeros_at_53_bits_match_256_bits():
+    poly = bell_sequence_exact(MapSpec1D.m_hermite(2.0, 4), 64)[64]
+    want = poly_roots(poly, RootConfig(precision_bits=256))
+    got = poly_roots(poly)
+    assert len(real_zeros(got)) == len(real_zeros(want))
+    assert got.count(0j) == want.count(0j)
+    for a, b in ((want, got), (got, want)):
+        for r in a:
+            if r != 0:
+                assert min(abs(r - x) for x in b) <= 1e-12 * abs(r)
+
+
+def test_tiny_roots_are_judged_relatively():
+    # 10^300 x^3 + 10^-300: three roots of modulus 1e-200
+    p = Polynomial([1e-300, 0.0, 0.0, 1e300])
+    roots = poly_roots(p, RootConfig(precision_bits=128))
+    assert [abs(r) for r in roots] == pytest.approx([1e-200] * 3, rel=1e-15, abs=0)
+    # at 53 bits the normalised constant term flushes to zero
+    with pytest.raises(DomainError, match="precision-bits"):
+        poly_roots(p)
 
 
 def test_origin_roots_are_exact():
@@ -246,14 +281,13 @@ def test_even_polynomial_zeros_symmetric(body, lead):
 
 
 def test_residual_bound_holds():
-    cfg = RootConfig()
+    # every root meets Horner's running-error bound at 53 bits
     rng = np.random.default_rng(7)
     for _ in range(20):
         p = _random_poly(rng, int(rng.integers(2, 10)))
-        maxc = max(abs(c) for c in p.coeffs)
-        for r in poly_roots(p, cfg):
-            bound = cfg.tolerance * maxc * max(1.0, abs(r)) ** p.degree
-            assert abs(poly_eval(p, r)) <= bound
+        for r in poly_roots(p):
+            terms = sum(abs(c) * abs(r) ** k for k, c in enumerate(p.coeffs))
+            assert abs(poly_eval(p, r)) <= 4 * p.degree * 2.0**-53 * terms
 
 
 def test_high_precision_path_matches_double():
@@ -265,8 +299,6 @@ def test_high_precision_path_matches_double():
 
 
 def test_root_config_validation():
-    with pytest.raises(ValueError):
-        RootConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         RootConfig(precision_bits=32)
 

@@ -144,6 +144,20 @@ def test_p_is_zero_where_q_is():
     assert p_at(MapSpec1D((0.0, 1.3, 0.5)), 0.5) == 0.0
 
 
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_quartic_q_and_p_are_zero_past_the_support_end(lam):
+    # beyond s* the new real critical points dominate the complex pair
+    f = MapSpec1D((0.0, lam, 0.0, 0.0, -0.25))
+    a_max = (lam / 4.0) ** (1.0 / 3.0)
+    s_end = 1.0 / (lam * a_max - a_max**4)
+    for t in (1.001, 1.1, 2.0):
+        prob = SaddleProblem(f, t * s_end)
+        res = analyze(prob)
+        assert res.selected is None
+        assert res.q_value == 0.0
+        assert invariant_density_p(prob) == 0.0
+
+
 def _mp_quartic_q(lam, s):
     """q(s) for f = lam a - a^4/4 in mpmath: roots of s a f'(a) - 1 from
     mpmath.polyroots, the complex one of largest (Re gamma, Im a) selected."""
