@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bell, empirical, lorenz, odeiter, saddle
 from .errors import DomainError, EmptySample, ToolkitError
-from .poly import RootConfig, poly_roots, real_zeros
+from .poly import poly_roots, real_zeros
 
 __all__ = ["main", "run"]
 
@@ -94,9 +94,8 @@ def _cmd_hermite(args) -> int:
         _write_lines(args.out, lines)
         return 0
     # zeros
-    cfg = RootConfig(precision_bits=args.precision_bits)
     poly = bell.bell_sequence_exact(f, args.n)[args.n]
-    zeros = real_zeros(poly_roots(poly, cfg), cfg)
+    zeros = real_zeros(poly_roots(poly, args.precision_bits))
     lines = ["index,zero"]
     for i, z in enumerate(zeros):
         lines.append(f"{i},{_fmt(z)}")
@@ -106,7 +105,6 @@ def _cmd_hermite(args) -> int:
 
 def _cmd_density(args) -> int:
     f = _load_map(args.map)
-    cfg = RootConfig(precision_bits=args.precision_bits)
     points = _range_points(args.s)
     if args.action == "saddle":
         header, value = "s,q", saddle.zero_density_q
@@ -117,7 +115,8 @@ def _cmd_density(args) -> int:
             for s in points:
                 if not lo < s < hi:
                     raise DomainError(f"s={s!r} outside the support ({lo!r}, {hi!r})")
-    values = [value(saddle.SaddleProblem(f, s), cfg) for s in points]
+    values = [value(saddle.SaddleProblem(f, s), args.precision_bits)
+              for s in points]
     _write_lines(args.out,
                  [header] + [f"{_fmt(s)},{_fmt(v)}" for s, v in zip(points, values)])
     return 0

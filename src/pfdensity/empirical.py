@@ -87,6 +87,8 @@ def _seed_perturbation(seed: int) -> float:
 def orbit_sample(f: MapSpec1D, x0: float, burn: int, keep: int,
                  seed: int = 0) -> np.ndarray:
     """x_{burn+1} .. x_{burn+keep} under x -> f(x), guarded at |x| <= 1e6."""
+    if burn < 0:
+        raise ValueError("burn must be >= 0")
     if keep < 1:
         raise ValueError("keep must be >= 1")
     coeffs = tuple(reversed(f.coeffs))
@@ -118,6 +120,8 @@ def iterate_orbit(f: MapSpec1D, x0: float, burn: int, keep: int,
                   seed: int = 0, bins: int = 200, edges=None) -> Histogram:
     """Histogram of the retained orbit; values outside explicit edges are
     counted in out_of_range rather than silently dropped."""
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
     values = orbit_sample(f, x0, burn, keep, seed)
     if edges is None:
         edges = _auto_edges(values, bins)

@@ -282,17 +282,15 @@ def critical_frequency_solution(sys: OdeSystem, a, tau: float) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if np.any(a == 0.0):
         raise DomainError("all coordinates of a must be nonzero")
-    J = sys.jacobian(a)
-    d = J.shape[0]
-    A = np.eye(d) + tau * J
+    J, _, eig = jacobian_eigen(sys, a)
+    A = np.eye(J.shape[0]) + tau * J
 
-    eig = poly_roots(char_poly_faddeev(J))
-    for lam in _real_eigenvalues(eig):
+    real = _real_eigenvalues(eig)
+    for lam in real:
         if lam != 0.0 and abs(tau + 1.0 / lam) < _TAU_PROXIMITY:
             raise SingularTau(tau, lam)
     det = float(np.linalg.det(A))
     if abs(det) < _SINGULAR_DET:
-        real = _real_eigenvalues(eig)
         nearest = min(real, key=lambda l: abs(tau + 1.0 / l) if l != 0 else np.inf,
                       default=None)
         raise SingularTau(tau, nearest)
@@ -333,8 +331,7 @@ def critical_frequencies(sys: OdeSystem, a) -> FrequencyResult:
     real eigenvalue) is a reported condition, not an error.
     """
     a = np.asarray(a, dtype=float)
-    J = sys.jacobian(a)
-    eig = poly_roots(char_poly_faddeev(J))
+    J, _, eig = jacobian_eigen(sys, a)
     real = [l for l in _real_eigenvalues(eig) if abs(l) > 1e-12]
     taus = tuple(sorted((-1.0 / l for l in real), reverse=True))
 

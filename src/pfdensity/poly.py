@@ -7,27 +7,27 @@ exact rational arithmetic and only round when solving for roots.
 
 Roots are found with the Aberth-Ehrlich simultaneous iteration.  One
 iteration runs over one of two number types: Python complex at
-cfg.precision_bits == 53, or mpmath at higher precision (needed for
-high-degree polynomials whose monomial-basis conditioning is poor).  At 53
-bits it starts from points equally spaced on a circle bounding the root
-moduli (the tighter of the Cauchy and Fujiwara bounds).  Above 53 bits it
-first solves a double copy of the polynomial the same way, then polishes
-those roots in mpmath; the circle is the fallback when the double copy
-cannot stand in for the polynomial.
+precision_bits == 53, or mpmath at higher precision (needed for
+high-degree polynomials whose monomial-basis conditioning is poor).  It
+starts from the Newton polygon of log2|a_k|, one circle per hull edge
+(_newton_starts).  Above 53 bits it first solves a double copy of the
+polynomial the same way, then polishes those roots in mpmath; the polygon
+of the mpmath copy is the fallback when the double copy cannot stand in
+for the polynomial.
 
 One rule decides every root at every precision: a root is frozen once its
 residual is within the running-error bound of Horner's rule,
 |p(z)| <= 4 n u sum|a_k||z|^k with u = 2^-bits (Bini & Fiorentino's
 stopping rule in MPSolve).  The iteration stops when every root is frozen,
-and a root still unfrozen after cfg.max_iterations sweeps raises
-NonConvergence.  The bound is relative to the terms of p at z, so tiny
-roots are judged like any others.  A root beyond the double range is an
-error.  Degrees 1 and 2 use closed forms in the same types.  All three work
-on the coefficients divided by the power of two that brings the largest
-into [1, 2), which keeps the closed forms' products inside the double
-range; the closed forms keep the caller's coefficients where that division
-would round one of them, and at 53 bits Aberth refuses a coefficient that
-it would flush to zero.
+and a root still unfrozen after MAX_SWEEPS sweeps raises NonConvergence.
+The bound is relative to the terms of p at z, so tiny roots are judged
+like any others.  A root beyond the double range is an error.  Degrees 1
+and 2 use closed forms in the same types.  All three work on the
+coefficients divided by the power of two that brings the largest into
+[1, 2), which keeps the closed forms' products inside the double range;
+the closed forms keep the caller's coefficients where that division would
+round one of them.  At 53 bits a nonzero coefficient that becomes 0 as a
+double, on conversion or by that division, is an error above degree 1.
 """
 
 from __future__ import annotations
@@ -47,9 +47,11 @@ from .errors import CoefficientOverflow, DegreeZero, DomainError, NonConvergence
 # any block that changes it so that concurrent library callers stay correct.
 MP_LOCK = threading.Lock()
 
+MAX_SWEEPS = 400  # Aberth sweeps before an unfrozen root is NonConvergence
+_REAL_AXIS_TOL = 1e-8  # |Im z| <= tol (1 + |Re z|) counts as real
+
 __all__ = [
     "Polynomial",
-    "RootConfig",
     "poly_eval",
     "poly_derivative",
     "poly_roots",
@@ -88,17 +90,6 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         return poly_derivative(self)
-
-
-@dataclass(frozen=True)
-class RootConfig:
-    max_iterations: int = 400
-    precision_bits: int = 53
-    real_axis_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.precision_bits < 53:
-            raise ValueError("precision_bits must be >= 53")
 
 
 def _horner(coeffs, x):
@@ -166,33 +157,36 @@ def _mp_arith(bits: int) -> _Arith:
                   tiny=mpmath.mpf("1e-60"))
 
 
-def _start_radius(mags, one):
-    """Initial circle radius: min of the Cauchy and Fujiwara root bounds.
+def _newton_starts(c, ar: _Arith):
+    """Start points from the Newton polygon of log2|c_k| (c_0, c_n != 0).
 
-    The Cauchy bound 1 + max|a_k/a_n| explodes when the leading coefficient
-    is small against the rest (factorially-growing chains); Fujiwara's
-    2 max_k |a_{n-k}/a_n|^(1/k) stays within a factor 2 of the largest root.
+    Each edge k1 -> k2 of the upper convex hull of the points (k, log2|c_k|)
+    puts k2 - k1 points on a circle of radius 2^-slope, where those two terms
+    balance, so roots spread over many decades start near their own moduli
+    (Bini, Numer. Algorithms 13, 1996).  log2 comes from ar.frexp, so it
+    holds for mpf values beyond the double range.
     """
-    n = len(mags) - 1
-    an = mags[-1]
-    cauchy = one + max(mags[:-1]) / an
-    fuji = 0
-    for k in range(1, n + 1):
-        m = mags[n - k] / (an if k < n else 2 * an)
-        if m > 0:
-            fuji = max(fuji, m ** (one / k))
-    fuji *= 2
-    if fuji == 0:
-        return min(cauchy, one)
-    return min(cauchy, fuji)
-
-
-def _circle(c, ar: _Arith):
-    """Start points equally spaced on a circle bounding the root moduli."""
     n = len(c) - 1
-    radius = _start_radius([abs(x) for x in c], ar.one)
+    hull = []  # vertices (k, log2|c_k|), left to right
+    for k, x in enumerate(c):
+        if x == 0:
+            continue
+        mant, exp2 = ar.frexp(abs(x))
+        y = exp2 + math.log2(mant)
+        # drop the last vertex while it lies on or below the chord to (k, y)
+        while len(hull) > 1:
+            (k0, y0), (k1, y1) = hull[-2:]
+            if (k1 - k0) * (y - y0) < (y1 - y0) * (k - k0):
+                break
+            hull.pop()
+        hull.append((k, y))
     offset = ar.pi / (2 * n)
-    return [radius * ar.exp(1j * (2 * ar.pi * k / n + offset)) for k in range(n)]
+    z = []
+    for (k1, _), (k2, _) in zip(hull, hull[1:]):
+        m = k2 - k1
+        radius = (abs(c[k1]) / abs(c[k2])) ** (ar.one / m)
+        z += [radius * ar.exp(1j * (2 * ar.pi * j / m + offset)) for j in range(m)]
+    return z
 
 
 def _quadratic(c0, c1, c2, sqrt):
@@ -204,7 +198,7 @@ def _quadratic(c0, c1, c2, sqrt):
     return [q / c2, c0 / q]
 
 
-def _aberth(c, ar: _Arith, z, max_iterations):
+def _aberth(c, ar: _Arith, z):
     """Aberth-Ehrlich iteration on working numbers c from start points z.
 
     Returns the roots and, for each, whether it met Horner's error bound.
@@ -219,7 +213,7 @@ def _aberth(c, ar: _Arith, z, max_iterations):
     z = list(z)
     frozen = [False] * n
 
-    for _ in range(max_iterations):
+    for _ in range(MAX_SWEEPS):
         if all(frozen):
             break
         for i in range(n):
@@ -249,48 +243,48 @@ def _aberth(c, ar: _Arith, z, max_iterations):
     return z, frozen
 
 
-def _double_seeds(c, max_iterations):
+def _double_seeds(c):
     """53-bit Aberth roots of c (max|c_k| in [1, 2)), or None where the
     double copy of c cannot stand in for it.
 
     After that normalisation no coefficient overflows a double; small ones
-    may underflow, and a leading one that underflows to 0 leaves no
-    polynomial of the same degree to solve.  Seeds need not meet the
-    53-bit error bound; the polish decides.
+    may underflow, and a leading or constant one that underflows to 0
+    leaves a different polynomial.  Seeds need not meet the 53-bit error
+    bound; the polish decides.
     """
     cd = [complex(x) for x in c]
-    if cd[-1] == 0:
+    if cd[-1] == 0 or cd[0] == 0:
         return None
-    z, _ = _aberth(cd, _DOUBLE, _circle(cd, _DOUBLE), max_iterations)
+    z, _ = _aberth(cd, _DOUBLE, _newton_starts(cd, _DOUBLE))
     if not all(cmath.isfinite(x) for x in z):
         return None
     return z
 
 
-def _aberth_roots(c, ar: _Arith, cfg: RootConfig, scale) -> list:
+def _aberth_roots(c, ar: _Arith, scale) -> list:
     """Aberth roots of working numbers c, each within Horner's error bound.
 
     c is the caller's polynomial divided by scale.  Above 53 bits a
     double-precision solve supplies the start points and the working type
-    only polishes them; the circle is the fallback.
+    only polishes them; the Newton polygon of c is the fallback.
     """
-    seeds = None if ar is _DOUBLE else _double_seeds(c, cfg.max_iterations)
-    z, frozen = _aberth(c, ar, _circle(c, ar) if seeds is None
-                        else map(ar.num, seeds), cfg.max_iterations)
+    seeds = None if ar is _DOUBLE else _double_seeds(c)
+    z, frozen = _aberth(c, ar, _newton_starts(c, ar) if seeds is None
+                        else map(ar.num, seeds))
     if not all(frozen):
         # in the caller's units, not the scaled ones
         worst = float(max(abs(_horner(c, zi)) for zi, done in zip(z, frozen)
                           if not done) * scale)
         raise NonConvergence(
             f"{frozen.count(False)} of {len(z)} Aberth roots did not meet "
-            f"Horner's error bound in {cfg.max_iterations} sweeps "
+            f"Horner's error bound in {MAX_SWEEPS} sweeps "
             f"(worst residual {worst:.3e})",
             worst_residual=worst,
         )
     return z
 
 
-def _solve(coeffs, ar: _Arith, cfg: RootConfig) -> list:
+def _solve(coeffs, ar: _Arith) -> list:
     """Roots of a polynomial of degree >= 1 with nonzero constant term."""
     c = [ar.num(x) for x in coeffs]
     # Power-of-two normalisation to max|c_k| in [1, 2).  The exponent comes
@@ -298,19 +292,19 @@ def _solve(coeffs, ar: _Arith, cfg: RootConfig) -> list:
     # double range and leave c unscaled.
     scale = (2 * ar.one) ** (ar.frexp(max(map(abs, c)))[1] - 1)
     scaled = [x / scale for x in c]
-    if len(c) > 3:
-        if any(x == 0 and y != 0 for x, y in zip(scaled, c)):
-            raise DomainError(
-                "a coefficient underflows to 0 when scaled to the largest; "
-                "a higher --precision-bits (precision_bits > 53) keeps it")
-        roots = _aberth_roots(scaled, ar, cfg, scale)
-    else:
+    if len(c) <= 3 and scale > 1 and [x * scale for x in scaled] != c:
         # The scale changes no rounding unless, above 1, it rounds a double
         # into the subnormal range or to zero (1e300 x^2 + 1e-300 would gain
-        # a double root at 0); keep c then.
-        if scale <= 1 or [x * scale for x in scaled] == c:
-            c = scaled
-        roots = [-c[0] / c[1]] if len(c) == 2 else _quadratic(*c, ar.sqrt)
+        # a double root at 0); the closed forms keep c then.
+        scaled = c
+    # Only doubles flush (2^-1100 -> 0.0); a linear root that small is 0 anyway
+    if len(c) > 2 and any(x == 0 and y != 0 for x, y in zip(scaled, coeffs)):
+        raise DomainError(
+            "a coefficient underflows to 0 as a double; "
+            "a higher --precision-bits (precision_bits > 53) keeps it")
+    roots = ([-scaled[0] / scaled[1]] if len(c) == 2 else
+             _quadratic(*scaled, ar.sqrt) if len(c) == 3 else
+             _aberth_roots(scaled, ar, scale))
     out = [complex(r) for r in roots]
     for r, o in zip(roots, out):
         if not cmath.isfinite(o):
@@ -323,14 +317,17 @@ def _solve(coeffs, ar: _Arith, cfg: RootConfig) -> list:
     return out
 
 
-def poly_roots(p: Polynomial, cfg: RootConfig = RootConfig()) -> list:
+def poly_roots(p: Polynomial, precision_bits: int = 53) -> list:
     """All `degree` roots of p, with multiplicity, deterministically ordered.
 
-    Exact zero trailing coefficients are peeled off as roots at the origin
-    before the rest are solved for.  At 53 bits a coefficient beyond the
-    double range raises CoefficientOverflow; at any precision a root that
-    is not finite as a double raises DomainError.
+    precision_bits (>= 53) is the working precision.  Exact zero trailing
+    coefficients are peeled off as roots at the origin before the rest are
+    solved for.  At 53 bits a coefficient beyond the double range raises
+    CoefficientOverflow, and one that underflows to 0 DomainError; at any
+    precision a root that is not finite as a double raises DomainError.
     """
+    if precision_bits < 53:
+        raise ValueError("precision_bits must be >= 53")
     coeffs = list(p.coeffs)
     if len(coeffs) == 1:
         raise DegreeZero("constant polynomial has no roots to solve for")
@@ -341,19 +338,19 @@ def poly_roots(p: Polynomial, cfg: RootConfig = RootConfig()) -> list:
         coeffs.pop(0)
 
     if len(coeffs) > 1:
-        if cfg.precision_bits == 53:
-            roots += _solve(coeffs, _DOUBLE, cfg)
+        if precision_bits == 53:
+            roots += _solve(coeffs, _DOUBLE)
         else:
-            with MP_LOCK, mpmath.workprec(cfg.precision_bits):
-                roots += _solve(coeffs, _mp_arith(cfg.precision_bits), cfg)
+            with MP_LOCK, mpmath.workprec(precision_bits):
+                roots += _solve(coeffs, _mp_arith(precision_bits))
 
     roots.sort(key=lambda r: (r.real, r.imag))
     return roots
 
 
-def real_zeros(roots, cfg: RootConfig = RootConfig()) -> list:
-    """Roots that lie on the real axis up to cfg.real_axis_tol, sorted."""
+def real_zeros(roots) -> list:
+    """Roots that lie on the real axis up to _REAL_AXIS_TOL, sorted."""
     out = [r.real for r in roots
-           if abs(r.imag) <= cfg.real_axis_tol * (1.0 + abs(r.real))]
+           if abs(r.imag) <= _REAL_AXIS_TOL * (1.0 + abs(r.real))]
     out.sort()
     return out

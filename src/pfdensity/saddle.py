@@ -20,7 +20,7 @@ import mpmath
 
 from .bell import MapSpec1D
 from .errors import DomainError
-from .poly import MP_LOCK, Polynomial, RootConfig, _horner, poly_roots
+from .poly import MP_LOCK, Polynomial, _horner, poly_roots
 
 __all__ = [
     "SaddleProblem",
@@ -67,19 +67,17 @@ def critical_polynomial(prob: SaddleProblem) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def critical_points(prob: SaddleProblem, cfg: RootConfig = RootConfig()) -> list:
-    if prob.f.degree == 1:
-        return [complex(1.0 / (prob.s * prob.f.lam))]
-    return poly_roots(critical_polynomial(prob), cfg)
+def critical_points(prob: SaddleProblem, precision_bits: int = 53) -> list:
+    return poly_roots(critical_polynomial(prob), precision_bits)
 
 
 def _gamma(prob: SaddleProblem, a: complex) -> complex:
     return prob.s * prob.f(a) - cmath.log(a)
 
 
-def analyze(prob: SaddleProblem, cfg: RootConfig = RootConfig()) -> SaddleResult:
+def analyze(prob: SaddleProblem, precision_bits: int = 53) -> SaddleResult:
     """Locate critical points, select the dominant one if complex, report q."""
-    points = critical_points(prob, cfg)
+    points = critical_points(prob, precision_bits)
     cp = critical_polynomial(prob)
     residuals = tuple(abs(cp(a)) for a in points)
 
@@ -95,8 +93,8 @@ def analyze(prob: SaddleProblem, cfg: RootConfig = RootConfig()) -> SaddleResult
     return SaddleResult(tuple(points), residuals, best, gamma_real, q)
 
 
-def zero_density_q(prob: SaddleProblem, cfg: RootConfig = RootConfig()) -> float:
-    return analyze(prob, cfg).q_value
+def zero_density_q(prob: SaddleProblem, precision_bits: int = 53) -> float:
+    return analyze(prob, precision_bits).q_value
 
 
 def logistic_closed_q(lam: float, s: float) -> float:
@@ -134,14 +132,14 @@ def logistic_p_mass(lam: float) -> float:
 
 
 def invariant_density_p(prob: SaddleProblem,
-                        cfg: RootConfig = RootConfig()) -> float:
+                        precision_bits: int = 53) -> float:
     """p(s) = -s q'(s) from the selected saddle a_c, in closed form.
 
     Differentiating s*a*f'(a) = 1 in s gives
     a' = -1 / (s^2 (f'(a_c) + a_c f''(a_c))), and q = |Im f(a_c)| / pi gives
     q' = sign(Im f(a_c)) Im(f'(a_c) a') / pi.  p = 0 where q = 0.
     """
-    res = analyze(prob, cfg)
+    res = analyze(prob, precision_bits)
     if res.selected is None:
         return 0.0
     a = res.critical_points[res.selected]

@@ -23,7 +23,7 @@ from pfdensity.lorenz import (LorenzParams, factorized_exponent, fixed_point,
 from pfdensity.odeiter import (DifferentialIteration, OdeSystem,
                                critical_frequency_solution, euler_iterate,
                                jacobian_eigen)
-from pfdensity.poly import RootConfig, poly_roots, real_zeros
+from pfdensity.poly import poly_roots, real_zeros
 from pfdensity.saddle import (SaddleProblem, invariant_density_p,
                               logistic_p_mass, zero_density_q)
 
@@ -115,8 +115,7 @@ def test_criterion_3_semicircle_zeros():
     with criterion(3, "H_64 zeros vs half-semicircle (KS < 0.06)", 30.0):
         n, lam = 64, 2.0
         poly = bell_sequence_exact(MapSpec1D.logistic(lam), n)[n]
-        cfg = RootConfig(precision_bits=128)
-        zeros = real_zeros(poly_roots(poly, cfg), cfg)
+        zeros = real_zeros(poly_roots(poly, 128))
         assert len(zeros) == n  # n/2-fold root at the origin + n/2 positive
         sample = zeros_to_scaled_sample(zeros, n, lam)
         assert sample.dropped == n // 2

@@ -120,6 +120,16 @@ def test_orbit_histogram_schema(logistic_map_file, tmp_path):
     assert total == 1000
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--burn", "-5", "burn must be >= 0"), ("--bins", "0", "bins must be >= 1")])
+def test_orbit_bad_burn_or_bins_is_a_json_error(logistic_map_file, capsys,
+                                                flag, value, message):
+    assert run(["orbit", "--map", logistic_map_file, "--x0", "0.3",
+                "--keep", "10", flag, value]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"type": "ValueError", "message": message}
+
+
 def test_ode_fixed_points(lorenz_system_file, tmp_path):
     out = tmp_path / "fp.json"
     assert run(["ode", "fixed-points", "--system", lorenz_system_file,

@@ -60,6 +60,13 @@ def test_histogram_conservation_with_explicit_edges():
     assert hist.out_of_range > 0
 
 
+def test_orbit_rejects_negative_burn_and_no_bins():
+    with pytest.raises(ValueError, match="burn must be >= 0"):
+        orbit_sample(CHAOTIC, 0.3, burn=-5, keep=10)
+    with pytest.raises(ValueError, match="bins must be >= 1"):
+        iterate_orbit(CHAOTIC, 0.3, burn=10, keep=10, bins=0)
+
+
 def test_histogram_validation():
     with pytest.raises(ValueError):
         Histogram(edges=np.array([0.0, 0.0, 1.0]), counts=np.array([1, 1]), total=2)

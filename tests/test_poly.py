@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfdensity import poly
 from pfdensity.bell import MapSpec1D, bell_sequence_exact
 from pfdensity.errors import (CoefficientOverflow, DegreeZero, DomainError,
                               NonConvergence)
-from pfdensity.poly import (Polynomial, RootConfig, poly_derivative, poly_eval,
-                            poly_roots, real_zeros)
+from pfdensity.poly import (Polynomial, poly_derivative, poly_eval, poly_roots,
+                            real_zeros)
 
 HERMITE4 = Polynomial([12.0, 0.0, -48.0, 0.0, 16.0])
 # companion-matrix eigenvalue oracle (np.roots) for 16x^4 - 48x^2 + 12:
@@ -80,19 +81,20 @@ def test_degree_zero_raises():
         poly_roots(Polynomial([3.0]))
 
 
-def test_non_convergence_reports_worst_residual():
-    with pytest.raises(NonConvergence) as exc:
-        poly_roots(Polynomial([-1.0, 0.0, 0.0, 1.0]), RootConfig(max_iterations=1))
+def test_non_convergence_reports_worst_residual(monkeypatch):
+    monkeypatch.setattr(poly, "MAX_SWEEPS", 1)
+    with pytest.raises(NonConvergence, match="in 1 sweeps") as exc:
+        poly_roots(Polynomial([-1.0, 0.0, 0.0, 1.0]))
     assert exc.value.worst_residual > 0
 
 
-def test_worst_residual_is_in_the_polynomials_units():
-    cfg = RootConfig(max_iterations=1)
+def test_worst_residual_is_in_the_polynomials_units(monkeypatch):
+    monkeypatch.setattr(poly, "MAX_SWEEPS", 1)
     p = Polynomial([-1.0, 0.0, 0.0, 1.0])
     worst = {}
     for c in (1.0, 2.0**40):
         with pytest.raises(NonConvergence) as exc:
-            poly_roots(Polynomial([c * x for x in p.coeffs]), cfg)
+            poly_roots(Polynomial([c * x for x in p.coeffs]))
         worst[c] = exc.value.worst_residual
     assert worst[2.0**40] == 2.0**40 * worst[1.0]
 
@@ -103,36 +105,65 @@ def test_coefficient_beyond_double_range():
     with pytest.raises(CoefficientOverflow) as exc:
         poly_roots(p)
     assert "precision-bits" in str(exc.value)
-    roots = poly_roots(p, RootConfig(precision_bits=128))
+    roots = poly_roots(p, 128)
     assert [abs(r) for r in roots] == pytest.approx([1e-200, 1e-200], rel=1e-15, abs=0)
 
 
-def test_residual_check_holds_beyond_double_range():
+def test_residual_check_holds_beyond_double_range(monkeypatch):
     # 10^400 (x^4 + 3x^2 - 1) must be judged like x^4 + 3x^2 - 1
     base = [-1, 0, 3, 0, 1]
     polys = [Polynomial(base), Polynomial([10**400 * c for c in base])]
-    for p in polys:
-        with pytest.raises(NonConvergence):
-            poly_roots(p, RootConfig(precision_bits=256, max_iterations=1))
-    want, got = (poly_roots(p, RootConfig(precision_bits=256)) for p in polys)
+    with monkeypatch.context() as m:
+        m.setattr(poly, "MAX_SWEEPS", 1)
+        for p in polys:
+            with pytest.raises(NonConvergence):
+                poly_roots(p, 256)
+    want, got = (poly_roots(p, 256) for p in polys)
+    # The pair +-1.817i carries real parts of rounding size (1e-233) and of
+    # either sign, which may swap it in the (real, imag) order: pair by distance.
+    got = [min(got, key=lambda r: abs(r - w)) for w in want]
     assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 def test_root_beyond_double_range_is_an_error():
     # x^2 - 10^700 has roots +-10^350, which no double can hold
     with pytest.raises(DomainError, match="1e350"):
-        poly_roots(Polynomial([-10**700, 0, 1]), RootConfig(precision_bits=128))
+        poly_roots(Polynomial([-10**700, 0, 1]), 128)
     # x^4 + 10^400 x^3 - 1: one root near -10^400, three of modulus ~1e-133.
-    # From the circle of radius ~10^400 the small ones need ~1400 sweeps, so
-    # the default budget fails loudly instead of returning inf.
-    p = Polynomial([-1, 0, 0, 10**400, 1])
-    with pytest.raises(NonConvergence):
-        poly_roots(p, RootConfig(precision_bits=256))
+    # The Newton polygon starts each group on its own circle, so the default
+    # budget reaches the roots and the one beyond the double range is named.
     with pytest.raises(DomainError, match="1e400"):
-        poly_roots(p, RootConfig(precision_bits=256, max_iterations=1500))
+        poly_roots(Polynomial([-1, 0, 0, 10**400, 1]), 256)
     # at 53 bits the linear closed form -c0/c1 overflows
     with pytest.raises(DomainError):
         poly_roots(Polynomial([1e308, 1e-308]))
+
+
+@pytest.mark.parametrize("base, bits", [(10**60, 256), (10**50, 128)])
+def test_roots_spread_over_decades(base, bits):
+    # prod_{k<6} (x - base^k): six roots from 1 to base^5, one per edge of
+    # the Newton polygon, each exact at the default sweep budget
+    coeffs = [1]
+    for k in range(6):
+        coeffs = [a - base**k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    roots = poly_roots(Polynomial(coeffs), bits)
+    assert [r.real for r in roots] == [float(base**k) for k in range(6)]
+    assert all(abs(r.imag) <= 2.0**-bits * r.real for r in roots)
+
+
+def test_coefficient_that_underflows_as_a_double():
+    # The constant term 2^-1100 is 0 as a double, which would move the roots
+    # of x^3 - 2^-1100 (modulus 4.19e-111) and x^2 + 2^-1100 (+-2.71e-166 i)
+    tiny = Fraction(1, 2**1100)
+    cube, square = Polynomial([-tiny, 0, 0, 1]), Polynomial([tiny, 0, 1])
+    for p in (cube, square):
+        with pytest.raises(DomainError, match="precision-bits"):
+            poly_roots(p)
+    want = 2.0**-367 * 2.0 ** (1 / 3)  # 2^(-1100/3)
+    assert [abs(r) for r in poly_roots(cube, 128)] == pytest.approx(
+        [want] * 3, rel=1e-15, abs=0)
+    assert poly_roots(square, 128) == pytest.approx(
+        [-2.0**-550 * 1j, 2.0**-550 * 1j], rel=1e-15, abs=0)
 
 
 def test_closed_forms_see_normalised_coefficients():
@@ -140,8 +171,7 @@ def test_closed_forms_see_normalised_coefficients():
     # is solved on the normalised coefficients
     want = [cmath.exp(-2j * math.pi / 3), cmath.exp(2j * math.pi / 3)]
     for bits in (53, 128):
-        roots = poly_roots(Polynomial([1e308, 1e308, 1e308]),
-                           RootConfig(precision_bits=bits))
+        roots = poly_roots(Polynomial([1e308, 1e308, 1e308]), bits)
         roots.sort(key=lambda r: r.imag)
         assert roots == pytest.approx(want, rel=1e-15, abs=0)
     # A scale that would flush 1e-300 to zero leaves the closed forms on the
@@ -153,9 +183,11 @@ def test_closed_forms_see_normalised_coefficients():
 def test_seed_fallback_when_leading_coefficient_underflows():
     # x^4 / 10^400 - 1: the leading coefficient underflows to 0 as a double
     # even after normalisation, so the 53-bit seeds are skipped
-    roots = poly_roots(Polynomial([-1, 0, 0, 0, Fraction(1, 10**400)]),
-                       RootConfig(precision_bits=256))
+    roots = poly_roots(Polynomial([-1, 0, 0, 0, Fraction(1, 10**400)]), 256)
     assert [abs(r) for r in roots] == pytest.approx([1e100] * 4, rel=1e-15)
+    # 10^400 x^4 - 1: the same with the constant term
+    roots = poly_roots(Polynomial([-1, 0, 0, 0, 10**400]), 256)
+    assert [abs(r) for r in roots] == pytest.approx([1e-100] * 4, rel=1e-15)
 
 
 def test_logistic_h128_zeros_match_hermite_nodes():
@@ -165,8 +197,7 @@ def test_logistic_h128_zeros_match_hermite_nodes():
     poly = bell_sequence_exact(MapSpec1D.logistic(lam), n)[n]
     nodes, _ = np.polynomial.hermite.hermgauss(n)
     want = np.sort(2.0 * nodes[nodes > 0] ** 2 / lam**2)
-    cfg = RootConfig(precision_bits=256)
-    zeros = real_zeros(poly_roots(poly, cfg), cfg)
+    zeros = real_zeros(poly_roots(poly, 256))
     assert len(zeros) == n
     assert zeros.count(0.0) == n // 2
     got = np.array([y for y in zeros if y > 0.0])
@@ -188,7 +219,7 @@ def test_logistic_zeros_at_53_bits_match_hermite_nodes(n, bound):
 
 def test_quartic_trinomial_zeros_at_53_bits_match_256_bits():
     poly = bell_sequence_exact(MapSpec1D.m_hermite(2.0, 4), 64)[64]
-    want = poly_roots(poly, RootConfig(precision_bits=256))
+    want = poly_roots(poly, 256)
     got = poly_roots(poly)
     assert len(real_zeros(got)) == len(real_zeros(want))
     assert got.count(0j) == want.count(0j)
@@ -201,7 +232,7 @@ def test_quartic_trinomial_zeros_at_53_bits_match_256_bits():
 def test_tiny_roots_are_judged_relatively():
     # 10^300 x^3 + 10^-300: three roots of modulus 1e-200
     p = Polynomial([1e-300, 0.0, 0.0, 1e300])
-    roots = poly_roots(p, RootConfig(precision_bits=128))
+    roots = poly_roots(p, 128)
     assert [abs(r) for r in roots] == pytest.approx([1e-200] * 3, rel=1e-15, abs=0)
     # at 53 bits the normalised constant term flushes to zero
     with pytest.raises(DomainError, match="precision-bits"):
@@ -293,14 +324,14 @@ def test_residual_bound_holds():
 def test_high_precision_path_matches_double():
     p = Polynomial([-2.0, 0.0, 1.0])
     lo = poly_roots(p)
-    hi = poly_roots(p, RootConfig(precision_bits=128))
+    hi = poly_roots(p, 128)
     for a, b in zip(lo, hi):
         assert abs(a - b) < 1e-14
 
 
 def test_root_config_validation():
-    with pytest.raises(ValueError):
-        RootConfig(precision_bits=32)
+    with pytest.raises(ValueError, match="precision_bits must be >= 53"):
+        poly_roots(Polynomial([-2.0, 0.0, 1.0]), precision_bits=32)
 
 
 def test_determinism():
@@ -314,12 +345,11 @@ def test_parallel_mixed_precision_solves_are_independent():
     from concurrent.futures import ThreadPoolExecutor
 
     p = Polynomial([-2.0, 0.0, 0.0, 1.0])
-    base = {False: poly_roots(p), True: poly_roots(p, RootConfig(precision_bits=128))}
+    base = {False: poly_roots(p), True: poly_roots(p, 128)}
 
     def work(i):
         hp = bool(i % 2)
-        cfg = RootConfig(precision_bits=128 if hp else 53)
-        return hp, poly_roots(p, cfg)
+        return hp, poly_roots(p, 128 if hp else 53)
 
     with ThreadPoolExecutor(8) as pool:
         results = list(pool.map(work, range(32)))
