@@ -4,9 +4,9 @@
 For the logistic map with multiplier lam, the real zeros of H_n(y) scaled
 by t = lam*sqrt(y/n)/2 approach the semicircle density on (0, 1) as n
 grows.  This script tabulates the KS distance for n = 8, 16, 32, 64 and
-128 (roots at 128 bits above n = 40) and writes the scaled samples to CSV.
-The whole run takes about 2 s on a 2-vCPU host (Python 3.11, mpmath 1.3
-without gmpy2); n = 128 dominates, almost all of it its 128-bit root solve.
+128 and writes the scaled samples to CSV.  The whole run takes about 2.4 s
+on a 2-vCPU host (Python 3.11, mpmath 1.3 without gmpy2); n = 128
+dominates, almost all of it the root solve, which climbs to 256 bits.
 
 Usage: python scripts/semicircle_zeros.py [outdir]
 """
@@ -32,7 +32,7 @@ def main() -> None:
     for n in ORDERS:
         t0 = time.perf_counter()
         poly = bell_sequence_exact(f, n)[n]
-        zeros = real_zeros(poly_roots(poly, 128 if n > 40 else 53))
+        zeros = real_zeros(poly_roots(poly))
         sample = zeros_to_scaled_sample(zeros, n, LAM)
         d = ks_distance(EmpiricalCDF.from_sample(sample.values),
                         half_semicircle_cdf)

@@ -95,7 +95,7 @@ def _cmd_hermite(args) -> int:
         return 0
     # zeros
     poly = bell.bell_sequence_exact(f, args.n)[args.n]
-    zeros = real_zeros(poly_roots(poly, args.precision_bits))
+    zeros = real_zeros(poly_roots(poly))
     lines = ["index,zero"]
     for i, z in enumerate(zeros):
         lines.append(f"{i},{_fmt(z)}")
@@ -115,8 +115,7 @@ def _cmd_density(args) -> int:
             for s in points:
                 if not lo < s < hi:
                     raise DomainError(f"s={s!r} outside the support ({lo!r}, {hi!r})")
-    values = [value(saddle.SaddleProblem(f, s), args.precision_bits)
-              for s in points]
+    values = [value(saddle.SaddleProblem(f, s)) for s in points]
     _write_lines(args.out,
                  [header] + [f"{_fmt(s)},{_fmt(v)}" for s, v in zip(points, values)])
     return 0
@@ -243,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     hermite.add_argument("action", choices=["gen", "zeros"])
     hermite.add_argument("--map", required=True, help="map JSON path")
     hermite.add_argument("-n", type=int, required=True)
-    hermite.add_argument("--precision-bits", type=int, default=128)
     hermite.add_argument("--out", default=None)
     hermite.set_defaults(fn=_cmd_hermite)
 
@@ -255,7 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     density.add_argument("--support", type=_parse_interval, default=None,
                          metavar="LO:HI",
                          help="invariant: every s must lie inside (LO, HI)")
-    density.add_argument("--precision-bits", type=int, default=53)
     density.add_argument("--out", default=None)
     density.set_defaults(fn=_cmd_density)
 

@@ -29,16 +29,12 @@ class ResonanceDetected(ToolkitError):
 
 
 class CoefficientOverflow(ToolkitError):
-    """A coefficient exceeded the double-precision range.
+    """A generated chain coefficient exceeded the double-precision range."""
 
-    `order` is the chain order of a generated coefficient; it is None for a
-    coefficient handed to a 53-bit root solve.
-    """
-
-    def __init__(self, order=None, remedy="lower n or use the scaled variant"):
-        where = "" if order is None else f" at order {order}"
+    def __init__(self, order):
         super().__init__(
-            f"coefficient magnitude exceeds float range{where}; {remedy}")
+            f"coefficient magnitude exceeds float range at order {order}; "
+            "lower n or use the scaled variant")
         self.order = order
 
 

@@ -5,29 +5,29 @@ ints, Fractions, floats or complex; exact coefficient types survive
 arithmetic and evaluation, which lets callers generate polynomials in
 exact rational arithmetic and only round when solving for roots.
 
-Roots are found with the Aberth-Ehrlich simultaneous iteration.  One
-iteration runs over one of two number types: Python complex at
-precision_bits == 53, or mpmath at higher precision (needed for
-high-degree polynomials whose monomial-basis conditioning is poor).  It
-starts from the Newton polygon of log2|a_k|, one circle per hull edge
-(_newton_starts).  Above 53 bits it first solves a double copy of the
-polynomial the same way, then polishes those roots in mpmath; the polygon
-of the mpmath copy is the fallback when the double copy cannot stand in
-for the polynomial.
+Roots are found with the Aberth-Ehrlich simultaneous iteration at a
+working precision the solver picks itself (Bini & Fiorentino's MPSolve,
+Numer. Algorithms 23, 2000): Python complex at 53 bits, then mpmath at
+each wider level of _LEVELS, each level starting from the roots of the
+one before, until every root's relative error estimate is within
+_TARGET (_settled).  The first level starts from the Newton polygon of
+log2|a_k| (_newton_starts).  Monomial-basis conditioning decides how far
+a polynomial climbs: logistic H_12 settles at 53 bits, H_64 at 128 and
+H_128 at 256.  A level that cannot hold the polynomial is skipped: a
+coefficient beyond the double range, a nonzero one that becomes 0 as a
+double, or start points or roots that are not finite.  A root still
+above _TARGET at the last level raises NonConvergence; one beyond the
+double range raises DomainError.
 
-One rule decides every root at every precision: a root is frozen once its
-residual is within the running-error bound of Horner's rule,
-|p(z)| <= 4 n u sum|a_k||z|^k with u = 2^-bits (Bini & Fiorentino's
-stopping rule in MPSolve).  The iteration stops when every root is frozen,
-and a root still unfrozen after MAX_SWEEPS sweeps raises NonConvergence.
-The bound is relative to the terms of p at z, so tiny roots are judged
-like any others.  A root beyond the double range is an error.  Degrees 1
-and 2 use closed forms in the same types.  All three work on the
-coefficients divided by the power of two that brings the largest into
-[1, 2), which keeps the closed forms' products inside the double range;
-the closed forms keep the caller's coefficients where that division would
-round one of them.  At 53 bits a nonzero coefficient that becomes 0 as a
-double, on conversion or by that division, is an error above degree 1.
+At every level a root is frozen once its residual is within the
+running-error bound of Horner's rule, |p(z)| <= eps = 4 n u sum|a_k||z|^k
+with u = 2^-bits (MPSolve's stopping rule), and its error estimate is the
+shift that moves p by eps.  Both are relative to the terms of p at z, so
+tiny roots are judged like any others.  Degrees 1 and 2 use closed forms.
+All three work on the coefficients divided by the power of two that
+brings the largest into [1, 2), which keeps the closed forms' products
+inside the double range; the closed forms keep the caller's coefficients
+where that division would round one of them.
 """
 
 from __future__ import annotations
@@ -36,18 +36,19 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Callable
 
 import mpmath
 
-from .errors import CoefficientOverflow, DegreeZero, DomainError, NonConvergence
+from .errors import DegreeZero, DomainError, NonConvergence
 
 # mpmath's working precision is process-global state; hold this lock around
 # any block that changes it so that concurrent library callers stay correct.
 MP_LOCK = threading.Lock()
 
-MAX_SWEEPS = 400  # Aberth sweeps before an unfrozen root is NonConvergence
+MAX_SWEEPS = 400  # Aberth sweeps per level before an unfrozen root misses
+_LEVELS = (53, 128, 256, 512, 1024)  # working precisions, in bits, in turn
+_TARGET = 2.0 ** -40  # every root's relative error estimate must reach this
 _REAL_AXIS_TOL = 1e-8  # |Im z| <= tol (1 + |Re z|) counts as real
 
 __all__ = [
@@ -112,47 +113,32 @@ def poly_derivative(p: Polynomial) -> Polynomial:
 
 @dataclass(frozen=True)
 class _Arith:
-    """The number type one root solve works in.
+    """The number type one level of the root solve works in.
 
-    _DOUBLE serves 53-bit solves and the seeds of wider ones; _mp_arith(bits)
-    polishes those seeds.
+    _DOUBLE serves the 53-bit level, _mp_arith(bits) the wider ones.
     """
 
-    num: Callable[[Any], Any]   # coefficient (or numeric string) -> working number
+    num: Callable[[Any], Any]   # coefficient, root or numeric string -> working number
     one: Any
     exp: Callable
     sqrt: Callable
     frexp: Callable  # (mantissa, exponent) computed in the working type
+    isfinite: Callable
     pi: Any
     unit: Any   # a root freezes once |p(z)| <= 4*n*unit*sum|a_k||z|^k
     tiny: Any   # stand-in for z_i - z_j == 0
 
 
-def _to_complex(c) -> complex:
-    try:
-        return complex(c)
-    except OverflowError:  # an int or Fraction beyond the double range
-        raise CoefficientOverflow(
-            remedy="a higher --precision-bits (precision_bits > 53) "
-                   "solves in mpmath instead") from None
-
-
-def _to_mp(c):
-    if isinstance(c, Fraction):
-        return mpmath.mpf(c.numerator) / c.denominator
-    if isinstance(c, complex):
-        return mpmath.mpc(c.real, c.imag)
-    return mpmath.mpf(c)
-
-
-_DOUBLE = _Arith(num=_to_complex, one=1.0, exp=cmath.exp, sqrt=cmath.sqrt,
-                 frexp=math.frexp, pi=math.pi, unit=2.0 ** -53, tiny=1e-30)
+_DOUBLE = _Arith(num=complex, one=1.0, exp=cmath.exp, sqrt=cmath.sqrt,
+                 frexp=math.frexp, isfinite=cmath.isfinite, pi=math.pi,
+                 unit=2.0 ** -53, tiny=1e-30)
 
 
 def _mp_arith(bits: int) -> _Arith:
     """mpmath arithmetic; build and use it under mpmath.workprec(bits)."""
-    return _Arith(num=_to_mp, one=mpmath.mpf(1), exp=mpmath.exp,
-                  sqrt=mpmath.sqrt, frexp=mpmath.frexp, pi=+mpmath.pi,
+    return _Arith(num=mpmath.mpmathify, one=mpmath.mpf(1), exp=mpmath.exp,
+                  sqrt=mpmath.sqrt, frexp=mpmath.frexp,
+                  isfinite=mpmath.isfinite, pi=+mpmath.pi,
                   unit=mpmath.mpf(2) ** -bits,
                   tiny=mpmath.mpf("1e-60"))
 
@@ -198,13 +184,33 @@ def _quadratic(c0, c1, c2, sqrt):
     return [q / c2, c0 / q]
 
 
+def _settled(c, z, eps, dv) -> bool:
+    """Whether the root z of the working numbers c is within _TARGET.
+
+    eps is Horner's error bound at z, the most by which rounding moves p
+    there, and dv is p'(z).  That moves the root by the h that solves
+    |p'(z)| h + |p''(z)| h^2 / 2 = eps, and h / |z| is the relative error
+    estimate.  The first-order h = eps / |p'(z)| is never smaller, so p''
+    is computed only where that misses; it keeps h finite at an exact
+    double root, where p'(z) = 0 (the logistic saddle at s = 4 / lam^2).
+    """
+    reach = _TARGET * abs(z)
+    a = abs(dv)
+    if eps <= reach * a:
+        return True
+    b = abs(_horner([k * (k - 1) * x for k, x in enumerate(c)][2:] or [0], z))
+    return 2 * eps <= reach * (a + (a * a + 2 * b * eps) ** 0.5)
+
+
 def _aberth(c, ar: _Arith, z):
     """Aberth-Ehrlich iteration on working numbers c from start points z.
 
-    Returns the roots and, for each, whether it met Horner's error bound.
-    A root whose residual meets the bound still takes the step computed
-    there before it is frozen; freezing it first costs accuracy at high
-    degree (H_128 at 128 bits: 2e-9 relative error instead of 3e-11).
+    Returns the roots and, for each, whether it met Horner's error bound
+    and, where it did, _TARGET (_settled).  A root whose residual meets the
+    bound still takes the step computed there before it is frozen; freezing
+    it first costs accuracy at high degree (logistic H_128 leaves its
+    128-bit level 3e-9 off the Hermite nodes instead of 3e-11, and the
+    256-bit level starts from there).
     """
     n = len(c) - 1
     d = [k * c[k] for k in range(1, n + 1)]
@@ -212,6 +218,7 @@ def _aberth(c, ar: _Arith, z):
     bound = 4 * n * ar.unit  # running-error bound of Horner, in units of sum|a_k||z|^k
     z = list(z)
     frozen = [False] * n
+    settled = [False] * n
 
     for _ in range(MAX_SWEEPS):
         if all(frozen):
@@ -220,73 +227,41 @@ def _aberth(c, ar: _Arith, z):
             if frozen[i]:
                 continue
             zi = z[i]
-            pv = _horner(c, zi)
-            if pv == 0:
+            pv, dv = _horner(c, zi), _horner(d, zi)
+            eps = bound * _horner(mags, abs(zi))
+            if pv != 0:
+                if dv == 0:
+                    # deterministic nudge off the stationary point
+                    z[i] = zi * ar.num("1.000000001") + ar.num("1e-9")
+                    continue
+                ratio = pv / dv
+                s = 0
+                for j in range(n):
+                    if j != i:
+                        dz = zi - z[j]
+                        if dz == 0:
+                            dz = ar.tiny
+                        s += 1 / dz
+                den = 1 - ratio * s
+                z[i] = zi - (ratio if den == 0 else ratio / den)
+            if abs(pv) <= eps:
                 frozen[i] = True
-                continue
-            dv = _horner(d, zi)
-            if dv == 0:
-                # deterministic nudge off the stationary point
-                z[i] = zi * ar.num("1.000000001") + ar.num("1e-9")
-                continue
-            ratio = pv / dv
-            s = 0
-            for j in range(n):
-                if j != i:
-                    dz = zi - z[j]
-                    if dz == 0:
-                        dz = ar.tiny
-                    s += 1 / dz
-            den = 1 - ratio * s
-            z[i] = zi - (ratio if den == 0 else ratio / den)
-            frozen[i] = abs(pv) <= bound * _horner(mags, abs(zi))
-    return z, frozen
+                settled[i] = _settled(c, zi, eps, dv)
+    return z, settled
 
 
-def _double_seeds(c):
-    """53-bit Aberth roots of c (max|c_k| in [1, 2)), or None where the
-    double copy of c cannot stand in for it.
+def _level(coeffs, ar: _Arith, z):
+    """One level of the solve, in ar's working type, started from z.
 
-    After that normalisation no coefficient overflows a double; small ones
-    may underflow, and a leading or constant one that underflows to 0
-    leaves a different polynomial.  Seeds need not meet the 53-bit error
-    bound; the polish decides.
+    coeffs has degree >= 1 and a nonzero constant term; z is None on the
+    first level that runs, which starts from the Newton polygon.  Returns
+    None where this level cannot hold the polynomial or its roots, else the
+    roots and the residuals of those that miss _TARGET.
     """
-    cd = [complex(x) for x in c]
-    if cd[-1] == 0 or cd[0] == 0:
+    try:
+        c = [ar.num(x) for x in coeffs]
+    except OverflowError:  # an int or Fraction beyond the double range
         return None
-    z, _ = _aberth(cd, _DOUBLE, _newton_starts(cd, _DOUBLE))
-    if not all(cmath.isfinite(x) for x in z):
-        return None
-    return z
-
-
-def _aberth_roots(c, ar: _Arith, scale) -> list:
-    """Aberth roots of working numbers c, each within Horner's error bound.
-
-    c is the caller's polynomial divided by scale.  Above 53 bits a
-    double-precision solve supplies the start points and the working type
-    only polishes them; the Newton polygon of c is the fallback.
-    """
-    seeds = None if ar is _DOUBLE else _double_seeds(c)
-    z, frozen = _aberth(c, ar, _newton_starts(c, ar) if seeds is None
-                        else map(ar.num, seeds))
-    if not all(frozen):
-        # in the caller's units, not the scaled ones
-        worst = float(max(abs(_horner(c, zi)) for zi, done in zip(z, frozen)
-                          if not done) * scale)
-        raise NonConvergence(
-            f"{frozen.count(False)} of {len(z)} Aberth roots did not meet "
-            f"Horner's error bound in {MAX_SWEEPS} sweeps "
-            f"(worst residual {worst:.3e})",
-            worst_residual=worst,
-        )
-    return z
-
-
-def _solve(coeffs, ar: _Arith) -> list:
-    """Roots of a polynomial of degree >= 1 with nonzero constant term."""
-    c = [ar.num(x) for x in coeffs]
     # Power-of-two normalisation to max|c_k| in [1, 2).  The exponent comes
     # from the working type: a float would overflow for an mpf beyond the
     # double range and leave c unscaled.
@@ -297,40 +272,75 @@ def _solve(coeffs, ar: _Arith) -> list:
         # into the subnormal range or to zero (1e300 x^2 + 1e-300 would gain
         # a double root at 0); the closed forms keep c then.
         scaled = c
-    # Only doubles flush (2^-1100 -> 0.0); a linear root that small is 0 anyway
-    if len(c) > 2 and any(x == 0 and y != 0 for x, y in zip(scaled, coeffs)):
+    # Only doubles flush (2^-1100 -> 0.0), which would move the roots
+    if any(x == 0 and y != 0 for x, y in zip(scaled, coeffs)):
+        return None
+    if len(c) == 2:  # its error estimate is 8 units at every level
+        roots, settled = [-scaled[0] / scaled[1]], [True]
+    elif len(c) == 3:
+        c0, c1, c2 = scaled
+        roots = _quadratic(c0, c1, c2, ar.sqrt)
+        settled = [_settled(scaled, r,
+                            8 * ar.unit * (abs(c0) + abs(c1 * r) + abs(c2 * r * r)),
+                            c1 + 2 * c2 * r) for r in roots]
+    else:
+        z = _newton_starts(scaled, ar) if z is None else [ar.num(x) for x in z]
+        if not all(map(ar.isfinite, z)):  # a radius beyond the double range
+            return None
+        roots, settled = _aberth(scaled, ar, z)
+    if not all(map(ar.isfinite, roots)):
+        return None
+    # the residuals of the roots that miss, in the caller's units
+    return roots, [float(abs(_horner(scaled, r)) * scale)
+                   for r, ok in zip(roots, settled) if not ok]
+
+
+def _to_double(r) -> complex:
+    out = complex(r)
+    if not cmath.isfinite(out):
+        mant, exp2 = mpmath.frexp(abs(r))
+        decades = math.log10(mant) + exp2 * math.log10(2)
         raise DomainError(
-            "a coefficient underflows to 0 as a double; "
-            "a higher --precision-bits (precision_bits > 53) keeps it")
-    roots = ([-scaled[0] / scaled[1]] if len(c) == 2 else
-             _quadratic(*scaled, ar.sqrt) if len(c) == 3 else
-             _aberth_roots(scaled, ar, scale))
-    out = [complex(r) for r in roots]
-    for r, o in zip(roots, out):
-        if not cmath.isfinite(o):
-            mant, exp2 = ar.frexp(abs(r))
-            size = ""
-            if 0 < mant < 1:  # finite in the working type
-                decades = math.log10(mant) + exp2 * math.log10(2)
-                size = f" of modulus about 1e{round(decades)}"
-            raise DomainError(f"a root{size} is not finite as a double")
+            f"a root of modulus about 1e{round(decades)} is not finite as a double")
     return out
 
 
-def poly_roots(p: Polynomial, precision_bits: int = 53) -> list:
+def _solve(coeffs) -> list:
+    """Roots of a polynomial of degree >= 1 with nonzero constant term."""
+    z = None
+    for bits in _LEVELS:
+        if bits == 53:
+            out = _level(coeffs, _DOUBLE, z)
+        else:
+            with MP_LOCK, mpmath.workprec(bits):
+                out = _level(coeffs, _mp_arith(bits), z)
+        if out is not None:
+            z, missed = out
+            if not missed:
+                return [_to_double(r) for r in z]
+    raise NonConvergence(
+        f"{len(missed)} of {len(z)} roots did not reach relative error 2^-40 "
+        f"in {MAX_SWEEPS} sweeps at {_LEVELS[-1]} bits "
+        f"(worst residual {max(missed):.3e})",
+        worst_residual=max(missed),
+    )
+
+
+def poly_roots(p: Polynomial) -> list:
     """All `degree` roots of p, with multiplicity, deterministically ordered.
 
-    precision_bits (>= 53) is the working precision.  Exact zero trailing
-    coefficients are peeled off as roots at the origin before the rest are
-    solved for.  At 53 bits a coefficient beyond the double range raises
-    CoefficientOverflow, and one that underflows to 0 DomainError; at any
-    precision a root that is not finite as a double raises DomainError.
+    Exact zero trailing coefficients are peeled off as roots at the origin
+    before the rest are solved for, at the working precision each needs.  A
+    NaN or infinite coefficient, or a root that is not finite as a double,
+    raises DomainError; a root that misses the error target at every level
+    raises NonConvergence.
     """
-    if precision_bits < 53:
-        raise ValueError("precision_bits must be >= 53")
     coeffs = list(p.coeffs)
     if len(coeffs) == 1:
         raise DegreeZero("constant polynomial has no roots to solve for")
+    for k, c in enumerate(coeffs):
+        if c != c or abs(c) == math.inf:
+            raise DomainError(f"coefficient a_{k} = {c!r} is not finite")
 
     roots = []
     while len(coeffs) > 1 and _is_zero(coeffs[0]):
@@ -338,11 +348,7 @@ def poly_roots(p: Polynomial, precision_bits: int = 53) -> list:
         coeffs.pop(0)
 
     if len(coeffs) > 1:
-        if precision_bits == 53:
-            roots += _solve(coeffs, _DOUBLE)
-        else:
-            with MP_LOCK, mpmath.workprec(precision_bits):
-                roots += _solve(coeffs, _mp_arith(precision_bits))
+        roots += _solve(coeffs)
 
     roots.sort(key=lambda r: (r.real, r.imag))
     return roots

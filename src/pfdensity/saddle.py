@@ -67,17 +67,17 @@ def critical_polynomial(prob: SaddleProblem) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def critical_points(prob: SaddleProblem, precision_bits: int = 53) -> list:
-    return poly_roots(critical_polynomial(prob), precision_bits)
+def critical_points(prob: SaddleProblem) -> list:
+    return poly_roots(critical_polynomial(prob))
 
 
 def _gamma(prob: SaddleProblem, a: complex) -> complex:
     return prob.s * prob.f(a) - cmath.log(a)
 
 
-def analyze(prob: SaddleProblem, precision_bits: int = 53) -> SaddleResult:
+def analyze(prob: SaddleProblem) -> SaddleResult:
     """Locate critical points, select the dominant one if complex, report q."""
-    points = critical_points(prob, precision_bits)
+    points = critical_points(prob)
     cp = critical_polynomial(prob)
     residuals = tuple(abs(cp(a)) for a in points)
 
@@ -93,8 +93,8 @@ def analyze(prob: SaddleProblem, precision_bits: int = 53) -> SaddleResult:
     return SaddleResult(tuple(points), residuals, best, gamma_real, q)
 
 
-def zero_density_q(prob: SaddleProblem, precision_bits: int = 53) -> float:
-    return analyze(prob, precision_bits).q_value
+def zero_density_q(prob: SaddleProblem) -> float:
+    return analyze(prob).q_value
 
 
 def logistic_closed_q(lam: float, s: float) -> float:
@@ -131,15 +131,14 @@ def logistic_p_mass(lam: float) -> float:
     return float(val)
 
 
-def invariant_density_p(prob: SaddleProblem,
-                        precision_bits: int = 53) -> float:
+def invariant_density_p(prob: SaddleProblem) -> float:
     """p(s) = -s q'(s) from the selected saddle a_c, in closed form.
 
     Differentiating s*a*f'(a) = 1 in s gives
     a' = -1 / (s^2 (f'(a_c) + a_c f''(a_c))), and q = |Im f(a_c)| / pi gives
     q' = sign(Im f(a_c)) Im(f'(a_c) a') / pi.  p = 0 where q = 0.
     """
-    res = analyze(prob, precision_bits)
+    res = analyze(prob)
     if res.selected is None:
         return 0.0
     a = res.critical_points[res.selected]

@@ -115,7 +115,7 @@ def test_criterion_3_semicircle_zeros():
     with criterion(3, "H_64 zeros vs half-semicircle (KS < 0.06)", 30.0):
         n, lam = 64, 2.0
         poly = bell_sequence_exact(MapSpec1D.logistic(lam), n)[n]
-        zeros = real_zeros(poly_roots(poly, 128))
+        zeros = real_zeros(poly_roots(poly))
         assert len(zeros) == n  # n/2-fold root at the origin + n/2 positive
         sample = zeros_to_scaled_sample(zeros, n, lam)
         assert sample.dropped == n // 2

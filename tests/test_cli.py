@@ -295,16 +295,34 @@ def test_threads_option_is_a_usage_error(logistic_map_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["hermite", "zeros", "-n", "8",
+                                   "--precision-bits", "128"],
+                                  ["density", "saddle", "--s", "0.1:0.9:3",
+                                   "--precision-bits", "53"]])
+def test_precision_bits_option_is_a_usage_error(logistic_map_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--map", logistic_map_file])
+    assert exc.value.code == 2
+
+
 def test_53_bit_coefficient_overflow_exit_code_and_json(tmp_path, capsys):
-    # H_2 has a y^2 coefficient near 1e600: beyond doubles, fine in mpmath
+    # H_2 = 1e600 y^2 - y: no double holds the y^2 coefficient, so the solver
+    # solves in mpmath; the root 1e-600 prints as 0
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"coeffs": [0.0, 1e300, -0.5]}))
     argv = ["hermite", "zeros", "--map", str(big), "-n", "2", "--out", "-"]
-    assert run(argv + ["--precision-bits", "53"]) == 1
+    assert run(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["index,zero", "0,0", "1,0"]
+
+
+def test_non_finite_map_coefficient_exit_code_and_json(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({"coeffs": [0.0, math.nan, -0.5]}))
+    assert run(["density", "saddle", "--map", str(bad), "--s", "0.5:0.5:1",
+                "--out", "-"]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"]["type"] == "CoefficientOverflow"
-    assert "--precision-bits" in err["error"]["message"]
-    assert run(argv + ["--precision-bits", "128"]) == 0
+    assert err["error"]["type"] == "DomainError"
+    assert "nan" in err["error"]["message"]
 
 
 def test_byte_identical_reruns(logistic_map_file, tmp_path):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from pfdensity import poly
 from pfdensity.bell import MapSpec1D, bell_sequence_exact
-from pfdensity.errors import (CoefficientOverflow, DegreeZero, DomainError,
-                              NonConvergence)
+from pfdensity.errors import DegreeZero, DomainError, NonConvergence
 from pfdensity.poly import (Polynomial, poly_derivative, poly_eval, poly_roots,
                             real_zeros)
 
@@ -85,7 +84,7 @@ def test_non_convergence_reports_worst_residual(monkeypatch):
     monkeypatch.setattr(poly, "MAX_SWEEPS", 1)
     with pytest.raises(NonConvergence, match="in 1 sweeps") as exc:
         poly_roots(Polynomial([-1.0, 0.0, 0.0, 1.0]))
-    assert exc.value.worst_residual > 0
+    assert 0 < exc.value.worst_residual < math.inf
 
 
 def test_worst_residual_is_in_the_polynomials_units(monkeypatch):
@@ -96,16 +95,14 @@ def test_worst_residual_is_in_the_polynomials_units(monkeypatch):
         with pytest.raises(NonConvergence) as exc:
             poly_roots(Polynomial([c * x for x in p.coeffs]))
         worst[c] = exc.value.worst_residual
+    assert 0 < worst[1.0] < math.inf
     assert worst[2.0**40] == 2.0**40 * worst[1.0]
 
 
 def test_coefficient_beyond_double_range():
-    # (10^400) x^2 - 1: the 53-bit solve cannot hold the coefficient
-    p = Polynomial([-1, 0, 10**400])
-    with pytest.raises(CoefficientOverflow) as exc:
-        poly_roots(p)
-    assert "precision-bits" in str(exc.value)
-    roots = poly_roots(p, 128)
+    # (10^400) x^2 - 1: no double holds the coefficient, so the solver
+    # skips its 53-bit level and solves in mpmath
+    roots = poly_roots(Polynomial([-1, 0, 10**400]))
     assert [abs(r) for r in roots] == pytest.approx([1e-200, 1e-200], rel=1e-15, abs=0)
 
 
@@ -117,8 +114,8 @@ def test_residual_check_holds_beyond_double_range(monkeypatch):
         m.setattr(poly, "MAX_SWEEPS", 1)
         for p in polys:
             with pytest.raises(NonConvergence):
-                poly_roots(p, 256)
-    want, got = (poly_roots(p, 256) for p in polys)
+                poly_roots(p)
+    want, got = (poly_roots(p) for p in polys)
     # The pair +-1.817i carries real parts of rounding size (1e-233) and of
     # either sign, which may swap it in the (real, imag) order: pair by distance.
     got = [min(got, key=lambda r: abs(r - w)) for w in want]
@@ -128,41 +125,61 @@ def test_residual_check_holds_beyond_double_range(monkeypatch):
 def test_root_beyond_double_range_is_an_error():
     # x^2 - 10^700 has roots +-10^350, which no double can hold
     with pytest.raises(DomainError, match="1e350"):
-        poly_roots(Polynomial([-10**700, 0, 1]), 128)
+        poly_roots(Polynomial([-10**700, 0, 1]))
     # x^4 + 10^400 x^3 - 1: one root near -10^400, three of modulus ~1e-133.
     # The Newton polygon starts each group on its own circle, so the default
     # budget reaches the roots and the one beyond the double range is named.
     with pytest.raises(DomainError, match="1e400"):
-        poly_roots(Polynomial([-1, 0, 0, 10**400, 1]), 256)
-    # at 53 bits the linear closed form -c0/c1 overflows
-    with pytest.raises(DomainError):
+        poly_roots(Polynomial([-1, 0, 0, 10**400, 1]))
+    # the linear closed form -c0/c1 overflows as a double; mpmath names it
+    with pytest.raises(DomainError, match="1e616"):
         poly_roots(Polynomial([1e308, 1e-308]))
 
 
-@pytest.mark.parametrize("base, bits", [(10**60, 256), (10**50, 128)])
-def test_roots_spread_over_decades(base, bits):
+def test_infinite_start_radius_is_a_domain_error(monkeypatch):
+    # The root near -2e323 puts the last Newton-polygon radius 1/5e-324 at
+    # inf: the 53-bit level is skipped, not run on NaN start points
+    levels = []
+
+    def aberth(c, ar, z):
+        levels.append(ar.unit)
+        return aberth.orig(c, ar, z)
+
+    aberth.orig = poly._aberth
+    monkeypatch.setattr(poly, "_aberth", aberth)
+    with pytest.raises(DomainError, match="1e323"):
+        poly_roots(Polynomial([1, 1, 1, 5e-324]))
+    assert levels == [2.0**-128]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.inf)])
+def test_non_finite_coefficient_is_a_domain_error(bad):
+    with pytest.raises(DomainError, match="a_0"):
+        poly_roots(Polynomial([bad, 1, 1, 1]))
+
+
+@pytest.mark.parametrize("base", [10**60, 10**50])
+def test_roots_spread_over_decades(base):
     # prod_{k<6} (x - base^k): six roots from 1 to base^5, one per edge of
     # the Newton polygon, each exact at the default sweep budget
     coeffs = [1]
     for k in range(6):
         coeffs = [a - base**k * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    roots = poly_roots(Polynomial(coeffs), bits)
+    roots = poly_roots(Polynomial(coeffs))
     assert [r.real for r in roots] == [float(base**k) for k in range(6)]
-    assert all(abs(r.imag) <= 2.0**-bits * r.real for r in roots)
+    assert all(abs(r.imag) <= poly._TARGET * r.real for r in roots)
 
 
 def test_coefficient_that_underflows_as_a_double():
     # The constant term 2^-1100 is 0 as a double, which would move the roots
-    # of x^3 - 2^-1100 (modulus 4.19e-111) and x^2 + 2^-1100 (+-2.71e-166 i)
+    # of x^3 - 2^-1100 (modulus 4.19e-111) and x^2 + 2^-1100 (+-2.71e-166 i):
+    # the solver skips its 53-bit level and keeps the term in mpmath
     tiny = Fraction(1, 2**1100)
     cube, square = Polynomial([-tiny, 0, 0, 1]), Polynomial([tiny, 0, 1])
-    for p in (cube, square):
-        with pytest.raises(DomainError, match="precision-bits"):
-            poly_roots(p)
     want = 2.0**-367 * 2.0 ** (1 / 3)  # 2^(-1100/3)
-    assert [abs(r) for r in poly_roots(cube, 128)] == pytest.approx(
+    assert [abs(r) for r in poly_roots(cube)] == pytest.approx(
         [want] * 3, rel=1e-15, abs=0)
-    assert poly_roots(square, 128) == pytest.approx(
+    assert poly_roots(square) == pytest.approx(
         [-2.0**-550 * 1j, 2.0**-550 * 1j], rel=1e-15, abs=0)
 
 
@@ -170,10 +187,9 @@ def test_closed_forms_see_normalised_coefficients():
     # 1e308 (x^2 + x + 1): c1^2 - 4 c2 c0 overflows unless the quadratic
     # is solved on the normalised coefficients
     want = [cmath.exp(-2j * math.pi / 3), cmath.exp(2j * math.pi / 3)]
-    for bits in (53, 128):
-        roots = poly_roots(Polynomial([1e308, 1e308, 1e308]), bits)
-        roots.sort(key=lambda r: r.imag)
-        assert roots == pytest.approx(want, rel=1e-15, abs=0)
+    roots = poly_roots(Polynomial([1e308, 1e308, 1e308]))
+    roots.sort(key=lambda r: r.imag)
+    assert roots == pytest.approx(want, rel=1e-15, abs=0)
     # A scale that would flush 1e-300 to zero leaves the closed forms on the
     # caller's coefficients: 1e300 x^2 + 1e-300 keeps its roots +-1e-300 i.
     roots = poly_roots(Polynomial([1e-300, 0.0, 1e300]))
@@ -182,11 +198,12 @@ def test_closed_forms_see_normalised_coefficients():
 
 def test_seed_fallback_when_leading_coefficient_underflows():
     # x^4 / 10^400 - 1: the leading coefficient underflows to 0 as a double
-    # even after normalisation, so the 53-bit seeds are skipped
-    roots = poly_roots(Polynomial([-1, 0, 0, 0, Fraction(1, 10**400)]), 256)
+    # even after normalisation, so the 53-bit level is skipped and mpmath
+    # starts from its own Newton polygon
+    roots = poly_roots(Polynomial([-1, 0, 0, 0, Fraction(1, 10**400)]))
     assert [abs(r) for r in roots] == pytest.approx([1e100] * 4, rel=1e-15)
     # 10^400 x^4 - 1: the same with the constant term
-    roots = poly_roots(Polynomial([-1, 0, 0, 0, 10**400]), 256)
+    roots = poly_roots(Polynomial([-1, 0, 0, 0, 10**400]))
     assert [abs(r) for r in roots] == pytest.approx([1e-100] * 4, rel=1e-15)
 
 
@@ -197,15 +214,17 @@ def test_logistic_h128_zeros_match_hermite_nodes():
     poly = bell_sequence_exact(MapSpec1D.logistic(lam), n)[n]
     nodes, _ = np.polynomial.hermite.hermgauss(n)
     want = np.sort(2.0 * nodes[nodes > 0] ** 2 / lam**2)
-    zeros = real_zeros(poly_roots(poly, 256))
+    zeros = real_zeros(poly_roots(poly))
     assert len(zeros) == n
     assert zeros.count(0.0) == n // 2
     got = np.array([y for y in zeros if y > 0.0])
     assert np.max(np.abs(got - want) / want) < 1e-14
 
 
-@pytest.mark.parametrize("n, bound", [(24, 1e-11), (40, 1e-7), (48, 1e-5)])
-def test_logistic_zeros_at_53_bits_match_hermite_nodes(n, bound):
+@pytest.mark.parametrize("n", [24, 40, 48, 56, 64])
+def test_logistic_zeros_match_hermite_nodes(n):
+    # At 53 bits H_56 and H_64 keep only 51 of 56 and 48 of 64 zeros real,
+    # and H_48 is off by 1e-5; the solver must climb past that by itself
     lam = 2.0
     poly = bell_sequence_exact(MapSpec1D.logistic(lam), n)[n]
     nodes, _ = np.polynomial.hermite.hermgauss(n)
@@ -214,12 +233,20 @@ def test_logistic_zeros_at_53_bits_match_hermite_nodes(n, bound):
     assert len(zeros) == n
     assert zeros.count(0.0) == n // 2
     got = np.array([y for y in zeros if y > 0.0])
-    assert np.max(np.abs(got - want) / want) <= bound
+    assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
-def test_quartic_trinomial_zeros_at_53_bits_match_256_bits():
+def test_multiple_root_is_resolved():
+    # (x - 1)^4: at 53 bits the four roots scatter about 1e-4 around 1
+    roots = poly_roots(Polynomial([1, -4, 6, -4, 1]))
+    assert max(abs(r - 1) for r in roots) <= 1e-15
+
+
+def test_quartic_trinomial_zeros_match_a_solve_started_in_mpmath():
+    # The 2^-1100 factor flushes coefficients as doubles, so that copy skips
+    # the 53-bit level and starts in mpmath from its own Newton polygon
     poly = bell_sequence_exact(MapSpec1D.m_hermite(2.0, 4), 64)[64]
-    want = poly_roots(poly, 256)
+    want = poly_roots(Polynomial([Fraction(c, 2**1100) for c in poly.coeffs]))
     got = poly_roots(poly)
     assert len(real_zeros(got)) == len(real_zeros(want))
     assert got.count(0j) == want.count(0j)
@@ -231,12 +258,10 @@ def test_quartic_trinomial_zeros_at_53_bits_match_256_bits():
 
 def test_tiny_roots_are_judged_relatively():
     # 10^300 x^3 + 10^-300: three roots of modulus 1e-200
+    # (as a double the normalised constant term flushes to zero)
     p = Polynomial([1e-300, 0.0, 0.0, 1e300])
-    roots = poly_roots(p, 128)
+    roots = poly_roots(p)
     assert [abs(r) for r in roots] == pytest.approx([1e-200] * 3, rel=1e-15, abs=0)
-    # at 53 bits the normalised constant term flushes to zero
-    with pytest.raises(DomainError, match="precision-bits"):
-        poly_roots(p)
 
 
 def test_origin_roots_are_exact():
@@ -322,16 +347,11 @@ def test_residual_bound_holds():
 
 
 def test_high_precision_path_matches_double():
-    p = Polynomial([-2.0, 0.0, 1.0])
-    lo = poly_roots(p)
-    hi = poly_roots(p, 128)
+    # x^2 - 2 settles at 53 bits; scaled by 10^400 it skips that level
+    lo = poly_roots(Polynomial([-2.0, 0.0, 1.0]))
+    hi = poly_roots(Polynomial([-2 * 10**400, 0, 10**400]))
     for a, b in zip(lo, hi):
         assert abs(a - b) < 1e-14
-
-
-def test_root_config_validation():
-    with pytest.raises(ValueError, match="precision_bits must be >= 53"):
-        poly_roots(Polynomial([-2.0, 0.0, 1.0]), precision_bits=32)
 
 
 def test_determinism():
@@ -341,16 +361,17 @@ def test_determinism():
 
 def test_parallel_mixed_precision_solves_are_independent():
     # the mp working precision is global state; the solver must serialise
-    # around it so disjoint solves can run on a thread pool
+    # around it so disjoint solves can run on a thread pool.  The cubic
+    # settles at 53 bits, logistic H_64 at 128.
     from concurrent.futures import ThreadPoolExecutor
 
-    p = Polynomial([-2.0, 0.0, 0.0, 1.0])
-    base = {False: poly_roots(p), True: poly_roots(p, 128)}
+    polys = [Polynomial([-2.0, 0.0, 0.0, 1.0]),
+             bell_sequence_exact(MapSpec1D.logistic(2.0), 64)[64]]
+    base = [poly_roots(p) for p in polys]
 
     def work(i):
-        hp = bool(i % 2)
-        return hp, poly_roots(p, 128 if hp else 53)
+        return i % 2, poly_roots(polys[i % 2])
 
     with ThreadPoolExecutor(8) as pool:
-        results = list(pool.map(work, range(32)))
-    assert all(roots == base[hp] for hp, roots in results)
+        results = list(pool.map(work, range(16)))
+    assert all(roots == base[k] for k, roots in results)
