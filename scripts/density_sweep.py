@@ -12,9 +12,8 @@ from pathlib import Path
 from pfdensity.bell import MapSpec1D
 from pfdensity.empirical import (Histogram, arcsine_cdf, histogram_ks,
                                  iterate_orbit, rescale)
-from pfdensity.saddle import (SaddleProblem, invariant_density_p,
-                              logistic_closed_p, logistic_closed_q,
-                              logistic_p_mass, zero_density_q)
+from pfdensity.saddle import (logistic_closed_p, logistic_closed_q,
+                              logistic_p_mass, saddle_sweep)
 
 GRID = 199
 
@@ -27,15 +26,13 @@ def main() -> None:
     hi = 4.0 / (lam * lam)
 
     worst_q = worst_p = 0.0
+    grid = [hi * k / (GRID + 1) for k in range(1, GRID + 1)]
+    sweep = saddle_sweep(f, grid)
     path = outdir / f"density_lam{lam:g}.csv"
     with path.open("w") as fh:
         fh.write("s,q,q_closed,p,p_closed\n")
-        for k in range(1, GRID + 1):
-            s = hi * k / (GRID + 1)
-            prob = SaddleProblem(f, s)
-            q = zero_density_q(prob)
+        for s, q, p in zip(grid, sweep.q.tolist(), sweep.p.tolist()):
             qc = logistic_closed_q(lam, s)
-            p = invariant_density_p(prob)
             pc = logistic_closed_p(lam, s)
             worst_q = max(worst_q, abs(q - qc))
             worst_p = max(worst_p, abs(p - pc) / max(1.0, pc))

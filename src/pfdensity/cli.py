@@ -106,16 +106,13 @@ def _cmd_hermite(args) -> int:
 def _cmd_density(args) -> int:
     f = _load_map(args.map)
     points = _range_points(args.s)
-    if args.action == "saddle":
-        header, value = "s,q", saddle.zero_density_q
-    else:
-        header, value = "s,p", saddle.invariant_density_p
-        if args.support is not None:
-            lo, hi = args.support
-            for s in points:
-                if not lo < s < hi:
-                    raise DomainError(f"s={s!r} outside the support ({lo!r}, {hi!r})")
-    values = [value(saddle.SaddleProblem(f, s)) for s in points]
+    if args.action == "invariant" and args.support is not None:
+        lo, hi = args.support
+        for s in points:
+            if not lo < s < hi:
+                raise DomainError(f"s={s!r} outside the support ({lo!r}, {hi!r})")
+    sweep = saddle.saddle_sweep(f, points)
+    header, values = ("s,q", sweep.q) if args.action == "saddle" else ("s,p", sweep.p)
     _write_lines(args.out,
                  [header] + [f"{_fmt(s)},{_fmt(v)}" for s, v in zip(points, values)])
     return 0

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 ORBIT_GUARD = 1e6
+_ORBIT_CHUNK = 1 << 12  # orbit steps per list before they go into the array
 
 
 @dataclass(frozen=True)
@@ -92,18 +93,30 @@ def orbit_sample(f: MapSpec1D, x0: float, burn: int, keep: int,
     if keep < 1:
         raise ValueError("keep must be >= 1")
     coeffs = tuple(reversed(f.coeffs))
+    if coeffs[0] == 0:
+        # Horner started at 0.0 * x + c, which can differ from a zero c in
+        # its sign; a nonzero c equals it exactly, so only then start at c
+        coeffs = (0.0,) + coeffs
+    lead, *rest = coeffs
     x = x0 + _seed_perturbation(seed)
     out = np.empty(keep)
-    step = 0
-    for step in range(1, burn + keep + 1):
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * x + c
-        x = acc
-        if not (abs(x) <= ORBIT_GUARD):
-            raise OrbitEscape(step, x)
-        if step > burn:
-            out[step - burn - 1] = x
+    # Iterate i = -burn .. keep - 1 in chunks that each fill a short list,
+    # so no step tests its index and the list never holds the whole orbit;
+    # burn-in chunks (i < 0) are dropped.
+    starts = [*range(-burn, 0, _ORBIT_CHUNK), *range(0, keep, _ORBIT_CHUNK)]
+    for lo, hi in zip(starts, starts[1:] + [keep]):
+        chunk = []
+        append = chunk.append
+        for i in range(lo, hi):
+            acc = lead
+            for c in rest:
+                acc = acc * x + c
+            x = acc
+            if not (abs(x) <= ORBIT_GUARD):
+                raise OrbitEscape(burn + 1 + i, x)
+            append(x)
+        if lo >= 0:
+            out[lo:hi] = chunk
     return out
 
 

@@ -28,6 +28,16 @@ All three work on the coefficients divided by the power of two that
 brings the largest into [1, 2), which keeps the closed forms' products
 inside the double range; the closed forms keep the caller's coefficients
 where that division would round one of them.
+
+poly_roots_batch solves a stack of polynomials of one degree, such as the
+critical polynomials of a density grid, at once: the closed forms and the
+Aberth sweeps run as numpy operations on every row, from the eigenvalues
+of the companion matrices, with the same freeze rule and _TARGET at 53
+bits, and a row that misses them goes to poly_roots.  A single polynomial
+keeps the scalar path.  A batch of one costs 270-370 us against 65-85 us
+for a cubic.  For logistic H_128, the polish after the 53-bit level takes
+3.1 s from companion starts against 1.7-2.1 s from Newton-polygon starts
+(2-vCPU host, Python 3.11, numpy 2.4, mpmath 1.3 without gmpy2).
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import mpmath
+import numpy as np
 
 from .errors import DegreeZero, DomainError, NonConvergence
 
@@ -50,12 +61,16 @@ MAX_SWEEPS = 400  # Aberth sweeps per level before an unfrozen root misses
 _LEVELS = (53, 128, 256, 512, 1024)  # working precisions, in bits, in turn
 _TARGET = 2.0 ** -40  # every root's relative error estimate must reach this
 _REAL_AXIS_TOL = 1e-8  # |Im z| <= tol (1 + |Re z|) counts as real
+# A batched solve takes rows in blocks of about this many entries of its
+# (rows, n, n) Aberth arrays, so a long grid never holds all of them at once.
+_BATCH_ENTRIES = 1 << 16
 
 __all__ = [
     "Polynomial",
     "poly_eval",
     "poly_derivative",
     "poly_roots",
+    "poly_roots_batch",
     "real_zeros",
 ]
 
@@ -184,22 +199,29 @@ def _quadratic(c0, c1, c2, sqrt):
     return [q / c2, c0 / q]
 
 
+def _within_target(z, eps, a, b):
+    """Whether h / |z| <= _TARGET for the h with a h + b h^2 / 2 = eps.
+
+    eps is Horner's error bound at the root z, the most by which rounding
+    moves p there, and a = |p'(z)|, b = |p''(z)|: h is how far that moves
+    the root.  Works elementwise on numpy arrays too.
+    """
+    return 2 * eps <= _TARGET * abs(z) * (a + (a * a + 2 * b * eps) ** 0.5)
+
+
 def _settled(c, z, eps, dv) -> bool:
     """Whether the root z of the working numbers c is within _TARGET.
 
-    eps is Horner's error bound at z, the most by which rounding moves p
-    there, and dv is p'(z).  That moves the root by the h that solves
-    |p'(z)| h + |p''(z)| h^2 / 2 = eps, and h / |z| is the relative error
-    estimate.  The first-order h = eps / |p'(z)| is never smaller, so p''
-    is computed only where that misses; it keeps h finite at an exact
-    double root, where p'(z) = 0 (the logistic saddle at s = 4 / lam^2).
+    dv is p'(z).  The first-order h = eps / |p'(z)| is never smaller than
+    the h of _within_target, so p'' is computed only where that misses; it
+    keeps h finite at an exact double root, where p'(z) = 0 (the logistic
+    saddle at s = 4 / lam^2).
     """
-    reach = _TARGET * abs(z)
     a = abs(dv)
-    if eps <= reach * a:
+    if eps <= _TARGET * abs(z) * a:
         return True
     b = abs(_horner([k * (k - 1) * x for k, x in enumerate(c)][2:] or [0], z))
-    return 2 * eps <= reach * (a + (a * a + 2 * b * eps) ** 0.5)
+    return _within_target(z, eps, a, b)
 
 
 def _aberth(c, ar: _Arith, z):
@@ -352,6 +374,143 @@ def poly_roots(p: Polynomial) -> list:
 
     roots.sort(key=lambda r: (r.real, r.imag))
     return roots
+
+
+def _horner_rows(c, z):
+    """Row i of c (m, k) evaluated at each point of row i of z (m, n).
+
+    Every operation is elementwise, so a row's values do not depend on the
+    other rows it is solved with.
+    """
+    return _horner(list(c.T[:, :, None]), z)
+
+
+def _batch_quadratic(c):
+    """_quadratic on every row of c (m, 3); roots and whether both settle."""
+    c0, c1, c2 = c[:, :1], c[:, 1:2], c[:, 2:]
+    sq = np.sqrt(c1 * c1 - 4 * c2 * c0)
+    q = -0.5 * np.where((c1.conj() * sq).real >= 0, c1 + sq, c1 - sq)
+    z = np.hstack([q / c2, c0 / q])
+    eps = 8 * _DOUBLE.unit * (np.abs(c0) + np.abs(c1 * z) + np.abs(c2 * z * z))
+    ok = _within_target(z, eps, np.abs(c1 + 2 * c2 * z), np.abs(2 * c2))
+    return z, ok.all(axis=1)
+
+
+def _companion_starts(c):
+    """Eigenvalues of the companion matrix of each row of c (m, n + 1).
+
+    A row whose companion matrix is not finite (c_n tiny against the rest)
+    gets NaN starts.
+    """
+    m, n = c.shape[0], c.shape[1] - 1
+    comp = np.zeros((m, n, n), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(n - 1)
+    comp[:, :, -1] = -c[:, :-1] / c[:, -1:]
+    z = np.full((m, n), np.nan, dtype=complex)
+    finite = np.isfinite(comp[:, :, -1]).all(axis=1)
+    z[finite] = np.linalg.eigvals(comp[finite])
+    return z
+
+
+def _batch_aberth(c, z):
+    """Aberth sweeps on every row of c (m, n + 1) at once, in doubles.
+
+    The Jacobi form of _aberth with its freeze rule: each sweep steps every
+    unfrozen root from the roots of the sweep before, and a root freezes,
+    after that step, once its residual meets Horner's bound.  Returns the
+    roots and, per row, whether every root froze within MAX_SWEEPS, stayed
+    finite and met _TARGET where it froze.  A row that fails stops early.
+    """
+    n = z.shape[1]
+    d = c[:, 1:] * np.arange(1, n + 1)
+    dd = d[:, 1:] * np.arange(1, n)
+    mags = np.abs(c)
+    bound = 4 * n * _DOUBLE.unit
+    off = ~np.eye(n, dtype=bool)
+    good = np.isfinite(z).all(axis=1)
+    active = np.repeat(good[:, None], n, axis=1)
+    for _ in range(MAX_SWEEPS):
+        rows = np.flatnonzero(active.any(axis=1))
+        if rows.size == 0:
+            break
+        zr, act = z[rows], active[rows]
+        pv, dv = _horner_rows(c[rows], zr), _horner_rows(d[rows], zr)
+        eps = bound * _horner_rows(mags[rows], np.abs(zr))
+        diff = zr[:, :, None] - zr[:, None, :]
+        diff[diff == 0] = _DOUBLE.tiny
+        inv = np.where(off, 1 / diff, 0)
+        total = inv[:, :, 0]
+        for j in range(1, n):
+            total = total + inv[:, :, j]
+        ratio = pv / dv
+        step = np.where(pv == 0, 0, ratio / (1 - ratio * total))
+        frozen = act & (np.abs(pv) <= eps)
+        settled = _within_target(zr, eps, np.abs(dv),
+                                 np.abs(_horner_rows(dd[rows], zr)))
+        z[rows] = zr = np.where(act, zr - step, zr)
+        good[rows] &= np.isfinite(zr).all(axis=1) & ~(frozen & ~settled).any(axis=1)
+        active[rows] = act & ~frozen & good[rows, None]
+    return z, good & ~active.any(axis=1)
+
+
+def _batch_level(coeffs):
+    """53-bit roots of the rows of coeffs (m, n + 1), each row sorted like
+    poly_roots, and whether each row passed: finite coefficients, c_0 and
+    c_n nonzero, an exact power-of-two normalisation, and every root finite,
+    within Horner's bound and _TARGET.
+    """
+    m, n = coeffs.shape[0], coeffs.shape[1] - 1
+    roots = np.full((m, n), np.nan, dtype=complex)
+    ok = np.zeros(m, dtype=bool)
+    if n < 1:
+        return roots, ok
+    with np.errstate(all="ignore"):
+        scale = np.ldexp(1.0, np.frexp(np.abs(coeffs).max(axis=1))[1] - 1)[:, None]
+        c = (coeffs / scale).astype(complex)
+        rows = np.flatnonzero(np.isfinite(coeffs).all(axis=1)
+                              & (c[:, 0] != 0) & (c[:, -1] != 0)
+                              & (c * scale == coeffs).all(axis=1))
+        c = c[rows]
+        if n == 1:  # its error estimate is 8 units
+            z, good = -c[:, :1] / c[:, 1:], np.ones(len(rows), dtype=bool)
+        elif n == 2:
+            z, good = _batch_quadratic(c)
+        else:
+            z, good = _batch_aberth(c, _companion_starts(c))
+        good &= np.isfinite(z).all(axis=1)
+    order = np.lexsort((z.imag, z.real), axis=-1)
+    roots[rows] = np.take_along_axis(z, order, axis=-1)
+    ok[rows] = good
+    return roots, ok
+
+
+def poly_roots_batch(coeffs) -> np.ndarray:
+    """The roots of every row of an (m, n + 1) array of ascending coefficients.
+
+    Returns an (m, n) complex array; row i holds the roots of row i, sorted
+    like poly_roots.  Each row is normalised by its own power of two and
+    solved in doubles, degrees 1 and 2 in closed form and higher degrees by
+    Aberth sweeps over the whole block from the eigenvalues of the companion
+    matrices, with the freeze rule and _TARGET of the scalar solve.  A row
+    that misses either, or that has a zero c_0 or c_n or a non-finite
+    coefficient, is solved by poly_roots instead, which climbs in precision
+    or raises as it does for one polynomial; where its c_n is 0 it has fewer
+    roots and the rest of its row is NaN.  Rows go through in blocks of
+    about _BATCH_ENTRIES / n^2, and a row's result does not depend on the
+    rows it is solved with.
+    """
+    coeffs = np.asarray(coeffs)
+    m, n = coeffs.shape[0], coeffs.shape[1] - 1
+    out = np.full((m, n), np.nan, dtype=complex)
+    size = max(1, _BATCH_ENTRIES // max(1, n * n))
+    for lo in range(0, m, size):
+        block = coeffs[lo:lo + size]
+        roots, ok = _batch_level(block)
+        out[lo:lo + size][ok] = roots[ok]
+        for i in np.flatnonzero(~ok):
+            r = poly_roots(Polynomial(block[i].tolist()))
+            out[lo + i, :len(r)] = r
+    return out
 
 
 def real_zeros(roots) -> list:

@@ -5,26 +5,42 @@ maximal Re(gamma) is complex, it carries the asymptotic density of real
 zeros, q(s) = |Im f(a_c)| / pi; when it is real it dominates every
 oscillatory contribution and q = 0.  The invariant density p(s) = -s dq/ds
 follows from the same saddle: differentiating the critical-point equation
-gives da_c/ds, hence dq/ds, in closed form, so p costs one root solve.
+gives da_c/ds, hence dq/ds, in closed form, so p costs no further solve.
 Closed forms for the logistic family serve as oracles.
+
+saddle_sweep does the whole analysis for an array of s: the critical
+polynomials of the grid are one (m, deg f + 1) array that
+poly.poly_roots_batch solves at once, and the selection, q and p are array
+operations.  The one-point functions (analyze, zero_density_q,
+invariant_density_p) are one-element sweeps, so there is one selection
+rule.  The choice of root solver follows what the caller holds: a grid
+of polynomials of one degree takes the batched 53-bit kernel, and a single
+polynomial, such as a chain H_n, keeps the scalar poly_roots.  A batch of
+one costs 270-370 us against 65-85 us for a cubic, and companion starts
+slow the high-precision polish of logistic H_128 from 1.7-2.1 s to 3.1 s
+(measured as in the poly module).  So a one-point call here costs more
+than it did with one scalar solve per point: about 150 us against 30 us
+for a logistic point.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import mpmath
+import numpy as np
 
 from .bell import MapSpec1D
 from .errors import DomainError
-from .poly import MP_LOCK, Polynomial, _horner, poly_roots
+from .poly import MP_LOCK, Polynomial, _horner, poly_roots_batch
 
 __all__ = [
     "SaddleProblem",
     "SaddleResult",
+    "SaddleSweep",
+    "saddle_sweep",
     "critical_polynomial",
     "critical_points",
     "analyze",
@@ -36,7 +52,7 @@ __all__ = [
     "wigner_change_of_variables",
 ]
 
-_IMAG_CUTOFF = 1e-10  # below this, a critical point counts as real
+_IMAG_CUTOFF = 1e-10  # |Im a| <= cutoff |a|: the critical point a counts as real
 
 
 @dataclass(frozen=True)
@@ -68,33 +84,75 @@ def critical_polynomial(prob: SaddleProblem) -> Polynomial:
 
 
 def critical_points(prob: SaddleProblem) -> list:
-    return poly_roots(critical_polynomial(prob))
+    return list(analyze(prob).critical_points)
 
 
-def _gamma(prob: SaddleProblem, a: complex) -> complex:
-    return prob.s * prob.f(a) - cmath.log(a)
+@dataclass(frozen=True)
+class SaddleSweep:
+    """The saddle analysis on a grid of s; entry or row i belongs to s[i]."""
+
+    points: np.ndarray      # (m, n) critical points, each row sorted by (Re, Im)
+    selected: np.ndarray    # (m,) index of the saddle in its row, -1 where q = 0
+    gamma_real: np.ndarray  # (m,) Re gamma at the saddle, NaN where there is none
+    q: np.ndarray           # (m,) zero density
+    p: np.ndarray           # (m,) invariant density -s q'(s)
+
+
+def saddle_sweep(f: MapSpec1D, s) -> SaddleSweep:
+    """Critical points, saddle, q and p of f at every s of a 1-D array.
+
+    The saddle is the critical point of largest (Re gamma, Im a), which
+    breaks the tie between conjugates; where it is real (|Im a| <= 1e-10 |a|)
+    q = p = 0.  Differentiating s*a*f'(a) = 1 in s gives
+    a' = -1 / (s^2 (f'(a_c) + a_c f''(a_c))), and q = |Im f(a_c)| / pi gives
+    q' = sign(Im f(a_c)) Im(f'(a_c) a') / pi, so p = -s q' in closed form.
+    """
+    s = np.asarray(s, dtype=float)
+    if not (np.isfinite(s) & (s > 0)).all():
+        raise ValueError("s must be finite and positive")
+    fc = f.coeffs
+    kc = [k * c for k, c in enumerate(fc)]  # a*f'(a) has k*fc[k] on a^k
+    while len(kc) > 1 and kc[-1] == 0:
+        kc.pop()
+    crit = s[:, None] * np.array(kc)
+    crit[:, 0] = -1.0
+    points = poly_roots_batch(crit)
+
+    rows = np.arange(len(s))
+    with np.errstate(all="ignore"):
+        fa = _horner(fc, points)
+        gamma = (s[:, None] * fa - np.log(points)).real
+        # a NaN entry (a row with fewer points) never leads
+        gamma = np.where(np.isnan(gamma), -np.inf, gamma)
+        lead = gamma == gamma.max(axis=1, keepdims=True)
+        best = np.where(lead, points.imag, -np.inf).argmax(axis=1)
+        a = points[rows, best]
+        saddle = np.abs(a.imag) > _IMAG_CUTOFF * np.abs(a)
+        f_a = fa[rows, best]
+        q = np.where(saddle, np.abs(f_a.imag) / math.pi, 0.0)
+        slope = _horner([k * c for k, c in enumerate(fc)][1:], a)
+        curvature = _horner([k * k * c for k, c in enumerate(fc)][1:], a)
+        da = -1.0 / (s * s * curvature)
+        sign = np.copysign(1.0, f_a.imag)
+        p = np.where(saddle, -s * sign * (slope * da).imag / math.pi, 0.0)
+    return SaddleSweep(points, np.where(saddle, best, -1),
+                       np.where(saddle, gamma[rows, best], np.nan), q, p)
 
 
 def analyze(prob: SaddleProblem) -> SaddleResult:
     """Locate critical points, select the dominant one if complex, report q."""
-    points = critical_points(prob)
+    sweep = saddle_sweep(prob.f, [prob.s])
+    points = tuple(complex(a) for a in sweep.points[0] if a == a)
     cp = critical_polynomial(prob)
     residuals = tuple(abs(cp(a)) for a in points)
-
-    # conjugates tie on Re(gamma); a real point in the lead means no saddle
-    best = max(range(len(points)),
-               key=lambda i: (_gamma(prob, points[i]).real, points[i].imag))
-    if abs(points[best].imag) <= _IMAG_CUTOFF:
-        return SaddleResult(tuple(points), residuals, None, None, 0.0)
-
-    a_sel = points[best]
-    gamma_real = _gamma(prob, a_sel).real
-    q = abs(prob.f(a_sel).imag) / math.pi
-    return SaddleResult(tuple(points), residuals, best, gamma_real, q)
+    if sweep.selected[0] < 0:
+        return SaddleResult(points, residuals, None, None, 0.0)
+    return SaddleResult(points, residuals, int(sweep.selected[0]),
+                        float(sweep.gamma_real[0]), float(sweep.q[0]))
 
 
 def zero_density_q(prob: SaddleProblem) -> float:
-    return analyze(prob).q_value
+    return float(saddle_sweep(prob.f, [prob.s]).q[0])
 
 
 def logistic_closed_q(lam: float, s: float) -> float:
@@ -132,22 +190,8 @@ def logistic_p_mass(lam: float) -> float:
 
 
 def invariant_density_p(prob: SaddleProblem) -> float:
-    """p(s) = -s q'(s) from the selected saddle a_c, in closed form.
-
-    Differentiating s*a*f'(a) = 1 in s gives
-    a' = -1 / (s^2 (f'(a_c) + a_c f''(a_c))), and q = |Im f(a_c)| / pi gives
-    q' = sign(Im f(a_c)) Im(f'(a_c) a') / pi.  p = 0 where q = 0.
-    """
-    res = analyze(prob)
-    if res.selected is None:
-        return 0.0
-    a = res.critical_points[res.selected]
-    fc = prob.f.coeffs
-    slope = _horner([k * c for k, c in enumerate(fc)][1:], a)  # f'(a)
-    curvature = _horner([k * k * c for k, c in enumerate(fc)][1:], a)  # f' + a f''
-    da = -1.0 / (prob.s * prob.s * curvature)
-    sign = math.copysign(1.0, prob.f(a).imag)
-    return -prob.s * sign * (slope * da).imag / math.pi
+    """p(s) = -s q'(s) from the selected saddle, in closed form (saddle_sweep)."""
+    return float(saddle_sweep(prob.f, [prob.s]).p[0])
 
 
 def wigner_change_of_variables(lam: float, s: float) -> tuple:

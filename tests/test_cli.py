@@ -108,6 +108,19 @@ def test_density_invariant_outside_support_is_an_error(logistic_map_file, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("action", ["saddle", "invariant"])
+@pytest.mark.parametrize("grid", ["0:1:5", "0.1:nan:3", "nan:0.5:1"])
+def test_density_s_that_is_not_positive_is_an_error(logistic_map_file, tmp_path,
+                                                    capsys, action, grid):
+    out = tmp_path / "d.csv"
+    assert run(["density", action, "--map", logistic_map_file, "--s", grid,
+                "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValueError"
+    assert "finite and positive" in err["error"]["message"]
+    assert not out.exists()
+
+
 def test_orbit_histogram_schema(logistic_map_file, tmp_path):
     out = tmp_path / "hist.csv"
     assert run(["orbit", "--map", logistic_map_file, "--x0", "0.1",

@@ -47,6 +47,54 @@ def test_orbit_deterministic_in_seed():
     assert not np.array_equal(a, c)
 
 
+def _reference_orbit(f, x0, burn, keep, seed=0):
+    """The orbit loop as it stood before the Horner start and the split
+    burn-in, kept verbatim as the reference."""
+    from pfdensity.empirical import ORBIT_GUARD, _seed_perturbation
+    coeffs = tuple(reversed(f.coeffs))
+    x = x0 + _seed_perturbation(seed)
+    out = np.empty(keep)
+    step = 0
+    for step in range(1, burn + keep + 1):
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * x + c
+        x = acc
+        if not (abs(x) <= ORBIT_GUARD):
+            raise OrbitEscape(step, x)
+        if step > burn:
+            out[step - burn - 1] = x
+    return out
+
+
+@pytest.mark.parametrize("coeffs, x0, burn, keep", [
+    ((0.0, 4.0, -0.5), 1.7, 100, 500),
+    ((0.0, 4.0, -0.5), 1.7, 9000, 10_000),  # several chunks of each
+    ((0.0, 0.5, -0.5), 0.1, 0, 500),
+    ((0.0, 3.9, -3.9, 0.0), 0.4, 7, 500),   # trailing zero coefficient
+    ((0.0, 1.0, 0.0, -0.0), 0.25, 3, 500),  # -0.0 on top
+    ((-0.0, -0.0), 0.5, 2, 500),            # the zero map keeps its zero signs
+    ((0.0, -1.0), -0.0, 0, 500),
+])
+def test_orbit_matches_the_reference_loop_bitwise(coeffs, x0, burn, keep):
+    f = MapSpec1D(coeffs)
+    for seed in (0, 9):
+        got = orbit_sample(f, x0, burn, keep, seed=seed)
+        want = _reference_orbit(f, x0, burn, keep, seed=seed)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("burn", [0, 10, 19, 20, 5000])
+def test_orbit_escape_step_matches_the_reference_loop(burn):
+    f = MapSpec1D((0.0, 2.0))
+    with pytest.raises(OrbitEscape) as want:
+        _reference_orbit(f, 1.0, burn, 5000)
+    with pytest.raises(OrbitEscape) as got:
+        orbit_sample(f, 1.0, burn, 5000)
+    assert got.value.step == want.value.step == 20
+    assert str(got.value) == str(want.value)
+
+
 def test_seed_perturbation_bounded():
     a = orbit_sample(MapSpec1D.identity(), 0.5, burn=0, keep=1, seed=12345)
     assert 0.0 <= a[0] - 0.5 <= 1e-12

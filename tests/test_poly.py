@@ -11,7 +11,7 @@ from pfdensity import poly
 from pfdensity.bell import MapSpec1D, bell_sequence_exact
 from pfdensity.errors import DegreeZero, DomainError, NonConvergence
 from pfdensity.poly import (Polynomial, poly_derivative, poly_eval, poly_roots,
-                            real_zeros)
+                            poly_roots_batch, real_zeros)
 
 HERMITE4 = Polynomial([12.0, 0.0, -48.0, 0.0, 16.0])
 # companion-matrix eigenvalue oracle (np.roots) for 16x^4 - 48x^2 + 12:
@@ -375,3 +375,61 @@ def test_parallel_mixed_precision_solves_are_independent():
     with ThreadPoolExecutor(8) as pool:
         results = list(pool.map(work, range(16)))
     assert all(roots == base[k] for k, roots in results)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 6, 9])
+def test_batch_roots_meet_the_bound_and_match_poly_roots(degree):
+    rng = np.random.default_rng(1000 + degree)
+    stack = np.array([_random_poly(rng, degree).coeffs for _ in range(40)])
+    stack[::7] *= 2.0 ** rng.integers(-600, 600, (len(stack[::7]), 1))
+    got = poly_roots_batch(stack)
+    assert got.shape == (40, degree)
+    for row, roots in zip(stack, got):
+        p = Polynomial(list(row))
+        for r in roots:
+            terms = sum(abs(c) * abs(r) ** k for k, c in enumerate(p.coeffs))
+            assert abs(poly_eval(p, r)) <= 4 * degree * 2.0**-53 * terms
+        want = poly_roots(p)
+        for r in roots:
+            assert min(abs(r - w) for w in want) <= 1e-14 * abs(r)
+        for w in want:
+            assert min(abs(r - w) for r in roots) <= 1e-14 * abs(w)
+        assert list(roots) == sorted(roots, key=lambda z: (z.real, z.imag))
+
+
+def test_batch_row_does_not_depend_on_its_batch(monkeypatch):
+    rng = np.random.default_rng(5)
+    stack = np.array([_random_poly(rng, 5).coeffs for _ in range(30)])
+    whole = poly_roots_batch(stack)
+    for i in range(len(stack)):
+        alone = poly_roots_batch(stack[i:i + 1])
+        assert alone.tobytes() == whole[i:i + 1].tobytes()
+    assert poly_roots_batch(stack[::-1]).tobytes() == whole[::-1].tobytes()
+    monkeypatch.setattr(poly, "_BATCH_ENTRIES", 4 * 25)  # blocks of 4 rows
+    assert poly_roots_batch(stack).tobytes() == whole.tobytes()
+
+
+def test_batch_rows_the_kernel_cannot_take_go_to_poly_roots(monkeypatch):
+    # c_0 = 0, c_n = 0 (one root fewer, NaN-padded), an exact double root
+    # (settles only past 53 bits), and a normalisation that flushes 1e-320
+    rows = np.array([[0.0, -1.0, 0.0, 1.0],
+                     [1.0, 2.0, -3.0, 0.0],
+                     [1.0, 1.0, 1.0, 1.0],
+                     [-1.0, 3.0, -3.0, 1.0],
+                     [1e-320, 0.0, 0.0, 1e300]])
+    calls = []
+    real = poly.poly_roots
+    monkeypatch.setattr(poly, "poly_roots", lambda p: calls.append(p) or real(p))
+    got = poly_roots_batch(rows)
+    assert [list(p.coeffs) for p in calls] == [list(rows[i][:4 - (i == 1)])
+                                              for i in (0, 1, 3, 4)]
+    assert list(got[0]) == real(Polynomial(list(rows[0])))
+    assert list(got[1][:2]) == real(Polynomial(list(rows[1])))
+    assert np.isnan(got[1][2])
+    assert np.allclose(got[3], 1.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_batch_non_finite_coefficient_is_a_domain_error(bad):
+    with pytest.raises(DomainError, match="a_1"):
+        poly_roots_batch(np.array([[1.0, 2.0, 1.0], [1.0, bad, 1.0]]))

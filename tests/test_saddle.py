@@ -5,11 +5,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from pfdensity import poly
 from pfdensity.bell import MapSpec1D
 from pfdensity.errors import DomainError
 from pfdensity.saddle import (SaddleProblem, analyze, critical_points,
                               invariant_density_p, logistic_closed_p,
-                              logistic_closed_q, logistic_p_mass,
+                              logistic_closed_q, logistic_p_mass, saddle_sweep,
                               wigner_change_of_variables, zero_density_q)
 
 LOGISTIC2 = MapSpec1D.logistic(2.0)
@@ -258,3 +259,71 @@ def test_problem_validation():
         SaddleProblem(LOGISTIC2, 0.0)
     with pytest.raises(ValueError):
         SaddleProblem(LOGISTIC2, -1.0)
+
+
+def _seeded_maps():
+    rng = np.random.default_rng(12)
+    maps = [MapSpec1D([0.0, *rng.uniform(-2.0, 2.0, degree)])
+            for degree in range(1, 7)]
+    maps.append(MapSpec1D((0.0, 1.5, -0.7, 0.0)))        # trailing zero
+    maps.append(MapSpec1D((0.0, 2.0, 0.0, 0.0, -0.25)))  # sparse quartic
+    return maps
+
+
+@pytest.mark.parametrize("f", _seeded_maps(), ids=lambda f: f"deg{f.degree}")
+def test_sweep_equals_one_point_calls_bitwise(f):
+    grid = np.linspace(0.01, 3.0, 37)
+    sweep = saddle_sweep(f, grid)
+    probs = [SaddleProblem(f, float(s)) for s in grid]
+    for name, one in (("q", zero_density_q), ("p", invariant_density_p)):
+        assert np.array([one(prob) for prob in probs]).tobytes() == \
+            getattr(sweep, name).tobytes()
+    for i, prob in enumerate(probs):
+        res = analyze(prob)
+        assert np.array(res.critical_points).tobytes() == sweep.points[i].tobytes()
+        assert sweep.selected[i] == (-1 if res.selected is None else res.selected)
+    assert saddle_sweep(f, grid[::-1]).q.tobytes() == sweep.q[::-1].tobytes()
+
+
+def test_support_end_inside_a_sweep_falls_back_to_poly_roots(monkeypatch):
+    # s = 4 / lam^2 makes the critical polynomial -(a - 1)^2 (lam = 2): its
+    # double root settles only past 53 bits, so that row alone goes through
+    # poly_roots
+    calls = []
+    real = poly.poly_roots
+    monkeypatch.setattr(poly, "poly_roots", lambda p: calls.append(p) or real(p))
+    grid = [0.5, 0.9, 1.0, 1.1]
+    sweep = saddle_sweep(LOGISTIC2, grid)
+    assert len(calls) == 1
+    assert sweep.q[2] == sweep.p[2] == 0.0
+    assert list(sweep.q) == [zero_density_q(SaddleProblem(LOGISTIC2, s)) for s in grid]
+    assert list(sweep.p) == [invariant_density_p(SaddleProblem(LOGISTIC2, s))
+                             for s in grid]
+
+
+def test_row_with_fewer_points_is_nan_padded():
+    # 3e-330 s flushes to 0, leaving the linear s a - 1 at s = 1e-30
+    f = MapSpec1D((0.0, 1.0, 0.0, 1e-300))
+    sweep = saddle_sweep(f, [1e-30, 1.0])
+    assert sweep.points[0][0] == 1 / 1e-30 and np.isnan(sweep.points[0][1:]).all()
+    assert sweep.q[0] == sweep.p[0] == 0.0
+    assert analyze(SaddleProblem(f, 1e-30)).critical_points == (1 / 1e-30,)
+
+
+@pytest.mark.parametrize("lam", [1e-11, 1e-6, 2.0])
+def test_small_maps_keep_their_saddle(lam):
+    # the saddle a = lam (1 +- i) / 2 at s = 2 / lam^2 is complex at every
+    # scale; an absolute cut on Im a took it for real below lam ~ 1e-10
+    f = MapSpec1D.logistic(lam)
+    for s in (0.5 / lam**2, 2.0 / lam**2, 3.9 / lam**2):
+        prob = SaddleProblem(f, s)
+        assert zero_density_q(prob) == pytest.approx(logistic_closed_q(lam, s),
+                                                     rel=1e-12)
+        assert invariant_density_p(prob) == pytest.approx(
+            logistic_closed_p(lam, s), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_sweep_rejects_s_that_is_not_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        saddle_sweep(LOGISTIC2, [0.5, bad])
