@@ -10,11 +10,11 @@ Differentiating e^{y f} n times gives the complete-Bell recurrence
     H_0 = 1,  H_n = y sum_{i=1}^{min(n, deg f)} C(n-1, i-1) f^(i)(a) H_{n-i},
 
 so at fixed a the chain needs only the derivatives f^(i)(a); at a = 0
-they are i! f_i.  Everything is carried out in exact rational arithmetic
-(every float is a dyadic rational, so no rounding enters the chain);
-callers choose between float and exact coefficient views.  The resolving
-gap e^n(y) = y^n - H_n(y,0) and the triangular coefficient system built on
-the gaps live here too.
+they are i! f_i.  Over the lcm D of their denominators (a power of two for
+a float map) the recurrence runs in plain ints, so no rounding enters the
+chain; callers read it as exact Fractions or as correctly rounded floats.
+The resolving gap e^n(y) = y^n - H_n(y,0) and the triangular coefficient
+system built on the gaps live here too.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CoefficientOverflow, ResonanceDetected
-from .poly import Polynomial, _horner
+from .poly import Polynomial, _horner, _trim
 
 __all__ = [
     "MapSpec1D",
@@ -94,68 +94,80 @@ class MapSpec1D:
         return {"coeffs": list(self.coeffs)}
 
 
-def bell_chain(derivs, n: int) -> list:
-    """[H_0(y,a), ..., H_n(y,a)] at one point a, as exact polynomials in y.
-
-    derivs[i-1] is f^(i)(a) for i = 1 .. deg f; the rows follow from the
-    complete-Bell recurrence in O(n^2 deg f) Fraction operations.
+def _int_chain(derivs, n: int):
+    """(rows, D): H_m(y, a) = sum_{k<=m} rows[m][k] (y/D)^k, D the lcm of the
+    denominators of derivs[i-1] = f^(i)(a).  Callers pop each row as they
+    convert it, so the ints and their view never coexist.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = [Fraction(c) for c in derivs]
-    rows = [[Fraction(1)]]
+    D = math.lcm(*(Fraction(c).denominator for c in derivs))
+    X = [int(Fraction(c) * D) for c in derivs]
+    rows = [[1]]
     for m in range(1, n + 1):
-        row = [Fraction(0)] * (m + 1)
-        for i, xi in enumerate(x[:m], start=1):
+        row = [0] * (m + 1)
+        for i, xi in enumerate(X[:m], start=1):
             if xi:
                 w = math.comb(m - 1, i - 1) * xi
-                for k, c in enumerate(rows[m - i]):
-                    if c:
-                        row[k + 1] += w * c
+                for k, c in enumerate(rows[m - i], start=1):
+                    row[k] += w * c
         rows.append(row)
-    return [Polynomial(row) for row in rows]
+    return rows, D
+
+
+def _derivs_at_0(f: MapSpec1D) -> list:
+    return [math.factorial(i) * c for i, c in enumerate(f.exact_coeffs()) if i]
+
+
+def _exact(row, D) -> Polynomial:
+    zero = Fraction(0)  # one object for the many zeros below y^(m / deg f)
+    return Polynomial([Fraction(c, D**k) if c else zero for k, c in enumerate(row)])
+
+
+def _floats(row, D, order) -> list:
+    """row[k] / D**k, each rounded once to the nearest double (int true division)."""
+    try:
+        return [c / D**k for k, c in enumerate(row)]
+    except OverflowError:
+        raise CoefficientOverflow(order) from None
+
+
+def bell_chain(derivs, n: int) -> list:
+    """[H_0(y,a), ..., H_n(y,a)] as exact polynomials in y; derivs[i-1] = f^(i)(a)."""
+    rows, D = _int_chain(derivs, n)
+    return [_exact(rows.pop(0), D) for _ in range(n + 1)]
 
 
 def bell_sequence_exact(f: MapSpec1D, n: int) -> list:
     """[H_0(y), ..., H_n(y)] at a = 0 with exact Fraction coefficients."""
-    return bell_chain([math.factorial(i) * c
-                       for i, c in enumerate(f.exact_coeffs()) if i], n)
-
-
-def _check_float_range(p: Polynomial, order: int) -> Polynomial:
-    out = []
-    for c in p.coeffs:
-        try:
-            fc = float(c)
-        except OverflowError:
-            raise CoefficientOverflow(order) from None
-        out.append(fc)
-    return Polynomial(out)
+    return bell_chain(_derivs_at_0(f), n)
 
 
 def bell_sequence(f: MapSpec1D, n: int) -> list:
-    """Float-coefficient view of the chain at a = 0.
+    """Float view of the chain at a = 0: each coefficient is the nearest double.
 
-    Raises CoefficientOverflow if any coefficient cannot be represented in
-    double precision; use bell_sequence_exact / scaled_float_coeffs then.
+    Raises CoefficientOverflow if a coefficient is beyond the double range;
+    use bell_sequence_exact / scaled_float_coeffs then.
     """
-    return [_check_float_range(p, m)
-            for m, p in enumerate(bell_sequence_exact(f, n))]
+    rows, D = _int_chain(_derivs_at_0(f), n)
+    return [Polynomial(_floats(rows.pop(0), D, m)) for m in range(n + 1)]
+
+
+def _gap_row(f: MapSpec1D, n: int):
+    """(row, D): the y^k coefficient of e^n(y) = y^n - H_n(y, 0) is row[k] / D**k."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rows, D = _int_chain(_derivs_at_0(f), n)
+    return [-c for c in rows[n][:n]] + [D**n - rows[n][n]], D
 
 
 def resolving_gap_exact(f: MapSpec1D, n: int) -> Polynomial:
     """e^n(y) = y^n - H_n(y, 0), exact; leading coefficient is 1 - lam^n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    H = bell_sequence_exact(f, n)[n]
-    coeffs = [-c for c in H.coeffs] + [Fraction(0)] * max(0, n + 1 - len(H.coeffs))
-    coeffs = list(coeffs[:n + 1])
-    coeffs[n] += 1
-    return Polynomial(coeffs)
+    return _exact(*_gap_row(f, n))
 
 
 def resolving_gap(f: MapSpec1D, n: int) -> Polynomial:
-    return _check_float_range(resolving_gap_exact(f, n), n)
+    return Polynomial(_floats(*_gap_row(f, n), n))
 
 
 def scaled_float_coeffs(p: Polynomial):
@@ -168,7 +180,7 @@ def scaled_float_coeffs(p: Polynomial):
     if not mags:
         return [0.0] * len(p.coeffs), 0
     maxmag = max(mags)
-    if isinstance(maxmag, Fraction):
+    if isinstance(maxmag, (int, Fraction)):
         log2_scale = maxmag.numerator.bit_length() - maxmag.denominator.bit_length()
     else:
         log2_scale = int(math.floor(math.log2(float(maxmag))))
@@ -218,7 +230,9 @@ def solve_coefficient_system(f: MapSpec1D, n: int, b_n: float) -> CoefficientSys
 
     The y^k coefficient (1 <= k < n) of sum b*_m e^m(y) is
     b*_k (1 - lam^k) - sum_{m>k} b*_m h_{mk}; setting each to zero gives the
-    b*_k from the top degree downwards.  Requires lam^m != 1 for m <= n.
+    b*_k from the top degree downwards (lam^m != 1 for m <= n).  With
+    lam = ln/ld, b*_m = B[m] / Q[m] stays unreduced, Q[k] = r_k Q[k+1] with
+    r_k = (ld**k - ln**k) D**k, and the sum over m is Horner in the r_m.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -226,20 +240,16 @@ def solve_coefficient_system(f: MapSpec1D, n: int, b_n: float) -> CoefficientSys
         raise ValueError("b_n must be nonzero")
     _resonance_check(f.lam, n)
 
-    hs = bell_sequence_exact(f, n)
-    lam = Fraction(f.lam)
-
-    rows = [p.coeffs for p in hs]
-
-    b = {n: Fraction(b_n)}
+    rows, D = _int_chain(_derivs_at_0(f), n)
+    ln, ld = f.lam.as_integer_ratio()
+    r = [(ld**k - ln**k) * D**k for k in range(n + 1)]
+    B, Q = [0] * (n + 1), [0] * (n + 1)
+    B[n], Q[n] = Fraction(b_n).as_integer_ratio()
     for k in range(n - 1, 0, -1):
-        acc = Fraction(0)
-        for m in range(k + 1, n + 1):
-            row = rows[m]
-            if k < len(row) and row[k]:   # H_m has no y^k below k = m / deg f
-                acc += b[m] * row[k]
-        b[k] = acc / (1 - lam**k)
-
-    b_star = tuple(float(b[m]) for m in range(1, n))
-    h = tuple(tuple(float(c) for c in hs[m].coeffs) for m in range(n + 1))
+        acc = 0
+        for m in range(n, k, -1):
+            acc = acc * r[m] + B[m] * rows[m][k]
+        B[k], Q[k] = acc * ld**k, r[k] * Q[k + 1]
+    b_star = tuple(B[m] / Q[m] if B[m] else 0.0 for m in range(1, n))  # 0 / -Q is -0.0
+    h = tuple(tuple(_floats(_trim(rows.pop(0)), D, m)) for m in range(n + 1))
     return CoefficientSystem(n=n, b_n=float(b_n), b_star=b_star, h=h)

@@ -155,7 +155,8 @@ def test_degree_and_leading_coefficient_exact():
 def test_hermite_correspondence_exact():
     """H_m(y=2) as a polynomial in lam equals the physicists' Hermite
     polynomial of degree m: verified exactly at 11 rational multipliers,
-    which pins all coefficients of a degree <= 10 polynomial."""
+    which pins all coefficients of a degree <= 10 polynomial, and for one
+    dyadic multiplier up to degree 256."""
     lams = [Fraction(k, 7) for k in range(1, 12)]
     for lam in lams:
         chain = bell_sequence_exact(MapSpec1D.logistic(float(lam)), 10)
@@ -163,6 +164,12 @@ def test_hermite_correspondence_exact():
         for m, p in enumerate(chain):
             val = sum(c * Fraction(2) ** k for k, c in enumerate(p.coeffs))
             assert val == hermite_phys(m, lam_exact)
+    lam = Fraction(3, 4)
+    chain = bell_sequence_exact(MapSpec1D.logistic(float(lam)), 256)
+    prev, cur = Fraction(1), 2 * lam    # H^phys_0, H^phys_1
+    for m, p in enumerate(chain):
+        assert p(Fraction(2)) == prev, m
+        prev, cur = cur, 2 * lam * cur - 2 * (m + 1) * prev
 
 
 def test_resolving_gap_identity_map_is_zero():
@@ -255,10 +262,51 @@ def test_system_coefficients_stabilise_with_order():
     assert steps[-1] < 0.01
 
 
+def fraction_system(f, n, b_n):
+    """Oracle for solve_coefficient_system: the back-substitution in reduced
+    Fractions on the Faa di Bruno chain, each result rounded by float()."""
+    h = faa_di_bruno_chain(f, n)
+    lam = Fraction(f.lam)
+    b = {n: Fraction(b_n)}
+    for k in range(n - 1, 0, -1):
+        b[k] = sum(b[m] * h[m][k] for m in range(k + 1, n + 1)) / (1 - lam**k)
+    return ([float(b[m]) for m in range(1, n)],
+            [[float(c) for c in Polynomial(row).coeffs] for row in h])
+
+
+def bits(xs):
+    """Exact bit patterns, so that 0.0 and -0.0 differ."""
+    return [x.hex() for x in xs]
+
+
+@pytest.mark.parametrize("coeffs,n", [
+    ((0.0, 2.0, -0.5), 96),
+    ((0.0, -2.0, -0.5), 96),
+    ((0.0, 2.0, 0.0, 0.0, -1 / 16), 64),
+    ((0.0, float(Fraction(3, 7)), -0.5), 30),
+    ((0.0, 1.7, 0.3, -0.2), 30),
+], ids=["logistic+2", "logistic-2", "quartic", "lam-3/7", "dense-cubic"])
+def test_system_and_views_bit_identical_to_fraction_oracle(coeffs, n):
+    f = MapSpec1D(coeffs)
+    chain = faa_di_bruno_chain(f, n)
+    assert [p.coeffs for p in bell_sequence_exact(f, n)] == [
+        Polynomial(row).coeffs for row in chain]
+    assert [bits(p.coeffs) for p in bell_sequence(f, n)] == [
+        bits(Polynomial([float(c) for c in row]).coeffs) for row in chain]
+    for b_n in (1.0, -1.0, 0.3):
+        cs = solve_coefficient_system(f, n, b_n)
+        b_star, h = fraction_system(f, n, b_n)
+        assert list(cs.b_star) == b_star and bits(cs.b_star) == bits(b_star)
+        assert [list(row) for row in cs.h] == h
+        assert [bits(row) for row in cs.h] == [bits(row) for row in h]
+
+
 def test_overflow_reported():
     f = MapSpec1D((0.0, 1e30, -0.5))
-    with pytest.raises(CoefficientOverflow):
+    with pytest.raises(CoefficientOverflow) as exc:
         bell_sequence(f, 11)
+    assert exc.value.order == 11  # lam^11 = 1e330 is the first coefficient out of range
+    assert len(bell_sequence(f, 10)) == 11
 
 
 def test_scaled_export_for_overflowing_chain():
@@ -268,6 +316,14 @@ def test_scaled_export_for_overflowing_chain():
     assert max(abs(c) for c in coeffs) == pytest.approx(1.0, rel=1.0)
     assert log2_scale > 1000  # lam^11 = 1e330 alone needs ~1097 bits
     assert all(math.isfinite(c) for c in coeffs)
+
+
+def test_scaled_export_for_int_coefficients():
+    # an int beyond the double range is scaled by its bit length, not float()
+    coeffs, log2_scale = scaled_float_coeffs(Polynomial([10**400, 1]))
+    assert log2_scale == (10**400).bit_length() - 1
+    assert 1.0 <= coeffs[0] < 2.0
+    assert coeffs == [float(Fraction(10**400, 2**log2_scale)), 0.0]  # 2**-1328 underflows
 
 
 @pytest.mark.parametrize("lam,expected", [
