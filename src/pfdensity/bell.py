@@ -13,8 +13,10 @@ so at fixed a the chain needs only the derivatives f^(i)(a); at a = 0
 they are i! f_i.  Over the lcm D of their denominators (a power of two for
 a float map) the recurrence runs in plain ints, so no rounding enters the
 chain; callers read it as exact Fractions or as correctly rounded floats.
-The resolving gap e^n(y) = y^n - H_n(y,0) and the triangular coefficient
-system built on the gaps live here too.
+chain_roots solves H_n(y, 0) by the recurrence itself in doubles (Bini,
+Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005) and certifies
+each real root by exact integer signs.  The resolving gap and the
+triangular coefficient system built on the gaps live here too.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CoefficientOverflow, ResonanceDetected
-from .poly import Polynomial, _horner, _trim
+import numpy as np
+
+from .errors import CoefficientOverflow, DegreeZero, ResonanceDetected
+from .poly import Polynomial, _batch_aberth, _horner, _trim, _upper_hull, poly_roots
 
 __all__ = [
     "MapSpec1D",
@@ -34,6 +38,7 @@ __all__ = [
     "bell_sequence_exact",
     "resolving_gap",
     "resolving_gap_exact",
+    "chain_roots",
     "solve_coefficient_system",
     "classify_multiplier",
     "scaled_float_coeffs",
@@ -151,6 +156,78 @@ def bell_sequence(f: MapSpec1D, n: int) -> list:
     """
     rows, D = _int_chain(_derivs_at_0(f), n)
     return [Polynomial(_floats(rows.pop(0), D, m)) for m in range(n + 1)]
+
+
+def _chain_step(derivs, n: int, m0: int):
+    """poly._batch_aberth's evaluator for Q = H_n(y, 0) / y^m0: (H_m, H'_m) by
+    the recurrence in complex doubles, the last deg f rows rescaled at each
+    step by a power of two (exact), the correction Q/Q' = H / (H' - m0 H/y),
+    and a freeze once that is within a few ulps of |y|."""
+    w = [[(i, math.comb(m - 1, i - 1) * float(c)) for i, c in enumerate(derivs[:m], 1)
+          if c] or [(1, 0.0)] for m in range(1, n + 1)]
+
+    def evaluate(rows, y):
+        win = [np.array([np.ones_like(y), np.zeros_like(y)])]  # rows (H_m, H'_m)
+        for (i, c), *rest in w:
+            s = sum((c * win[-i] for i, c in rest), c * win[-i])
+            new = y * s
+            new[1] += s[0]
+            win = win[1 - len(derivs):] + [new]  # the last deg f rows
+            big = np.maximum(abs(new[0]), abs(win[-2][0]))
+            win = [v * np.ldexp(1.0, -np.frexp(big)[1]) for v in win]
+        h, hp = win[-1]
+        corr = h / (hp - m0 * h / y)  # 0, not NaN, where H = 0
+        return corr, abs(corr) <= 2.0 ** -50 * abs(y), True
+    return evaluate
+
+
+def _certified(row, D, m0: int, xs) -> bool:
+    """Whether each x of xs lies within 2^-40 |x| of its own real root of Q.
+
+    Each bracket end x(1 -+ 2^-40) is an int P over one 2^E, where Q has the
+    sign of sum_k row[k] P^(k-m0) (2^E D)^(deg-k).  Disjoint brackets, each
+    with a strict sign change (none at x = 0), hold one root each."""
+    E = max(x.as_integer_ratio()[1].bit_length() for x in xs) + 39
+    Ms = [int(Fraction(x) * 2**E) for x in xs]  # exact, multiples of 2^40
+    ends = [sorted((M - (M >> 40), M + (M >> 40))) for M in Ms]
+    if any(hi >= lo for (_, hi), (lo, _) in zip(ends, ends[1:])):
+        return False
+    q, deg = 2**E * D, len(row) - 1
+    terms = [row[k] * q ** (deg - k) for k in range(m0, deg + 1)]
+    return all(_horner(terms, lo) * _horner(terms, hi) < 0 for lo, hi in ends)
+
+
+def chain_roots(f: MapSpec1D, n: int) -> list:
+    """All roots of H_n(y, 0), with multiplicity, sorted like poly_roots.
+
+    H_n = y^m0 Q(y), m0 exact.  Aberth sweeps by the recurrence start from
+    the Newton polygon of log2|row[k] / D^k|, which converts no coefficient.
+    Unless the real parts of Q's N roots are finite and _certified, every
+    root comes from poly_roots on the exact H_n instead.
+    """
+    derivs = _derivs_at_0(f)
+    rows, D = _int_chain(derivs, n)
+    row = _trim(rows[n])
+    if not any(row):
+        raise DegreeZero(f"H_{n} is identically zero for this map")
+    m0 = next(k for k, c in enumerate(row) if c)
+    N = len(row) - 1 - m0
+    if N > 0:
+        try:
+            evaluate = _chain_step(derivs, n, m0)
+        except OverflowError:  # a weight beyond the double range
+            return poly_roots(_exact(row, D))
+        hull = _upper_hull([(k, math.log2(abs(c)) - k * math.log2(D))
+                            for k, c in enumerate(row) if c])
+        with np.errstate(all="ignore"):  # as _newton_starts, on 2^-slope circles
+            z = np.concatenate([np.exp2((y1 - y2) / (k2 - k1)) * np.exp(
+                2j * np.pi * np.arange(k2 - k1) / (k2 - k1) + 1j * np.pi / (2 * N))
+                for (k1, y1), (k2, y2) in zip(hull, hull[1:])])
+            z, ok = _batch_aberth(evaluate, z[None])
+        xs = sorted(float(r.real) for r in z[0])
+        if ok[0] and all(map(math.isfinite, xs)) and _certified(row, D, m0, xs):
+            return sorted([0j] * m0 + list(map(complex, xs)), key=lambda r: r.real)
+    return poly_roots(_exact(row, D))
 
 
 def _gap_row(f: MapSpec1D, n: int):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bell, empirical, lorenz, odeiter, saddle
 from .errors import DomainError, EmptySample, ToolkitError
-from .poly import poly_roots, real_zeros
+from .poly import real_zeros
 
 __all__ = ["main", "run"]
 
@@ -94,8 +94,7 @@ def _cmd_hermite(args) -> int:
         _write_lines(args.out, lines)
         return 0
     # zeros
-    poly = bell.bell_sequence_exact(f, args.n)[args.n]
-    zeros = real_zeros(poly_roots(poly))
+    zeros = real_zeros(bell.chain_roots(f, args.n))
     lines = ["index,zero"]
     for i, z in enumerate(zeros):
         lines.append(f"{i},{_fmt(z)}")

@@ -13,11 +13,12 @@ one before, until every root's relative error estimate is within
 _TARGET (_settled).  The first level starts from the Newton polygon of
 log2|a_k| (_newton_starts).  Monomial-basis conditioning decides how far
 a polynomial climbs: logistic H_12 settles at 53 bits, H_64 at 128 and
-H_128 at 256.  A level that cannot hold the polynomial is skipped: a
-coefficient beyond the double range, a nonzero one that becomes 0 as a
-double, or start points or roots that are not finite.  A root still
-above _TARGET at the last level raises NonConvergence; one beyond the
-double range raises DomainError.
+H_128 at 256; bell.chain_roots solves such chains without that basis.
+A level that cannot hold the polynomial is skipped: a coefficient beyond
+the double range, a nonzero one that becomes 0 as a double, or start
+points or roots that are not finite.  A root still above _TARGET at the
+last level raises NonConvergence; one beyond the double range raises
+DomainError.
 
 At every level a root is frozen once its residual is within the
 running-error bound of Horner's rule, |p(z)| <= eps = 4 n u sum|a_k||z|^k
@@ -158,6 +159,20 @@ def _mp_arith(bits: int) -> _Arith:
                   tiny=mpmath.mpf("1e-60"))
 
 
+def _upper_hull(points):
+    """Vertices of the upper convex hull of the points (k, y), k increasing."""
+    hull = []
+    for k, y in points:
+        # drop the last vertex while it lies on or below the chord to (k, y)
+        while len(hull) > 1:
+            (k0, y0), (k1, y1) = hull[-2:]
+            if (k1 - k0) * (y - y0) < (y1 - y0) * (k - k0):
+                break
+            hull.pop()
+        hull.append((k, y))
+    return hull
+
+
 def _newton_starts(c, ar: _Arith):
     """Start points from the Newton polygon of log2|c_k| (c_0, c_n != 0).
 
@@ -168,19 +183,8 @@ def _newton_starts(c, ar: _Arith):
     holds for mpf values beyond the double range.
     """
     n = len(c) - 1
-    hull = []  # vertices (k, log2|c_k|), left to right
-    for k, x in enumerate(c):
-        if x == 0:
-            continue
-        mant, exp2 = ar.frexp(abs(x))
-        y = exp2 + math.log2(mant)
-        # drop the last vertex while it lies on or below the chord to (k, y)
-        while len(hull) > 1:
-            (k0, y0), (k1, y1) = hull[-2:]
-            if (k1 - k0) * (y - y0) < (y1 - y0) * (k - k0):
-                break
-            hull.pop()
-        hull.append((k, y))
+    hull = _upper_hull([(k, exp2 + math.log2(mant)) for k, (mant, exp2)
+                        in enumerate(ar.frexp(abs(x)) for x in c) if mant])
     offset = ar.pi / (2 * n)
     z = []
     for (k1, _), (k2, _) in zip(hull, hull[1:]):
@@ -412,20 +416,34 @@ def _companion_starts(c):
     return z
 
 
-def _batch_aberth(c, z):
-    """Aberth sweeps on every row of c (m, n + 1) at once, in doubles.
-
-    The Jacobi form of _aberth with its freeze rule: each sweep steps every
-    unfrozen root from the roots of the sweep before, and a root freezes,
-    after that step, once its residual meets Horner's bound.  Returns the
-    roots and, per row, whether every root froze within MAX_SWEEPS, stayed
-    finite and met _TARGET where it froze.  A row that fails stops early.
-    """
-    n = z.shape[1]
+def _horner_step(c):
+    """_batch_aberth's evaluator for the coefficient rows c (m, n + 1)."""
+    n = c.shape[1] - 1
     d = c[:, 1:] * np.arange(1, n + 1)
     dd = d[:, 1:] * np.arange(1, n)
     mags = np.abs(c)
     bound = 4 * n * _DOUBLE.unit
+
+    def evaluate(rows, zr):
+        pv, dv = _horner_rows(c[rows], zr), _horner_rows(d[rows], zr)
+        eps = bound * _horner_rows(mags[rows], np.abs(zr))
+        settled = _within_target(zr, eps, np.abs(dv),
+                                 np.abs(_horner_rows(dd[rows], zr)))
+        return np.where(pv == 0, 0, pv / dv), np.abs(pv) <= eps, settled
+    return evaluate
+
+
+def _batch_aberth(evaluate, z):
+    """Aberth sweeps on the roots z (m, n) of m polynomials at once, in doubles.
+
+    evaluate(rows, zr) gives each root's Newton correction (0 where p = 0),
+    whether it may freeze and whether it is good there (for _horner_step:
+    Horner's bound and _TARGET).  The Jacobi form of _aberth: each sweep steps
+    every unfrozen root from the roots of the sweep before, and a root
+    freezes after that step.  Returns the roots and, per row, whether every
+    root froze within MAX_SWEEPS, stayed finite and was good where it froze.
+    """
+    n = z.shape[1]
     off = ~np.eye(n, dtype=bool)
     good = np.isfinite(z).all(axis=1)
     active = np.repeat(good[:, None], n, axis=1)
@@ -434,19 +452,15 @@ def _batch_aberth(c, z):
         if rows.size == 0:
             break
         zr, act = z[rows], active[rows]
-        pv, dv = _horner_rows(c[rows], zr), _horner_rows(d[rows], zr)
-        eps = bound * _horner_rows(mags[rows], np.abs(zr))
+        ratio, near, settled = evaluate(rows, zr)
         diff = zr[:, :, None] - zr[:, None, :]
         diff[diff == 0] = _DOUBLE.tiny
         inv = np.where(off, 1 / diff, 0)
         total = inv[:, :, 0]
         for j in range(1, n):
             total = total + inv[:, :, j]
-        ratio = pv / dv
-        step = np.where(pv == 0, 0, ratio / (1 - ratio * total))
-        frozen = act & (np.abs(pv) <= eps)
-        settled = _within_target(zr, eps, np.abs(dv),
-                                 np.abs(_horner_rows(dd[rows], zr)))
+        step = np.where(ratio == 0, 0, ratio / (1 - ratio * total))
+        frozen = act & near
         z[rows] = zr = np.where(act, zr - step, zr)
         good[rows] &= np.isfinite(zr).all(axis=1) & ~(frozen & ~settled).any(axis=1)
         active[rows] = act & ~frozen & good[rows, None]
@@ -476,7 +490,7 @@ def _batch_level(coeffs):
         elif n == 2:
             z, good = _batch_quadratic(c)
         else:
-            z, good = _batch_aberth(c, _companion_starts(c))
+            z, good = _batch_aberth(_horner_step(c), _companion_starts(c))
         good &= np.isfinite(z).all(axis=1)
     order = np.lexsort((z.imag, z.real), axis=-1)
     roots[rows] = np.take_along_axis(z, order, axis=-1)

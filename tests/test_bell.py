@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfdensity import bell
 from pfdensity.bell import (MapSpec1D, bell_chain, bell_sequence,
-                            bell_sequence_exact, classify_multiplier,
-                            resolving_gap, resolving_gap_exact,
-                            scaled_float_coeffs, solve_coefficient_system)
+                            bell_sequence_exact, chain_roots,
+                            classify_multiplier, resolving_gap,
+                            resolving_gap_exact, scaled_float_coeffs,
+                            solve_coefficient_system)
 from pfdensity.cli import run
 from pfdensity.errors import CoefficientOverflow, ResonanceDetected
-from pfdensity.poly import Polynomial
+from pfdensity.poly import Polynomial, poly_roots, real_zeros
 
 
 def hermite_phys(m, t):
@@ -324,6 +326,99 @@ def test_scaled_export_for_int_coefficients():
     assert log2_scale == (10**400).bit_length() - 1
     assert 1.0 <= coeffs[0] < 2.0
     assert coeffs == [float(Fraction(10**400, 2**log2_scale)), 0.0]  # 2**-1328 underflows
+
+
+def golub_welsch_positive_nodes(n):
+    """Positive zeros of the physicists' H_n, to about 2^-128 relative.
+
+    Golub & Welsch: the eigenvalues of the Jacobi matrix with off-diagonal
+    sqrt(k/2).  eigvalsh alone leaves them 5.4e-15 off at n = 64 and 1.5e-14
+    at n = 256, above the bound they serve, so each gets two Newton steps on
+    the three-term recurrence at 128 bits.
+    """
+    off = np.sqrt(np.arange(1, n) / 2)
+    h = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    out = []
+    with mpmath.workprec(128):
+        for x in h[h > 1e-8]:  # the zero eigenvalue of odd n is about 1e-17
+            x = mpmath.mpf(float(x))
+            for _ in range(2):
+                prev, cur = mpmath.mpf(1), 2 * x
+                for k in range(1, n):
+                    prev, cur = cur, 2 * x * cur - 2 * k * prev
+                x -= cur / (2 * n * prev)
+            out.append(x)
+    return out
+
+
+def _no_fallback(monkeypatch):
+    def fail(p):
+        raise AssertionError("chain_roots fell back to poly_roots")
+    monkeypatch.setattr(bell, "poly_roots", fail)
+
+
+def _assert_logistic_zeros(lam, n, nodes):
+    # The positive zeros of the logistic H_n(y, 0) are y = 2h^2/lam^2 over
+    # the positive Hermite nodes h; the other ceil(n/2) sit at the origin.
+    zeros = real_zeros(chain_roots(MapSpec1D.logistic(lam), n))
+    assert len(zeros) == n
+    assert zeros.count(0.0) == (n + 1) // 2
+    got = [y for y in zeros if y != 0.0]
+    with mpmath.workprec(128):
+        want = sorted(2 * h * h / mpmath.mpf(lam) ** 2 for h in nodes)
+        assert len(got) == len(want)
+        # measured: at most 3.7e-16 (n = 256), 1.9e-16 (n <= 64)
+        assert max(abs(mpmath.mpf(y) / w - 1) for y, w in zip(got, want)) <= 1e-15
+
+
+def test_chain_roots_match_golub_welsch_nodes(monkeypatch):
+    _no_fallback(monkeypatch)
+    nodes = golub_welsch_positive_nodes(256)
+    for lam in (2.0, 0.25, -2.0):
+        _assert_logistic_zeros(lam, 256, nodes)
+
+
+@pytest.mark.parametrize("n", [*range(2, 21), 64])
+def test_chain_roots_match_hermgauss_nodes(monkeypatch, n):
+    _no_fallback(monkeypatch)
+    h, _ = np.polynomial.hermite.hermgauss(n)
+    _assert_logistic_zeros(2.0, n, [mpmath.mpf(float(x)) for x in h if x > 1e-8])
+
+
+@pytest.mark.parametrize("coeffs,n", [
+    ((0.0, float(Fraction(3, 7)), -0.5), 40),
+    ((0.0, 1.7, 0.3, -0.2), 30),           # a dense cubic
+    ((0.0, 2.0, 0.0, -1.0 / 3.0), 40),     # m_hermite(2, 3)
+    ((0.0, 0.0, -0.5, 1.0), 12),           # lam = 0: H_12 has degree 6
+    ((0.0, 2.0, -0.5), 1),                 # H_1 = 2y: no root off the origin
+    ((0.0, 1.0), 5),                       # H_5 = y^5
+])
+def test_chain_roots_agree_with_poly_roots(coeffs, n):
+    f = MapSpec1D(coeffs)
+    got = chain_roots(f, n)
+    want = poly_roots(bell_sequence_exact(f, n)[n])
+    assert len(got) == len(want)
+    assert all(r.imag == 0 for r in got)
+    for a, b in zip(got, want):  # measured: at most 3.3e-16
+        assert abs(a - b) <= 1e-15 * abs(b)
+
+
+def test_certificate_rejects_a_moved_root(monkeypatch):
+    # One root off by 1e-9 relative lies outside its 2^-40 bracket, so the
+    # certificate fails and every root comes from poly_roots instead.
+    real = bell._batch_aberth
+
+    def moved(evaluate, z):
+        z, ok = real(evaluate, z)
+        z[0, 5] *= 1 + 1e-9
+        return z, ok
+    monkeypatch.setattr(bell, "_batch_aberth", moved)
+    f = MapSpec1D.logistic(2.0)
+    want = poly_roots(bell_sequence_exact(f, 64)[64])
+    calls = []
+    monkeypatch.setattr(bell, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
+    assert chain_roots(f, 64) == want
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("lam,expected", [

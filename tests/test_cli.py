@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from pfdensity import bell
 from pfdensity.cli import run
+from pfdensity.poly import poly_roots
 from pfdensity.saddle import logistic_closed_q
 
 
@@ -46,6 +48,37 @@ def test_hermite_zeros_row_count(logistic_map_file, tmp_path):
     # half the zeros sit at the origin, half are positive
     assert sum(1 for z in zeros if z == 0.0) == 8
     assert sum(1 for z in zeros if z > 0.0) == 8
+
+
+# SHA-256 of `hermite zeros -n 64` for f = 2a - a^4/16, written before the
+# chain solver: this chain has complex zeros, so it keeps the poly_roots path.
+QUARTIC_ZEROS_SHA256 = "c0b61d7c88669e59d766edca53f724ab978fbc0ec4ea1c929ff63e64b959a440"
+
+
+def test_hermite_zeros_complex_rooted_chain_golden_bytes(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bell, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
+    quartic = tmp_path / "quartic.json"
+    quartic.write_text(json.dumps({"coeffs": [0.0, 2.0, 0.0, 0.0, -0.0625]}))
+    out = tmp_path / "zeros.csv"
+    assert run(["hermite", "zeros", "--map", str(quartic), "-n", "64",
+                "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == QUARTIC_ZEROS_SHA256
+
+
+@pytest.mark.parametrize("lam,n,kind,message", [
+    (0.0, 3, "DegreeZero", "H_3 is identically zero for this map"),
+    (2.0, 0, "DegreeZero", "constant polynomial has no roots to solve for"),
+    (2.0, -1, "ValueError", "n must be >= 0"),
+])
+def test_hermite_zeros_without_roots_exit_code_and_json(tmp_path, capsys, lam, n,
+                                                        kind, message):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"coeffs": [0.0, lam, -0.5]}))
+    assert run(["hermite", "zeros", "--map", str(path), "-n", str(n)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": kind, "message": message}
 
 
 def test_hermite_gen_roundtrip(logistic_map_file, tmp_path):

@@ -45,9 +45,15 @@ def test_semicircle_zeros_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()
             if line.split() and line.split()[0].isdigit()]
-    assert [int(r[0]) for r in rows] == [8, 16, 32, 64, 128]
+    assert [int(r[0]) for r in rows] == [8, 16, 32, 64, 128, 256, 512]
     ks = [float(r[3]) for r in rows]
     assert all(a > b for a, b in zip(ks, ks[1:]))
-    csv = (tmp_path / "scaled_zeros_n128.csv").read_text().splitlines()
-    assert csv[0] == "index,t"
-    assert len(csv) == 1 + 64
+    # measured: KS ~ 1.21 n^-0.968 over n = 8..512
+    fit = [line for line in proc.stdout.splitlines()
+           if line.startswith("least-squares")]
+    assert len(fit) == 1
+    assert -1.05 < float(fit[0].rsplit("^", 1)[1]) < -0.9
+    for n in (128, 512):
+        csv = (tmp_path / f"scaled_zeros_n{n}.csv").read_text().splitlines()
+        assert csv[0] == "index,t"
+        assert len(csv) == 1 + n // 2
