@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -75,7 +76,7 @@ def _write_lines(path, lines):
 
 
 def _write_json(path, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -125,8 +126,6 @@ def _cmd_orbit(args) -> int:
     for lo, hi, c in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
         lines.append(f"{_fmt(lo)},{_fmt(hi)},{int(c)}")
     _write_lines(args.out, lines)
-    if hist.out_of_range:
-        print(f"out_of_range={hist.out_of_range}", file=sys.stderr)
     return 0
 
 
@@ -177,6 +176,13 @@ _REFERENCES = {
 }
 
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"sample value {text.strip()!r} is not finite")
+    return x
+
+
 def _read_sample(path: str):
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
@@ -187,14 +193,14 @@ def _read_sample(path: str):
             raise EmptySample("the histogram has a header and no rows")
         if any(len(r) < 3 for r in rows):
             raise ValueError("every histogram row needs bin_lo,bin_hi,count")
-        edges = [float(r[0]) for r in rows] + [float(rows[-1][1])]
+        edges = [_finite(r[0]) for r in rows] + [_finite(rows[-1][1])]
         counts = [int(r[2]) for r in rows]
         return "histogram", (np.array(edges), np.array(counts))
     values = []
     for line in [first] + rest:
         line = line.strip()
         if line and line != "value":
-            values.append(float(line))
+            values.append(_finite(line))
     return "sample", np.array(values)
 
 

@@ -197,13 +197,13 @@ def arcsine_cdf(x: float, lo: float = 0.0, hi: float = 1.0) -> float:
     if hi <= lo:
         raise DomainError("need hi > lo")
     u = (x - lo) / (hi - lo)
-    if u < 0.0 or u > 1.0:
+    if not 0.0 <= u <= 1.0:
         raise DomainError(f"x={x!r} outside [{lo!r}, {hi!r}]")
     return (2.0 / math.pi) * math.asin(math.sqrt(u))
 
 
 def half_semicircle_cdf(t: float) -> float:
     """Normalised semicircle mass on (0, 1): (2/pi)(t sqrt(1-t^2) + asin t)."""
-    if t < 0.0 or t > 1.0:
+    if not 0.0 <= t <= 1.0:
         raise DomainError(f"t={t!r} outside [0, 1]")
     return (2.0 / math.pi) * (t * math.sqrt(1.0 - t * t) + math.asin(t))

@@ -39,7 +39,6 @@ __all__ = [
     "characteristic_at_fixed_points",
     "q_matrix",
     "q_decomposition",
-    "decompose",
     "L_coefficients",
     "l_coefficients",
     "projection_value",
@@ -61,8 +60,10 @@ class LorenzParams:
     beta: float
 
     def __post_init__(self):
-        if min(self.sigma, self.rho, self.beta) <= 0:
-            raise ValueError("parameters must be positive")
+        for name in ("sigma", "rho", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     @property
     def alpha(self) -> Optional[float]:
@@ -140,9 +141,6 @@ class LorenzDecomposition:
     Q: np.ndarray
     T: np.ndarray
     Lambda: np.ndarray
-    L: Optional[tuple] = None
-    l: Optional[tuple] = None
-    fixed_point_tag: Optional[str] = None
 
 
 def q_decomposition(direction) -> LorenzDecomposition:
@@ -197,16 +195,6 @@ def l_coefficients(dec: LorenzDecomposition, p: LorenzParams, delta: float,
     """l = L T^t: the coefficients the condition surfaces are written in."""
     L = np.array(L_coefficients(p, dec.direction, delta, tag))
     return tuple(float(v) for v in L @ dec.T.T)
-
-
-def decompose(direction, p: LorenzParams, delta: float,
-              tag: str = "theta") -> LorenzDecomposition:
-    dec = q_decomposition(direction)
-    L = L_coefficients(p, direction, delta, tag)
-    l = l_coefficients(dec, p, delta, tag)
-    return LorenzDecomposition(direction=dec.direction, mu=dec.mu, Q=dec.Q,
-                               T=dec.T, Lambda=dec.Lambda, L=L, l=l,
-                               fixed_point_tag=tag)
 
 
 def projection_value(p: LorenzParams, direction, delta: float, a,
@@ -273,25 +261,25 @@ def cycle_density(s_point) -> float:
     return cycle_sample(s_point).density
 
 
-def direction_grid(n_polar: int = 6, n_azimuth: int = 8) -> list:
-    """Deterministic unit directions avoiding the degenerate axis y = z = 0."""
+def direction_grid() -> list:
+    """6 x 8 deterministic unit directions avoiding the degenerate axis y = z = 0."""
     grid = []
-    for i in range(n_polar):
-        th = math.pi * (i + 0.5) / n_polar
-        for j in range(n_azimuth):
-            ph = 2.0 * math.pi * j / n_azimuth
+    for i in range(6):
+        th = math.pi * (i + 0.5) / 6
+        for j in range(8):
+            ph = 2.0 * math.pi * j / 8
             grid.append((math.cos(th),
                          math.sin(th) * math.cos(ph),
                          math.sin(th) * math.sin(ph)))
     return grid
 
 
-def lorenz_report(p: LorenzParams, grid=None, delta: float = 1e-3) -> dict:
+def lorenz_report(p: LorenzParams, delta: float = 1e-3) -> dict:
     """JSON-able end-to-end report: fixed points with spectra, per-tag
-    condition surfaces on the grid, admissibility mask and density samples."""
-    if grid is None:
-        grid = direction_grid()
-    grid = [tuple(float(v) for v in g) for g in grid]
+    condition surfaces on direction_grid(), admissibility mask and densities."""
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
+    grid = direction_grid()
 
     theta_cubic, alpha_cubic = characteristic_at_fixed_points(p)
     sys = lorenz_system(p)
@@ -310,16 +298,13 @@ def lorenz_report(p: LorenzParams, grid=None, delta: float = 1e-3) -> dict:
             "characteristic_roots": [[z.real, z.imag] for z in roots],
         })
 
-    surfaces = {"l1": {}, "l3": {}}
-    for tag in tags:
-        l1s, l3s = [], []
-        for g in grid:
-            dec = q_decomposition(g)
+    surfaces = {"l1": {tag: [] for tag in tags}, "l3": {tag: [] for tag in tags}}
+    for g in grid:
+        dec = q_decomposition(g)
+        for tag in tags:
             l1, _, l3 = l_coefficients(dec, p, delta, tag)
-            l1s.append(l1)
-            l3s.append(l3)
-        surfaces["l1"][tag] = l1s
-        surfaces["l3"][tag] = l3s
+            surfaces["l1"][tag].append(l1)
+            surfaces["l3"][tag].append(l3)
 
     samples = [cycle_sample(g) for g in grid]
 

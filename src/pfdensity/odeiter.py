@@ -160,8 +160,8 @@ class DifferentialIteration:
     n: int
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -191,9 +191,9 @@ def euler_iterate(it: DifferentialIteration, a0) -> EulerResult:
     return EulerResult(a_n=np.array(a), S_n=np.array(S))
 
 
-def seed_lattice(dim: int, radius: float, per_axis: int = 5) -> list:
-    """per_axis^dim Newton seeds on a regular lattice in [-radius, radius]^dim."""
-    axis = np.linspace(-radius, radius, per_axis)
+def seed_lattice(dim: int, radius: float) -> list:
+    """5^dim Newton seeds on a regular lattice in [-radius, radius]^dim."""
+    axis = np.linspace(-radius, radius, 5)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     return [np.array(pt) for pt in zip(*(g.ravel() for g in grids))]
 
@@ -203,9 +203,8 @@ class FixedPoints(NamedTuple):
     non_converged: int
 
 
-def fixed_points(sys: OdeSystem, seeds=None, radius: float = 2.0,
-                 max_iter: int = 60) -> FixedPoints:
-    """Newton iteration from every seed; a root is accepted once
+def fixed_points(sys: OdeSystem, seeds=None, radius: float = 2.0) -> FixedPoints:
+    """At most 60 Newton steps from every seed; a root is accepted once
     |F(alpha)| <= 1e-13 (1 + |alpha|) with every coordinate finite, and
     deduplicated at distance 1e-8."""
     if seeds is None:
@@ -215,7 +214,7 @@ def fixed_points(sys: OdeSystem, seeds=None, radius: float = 2.0,
     for seed in seeds:
         x = sys._point(seed)
         ok = False
-        for _ in range(max_iter):
+        for _ in range(60):
             fa = _evaluate(sys._terms, sys.dim, x)
             tol = 1e-13 * (1.0 + _max_abs(x))
             if all(abs(v) <= tol for v in fa):
@@ -246,11 +245,15 @@ def char_poly_faddeev(J) -> Polynomial:
     d = J.shape[0]
     coeffs_desc = [1.0]
     M = np.eye(d)
-    for k in range(1, d + 1):
-        JM = J @ M
-        c = -np.trace(JM) / k
-        coeffs_desc.append(float(c))
-        M = JM + c * np.eye(d)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite c
+        for k in range(1, d + 1):
+            JM = J @ M
+            c = -np.trace(JM) / k
+            coeffs_desc.append(float(c))
+            M = JM + c * np.eye(d)
+    if not all(map(math.isfinite, coeffs_desc)):
+        raise DomainError("the characteristic polynomial of the Jacobian "
+                          "is not finite in doubles")
     return Polynomial(list(reversed(coeffs_desc)))
 
 
@@ -267,9 +270,9 @@ def jacobian_eigen(sys: OdeSystem, a) -> JacobianEigen:
     return JacobianEigen(J=J, char_poly=cp, eigenvalues=eig)
 
 
-def _real_eigenvalues(eigenvalues, tol: float = 1e-9) -> list:
+def _real_eigenvalues(eigenvalues) -> list:
     return [z.real for z in eigenvalues
-            if abs(z.imag) <= tol * (1.0 + abs(z.real))]
+            if abs(z.imag) <= 1e-9 * (1.0 + abs(z.real))]
 
 
 def critical_frequency_solution(sys: OdeSystem, a, tau: float) -> np.ndarray:

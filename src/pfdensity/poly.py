@@ -35,10 +35,12 @@ critical polynomials of a density grid, at once: the closed forms and the
 Aberth sweeps run as numpy operations on every row, from the eigenvalues
 of the companion matrices, with the same freeze rule and _TARGET at 53
 bits, and a row that misses them goes to poly_roots.  A single polynomial
-keeps the scalar path.  A batch of one costs 270-370 us against 65-85 us
-for a cubic.  For logistic H_128, the polish after the 53-bit level takes
-3.1 s from companion starts against 1.7-2.1 s from Newton-polygon starts
-(2-vCPU host, Python 3.11, numpy 2.4, mpmath 1.3 without gmpy2).
+keeps the scalar path.  Running poly_roots' 53-bit level through the batch
+kernel on one row raised the peak RSS of the benchmark's lorenz workload
+(nine cubics per rep) from 41.6 to 42.5 MB, against a bound of 0.1 MB,
+and the mpmath levels, climbing from those roots, took logistic H_128 to
+3.3-3.8 s against 2.0-2.4 s (2-vCPU host, Python 3.11, numpy 2.4,
+mpmath 1.3 without gmpy2).
 """
 
 from __future__ import annotations
@@ -76,13 +78,9 @@ __all__ = [
 ]
 
 
-def _is_zero(c) -> bool:
-    return c == 0
-
-
 def _trim(coeffs):
     coeffs = list(coeffs)
-    while len(coeffs) > 1 and _is_zero(coeffs[-1]):
+    while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
         coeffs = [0]
@@ -104,9 +102,6 @@ class Polynomial:
 
     def __call__(self, x):
         return poly_eval(self, x)
-
-    def derivative(self) -> "Polynomial":
-        return poly_derivative(self)
 
 
 def _horner(coeffs, x):
@@ -369,7 +364,7 @@ def poly_roots(p: Polynomial) -> list:
             raise DomainError(f"coefficient a_{k} = {c!r} is not finite")
 
     roots = []
-    while len(coeffs) > 1 and _is_zero(coeffs[0]):
+    while len(coeffs) > 1 and coeffs[0] == 0:
         roots.append(0j)
         coeffs.pop(0)
 

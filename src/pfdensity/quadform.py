@@ -125,10 +125,6 @@ class QuadSplit:
     p_plus: int
     gammas: tuple
 
-    @property
-    def dim(self) -> int:
-        return len(self.D)
-
 
 def split_gamma(s, lam, Q) -> QuadSplit:
     """Diagonalise the projected form and emit the per-coordinate problems.

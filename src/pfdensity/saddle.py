@@ -15,12 +15,8 @@ operations.  The one-point functions (analyze, zero_density_q,
 invariant_density_p) are one-element sweeps, so there is one selection
 rule.  The choice of root solver follows what the caller holds: a grid
 of polynomials of one degree takes the batched 53-bit kernel, and a single
-polynomial, such as a chain H_n, keeps the scalar poly_roots.  A batch of
-one costs 270-370 us against 65-85 us for a cubic, and companion starts
-slow the high-precision polish of logistic H_128 from 1.7-2.1 s to 3.1 s
-(measured as in the poly module).  So a one-point call here costs more
-than it did with one scalar solve per point: about 150 us against 30 us
-for a logistic point.
+polynomial, such as a chain H_n, keeps the scalar poly_roots (the poly
+module gives the measured reasons).
 """
 
 from __future__ import annotations

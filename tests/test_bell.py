@@ -403,6 +403,17 @@ def test_chain_roots_agree_with_poly_roots(coeffs, n):
         assert abs(a - b) <= 1e-15 * abs(b)
 
 
+def test_chain_roots_weight_overflow_falls_back_to_poly_roots(monkeypatch):
+    # A weight of the recurrence (f''(0) = -2e308) is beyond the double
+    # range, so every root comes from poly_roots on the exact H_6.
+    calls = []
+    monkeypatch.setattr(bell, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
+    f = MapSpec1D((0.0, 1e200, -1e308))
+    got = chain_roots(f, 6)
+    assert len(calls) == 1
+    assert got == poly_roots(bell_sequence_exact(f, 6)[6])
+
+
 def test_certificate_rejects_a_moved_root(monkeypatch):
     # One root off by 1e-9 relative lies outside its 2^-40 bracket, so the
     # certificate fails and every root comes from poly_roots instead.

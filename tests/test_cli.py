@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pfdensity import bell
-from pfdensity.cli import run
+from pfdensity.cli import _write_json, run
 from pfdensity.poly import poly_roots
 from pfdensity.saddle import logistic_closed_q
 
@@ -203,6 +203,12 @@ def test_ode_fixed_points_infinite_radius_is_valid_json(tmp_path):
     assert obj == {"fixed_points": [], "non_converged_seeds": 5}
 
 
+def test_write_json_refuses_nan(capsys):
+    with pytest.raises(ValueError):
+        _write_json("-", {"x": math.nan})
+    assert capsys.readouterr().out == ""
+
+
 def test_ode_frequencies(lorenz_system_file, tmp_path):
     out = tmp_path / "fr.json"
     assert run(["ode", "frequencies", "--system", lorenz_system_file,
@@ -238,6 +244,25 @@ def test_ode_euler_golden_bytes(lorenz_system_file, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EULER_SHA256
 
 
+def test_ode_euler_non_finite_delta_exit_code_and_json(lorenz_system_file, capsys):
+    assert run(["ode", "euler", "--system", lorenz_system_file, "--a0=1,1,1",
+                "--delta", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)["error"]
+    assert err["type"] == "ValueError" and "delta" in err["message"]
+
+
+def test_ode_frequencies_overflowing_jacobian_exit_code_and_json(lorenz_system_file,
+                                                                  capsys):
+    assert run(["ode", "frequencies", "--system", lorenz_system_file,
+                "--a=1e300,1e300,1e300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)["error"]
+    assert err["type"] == "DomainError" and "Jacobian" in err["message"]
+
+
 def test_ode_fixed_points_golden_bytes(lorenz_system_file, tmp_path):
     out = tmp_path / "fp.json"
     assert run(["ode", "fixed-points", "--system", lorenz_system_file,
@@ -266,6 +291,30 @@ def test_lorenz_report_cli(tmp_path):
             "density_samples"} <= set(obj)
 
 
+# SHA-256 of `lorenz report` at sigma = 10, rho = 28, beta = 8/3, written
+# while the report still decomposed each direction once per fixed point.
+LORENZ_REPORT_SHA256 = "a7c0e93aa2cf473ae9c38d46095dbfcf031b0e4e2adf262ef4c4161c4059123f"
+
+
+def test_lorenz_report_golden_bytes(capsys):
+    assert run(["lorenz", "report", "--sigma", "10", "--rho", "28",
+                "--beta", "2.6666666666666665"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LORENZ_REPORT_SHA256
+
+
+@pytest.mark.parametrize("flag,value", [("--delta", "nan"), ("--sigma", "nan"),
+                                        ("--rho", "inf"), ("--beta", "-inf")])
+def test_lorenz_non_finite_parameter_exit_code_and_json(capsys, flag, value):
+    params = {"--sigma": "10", "--rho": "28", "--beta": "2.6666666666666665"}
+    params[flag] = value
+    assert run(["lorenz", "report", *(f"{k}={v}" for k, v in params.items())]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)["error"]
+    assert err["type"] == "ValueError" and flag[2:] in err["message"]
+
+
 def test_compare_ks(tmp_path):
     sample = tmp_path / "sample.txt"
     n = 200
@@ -287,6 +336,21 @@ def test_compare_reads_histogram(tmp_path, capsys, logistic_map_file):
     code = run(["compare", "--metric", "ks", "--sample", str(hist),
                 "--reference", "arcsine", "--rescale"])
     assert code == 0
+
+
+@pytest.mark.parametrize("body", ["0.1\nnan\n0.5\n", "0.1\ninf\n0.5\n",
+                                  "bin_lo,bin_hi,count\n0,0.5,3\n0.5,inf,2\n",
+                                  "bin_lo,bin_hi,count\n0,0.5,3\nnan,1,2\n"])
+@pytest.mark.parametrize("reference", ["uniform", "half-semicircle"])
+def test_compare_non_finite_sample_exit_code_and_json(tmp_path, capsys, body,
+                                                      reference):
+    sample = tmp_path / "sample.txt"
+    sample.write_text(body)
+    assert run(["compare", "--sample", str(sample), "--reference", reference]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)["error"]
+    assert err["type"] == "ValueError" and "not finite" in err["message"]
 
 
 @pytest.mark.parametrize("body, error", [("", "EmptySample"),

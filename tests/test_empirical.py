@@ -186,6 +186,12 @@ def test_half_semicircle_cdf_values():
         half_semicircle_cdf(-0.1)
 
 
+@pytest.mark.parametrize("cdf", [arcsine_cdf, half_semicircle_cdf])
+def test_reference_cdf_rejects_nan(cdf):
+    with pytest.raises(DomainError):
+        cdf(math.nan)
+
+
 def test_rescale_zero_width_rejected():
     with pytest.raises(DomainError):
         rescale([1.0, 1.0], 0.0, 1.0)

@@ -6,7 +6,7 @@ import pytest
 from pfdensity.errors import DegenerateDirection, DomainError
 from pfdensity.lorenz import (FIXED_POINT_TAGS, CycleSample, LorenzParams,
                               L_coefficients, characteristic_at_fixed_points,
-                              cycle_density, cycle_sample, decompose,
+                              cycle_density, cycle_sample,
                               direction_grid, factor_coefficients,
                               factorized_exponent, fixed_point,
                               fixed_points_by_tag, l_coefficients,

@@ -117,8 +117,8 @@ def test_fixed_points_lorenz():
 
 
 def test_seed_lattice_shape():
-    seeds = seed_lattice(2, 1.0, per_axis=3)
-    assert len(seeds) == 9
+    seeds = seed_lattice(2, 1.0)
+    assert len(seeds) == 25
     assert any(np.array_equal(s, [0.0, 0.0]) for s in seeds)
 
 
