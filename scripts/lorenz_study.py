@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from pfdensity.lorenz import (LorenzParams, cycle_sample, lorenz_report,
-                              lorenz_system)
+                              lorenz_system, q_decomposition)
 from pfdensity.odeiter import DifferentialIteration, euler_iterate
 
 
@@ -44,7 +44,7 @@ def main() -> None:
     # the reduced slice l1 = l3 = 0 parametrised by s
     print("cycle density on the reduced slice (r, s, t) = (s sqrt2, s, -s):")
     for s in (0.25, 0.5, 1.0, 2.0, 2.8, 3.0):
-        cs = cycle_sample((s * np.sqrt(2.0), s, -s))
+        cs = cycle_sample(q_decomposition((s * np.sqrt(2.0), s, -s)))
         flag = "admissible" if cs.admissible else "outside"
         print(f"  s={s:<4} l2={cs.l2:+.4f} mu={cs.mu:.4f} "
               f"q={cs.density:.5f} ({flag})")

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CoefficientOverflow, DegreeZero, ResonanceDetected
+from .errors import CoefficientOverflow, DegreeZero, DomainError, ResonanceDetected
 from .poly import Polynomial, _batch_aberth, _horner, _trim, _upper_hull, poly_roots
 
 __all__ = [
@@ -52,6 +52,9 @@ class MapSpec1D:
 
     def __init__(self, coeffs):
         coeffs = tuple(float(c) for c in coeffs)
+        for k, c in enumerate(coeffs):
+            if not math.isfinite(c):
+                raise DomainError(f"map coefficient a_{k} = {c!r} is not finite")
         if len(coeffs) < 2:
             raise ValueError("map must have degree >= 1")
         if coeffs[0] != 0.0:

@@ -52,8 +52,11 @@ def _parse_interval(spec: str):
     return float(parts[0]), float(parts[1])
 
 
-def _parse_point(spec: str):
-    return [float(v) for v in spec.split(",")]
+def _parse_point(spec: str, flag: str):
+    point = [float(v) for v in spec.split(",")]
+    if not all(math.isfinite(v) for v in point):
+        raise ValueError(f"{flag} {spec!r} is not finite")
+    return point
 
 
 def _load_map(path: str) -> bell.MapSpec1D:
@@ -139,7 +142,7 @@ def _cmd_ode(args) -> int:
         })
         return 0
     if args.action == "frequencies":
-        res = odeiter.critical_frequencies(sys_, _parse_point(args.a))
+        res = odeiter.critical_frequencies(sys_, _parse_point(args.a, "--a"))
         _write_json(args.out, {
             "a": [float(v) for v in res.a],
             "taus": list(res.taus),
@@ -152,7 +155,7 @@ def _cmd_ode(args) -> int:
         return 0
     # euler
     it = odeiter.DifferentialIteration(sys_, args.delta, args.steps)
-    a_n, S_n = odeiter.euler_iterate(it, _parse_point(args.a0))
+    a_n, S_n = odeiter.euler_iterate(it, _parse_point(args.a0, "--a0"))
     _write_json(args.out, {
         "a_n": [float(v) for v in a_n],
         "S_n": [float(v) for v in S_n],
@@ -228,7 +231,7 @@ def _cmd_compare(args) -> int:
         lines += [f"{_fmt(x)},{_fmt(e)},{_fmt(ref(float(x)))}"
                   for x, e in zip(xs, emp)]
         _write_lines(args.out, lines)
-    print(json.dumps({"metric": args.metric, "distance": ks,
+    print(json.dumps({"metric": "ks", "distance": ks,
                       "reference": args.reference}))
     return 0
 
@@ -288,7 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lz.set_defaults(fn=_cmd_lorenz)
 
     cmp_ = sub.add_parser("compare", help="empirical vs reference CDF")
-    cmp_.add_argument("--metric", choices=["ks"], default="ks")
     cmp_.add_argument("--sample", required=True,
                       help="value-per-line file or bin_lo,bin_hi,count CSV")
     cmp_.add_argument("--reference", choices=sorted(_REFERENCES), required=True)

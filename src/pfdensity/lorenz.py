@@ -234,17 +234,15 @@ class CycleSample(NamedTuple):
     density: float
 
 
-def cycle_sample(s_point) -> CycleSample:
-    """Normalised-coordinate cycle analysis at direction (r, s, t).
+def cycle_sample(dec: LorenzDecomposition) -> CycleSample:
+    """Normalised-coordinate cycle analysis at the direction (r, s, t) of dec.
 
     Uses the delta -> 0 limit of the l-coefficients (the shift terms of the
     alpha fixed points vanish with delta, so the sample is tag-independent);
     density q = |l2| sqrt(8 mu - l2^2) / (8 pi mu) when l2^2 < 8 mu, else 0.
     The l1 and l3 values locate the condition surfaces reported alongside.
     """
-    r, s, t = (float(v) for v in s_point)
-    dec = q_decomposition((r, s, t))
-    l = np.array((r, s, t)) @ dec.T.T
+    l = np.array(dec.direction) @ dec.T.T
     l1, l2, l3 = (float(v) for v in l)
     mu = dec.mu
     admissible = l2 * l2 < 8.0 * mu
@@ -258,7 +256,7 @@ def cycle_sample(s_point) -> CycleSample:
 
 def cycle_density(s_point) -> float:
     """Density value at a normalised direction; 0 outside the admissible set."""
-    return cycle_sample(s_point).density
+    return cycle_sample(q_decomposition(s_point)).density
 
 
 def direction_grid() -> list:
@@ -299,14 +297,14 @@ def lorenz_report(p: LorenzParams, delta: float = 1e-3) -> dict:
         })
 
     surfaces = {"l1": {tag: [] for tag in tags}, "l3": {tag: [] for tag in tags}}
+    samples = []
     for g in grid:
         dec = q_decomposition(g)
         for tag in tags:
             l1, _, l3 = l_coefficients(dec, p, delta, tag)
             surfaces["l1"][tag].append(l1)
             surfaces["l3"][tag].append(l3)
-
-    samples = [cycle_sample(g) for g in grid]
+        samples.append(cycle_sample(dec))
 
     return {
         "params": {"sigma": p.sigma, "rho": p.rho, "beta": p.beta,

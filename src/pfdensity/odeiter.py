@@ -193,6 +193,8 @@ def euler_iterate(it: DifferentialIteration, a0) -> EulerResult:
 
 def seed_lattice(dim: int, radius: float) -> list:
     """5^dim Newton seeds on a regular lattice in [-radius, radius]^dim."""
+    if not math.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius!r}")
     axis = np.linspace(-radius, radius, 5)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     return [np.array(pt) for pt in zip(*(g.ravel() for g in grids))]

@@ -34,13 +34,12 @@ poly_roots_batch solves a stack of polynomials of one degree, such as the
 critical polynomials of a density grid, at once: the closed forms and the
 Aberth sweeps run as numpy operations on every row, from the eigenvalues
 of the companion matrices, with the same freeze rule and _TARGET at 53
-bits, and a row that misses them goes to poly_roots.  A single polynomial
-keeps the scalar path.  Running poly_roots' 53-bit level through the batch
-kernel on one row raised the peak RSS of the benchmark's lorenz workload
-(nine cubics per rep) from 41.6 to 42.5 MB, against a bound of 0.1 MB,
-and the mpmath levels, climbing from those roots, took logistic H_128 to
-3.3-3.8 s against 2.0-2.4 s (2-vCPU host, Python 3.11, numpy 2.4,
-mpmath 1.3 without gmpy2).
+bits, and a row that misses them goes to poly_roots.  The solver follows
+what the caller holds: a stack takes the batch kernel, a single polynomial
+the scalar path.  Running poly_roots' 53-bit level through the batch
+kernel on one row made the mpmath levels, which climb from those roots,
+take logistic H_128 3.3-3.8 s against 2.0-2.4 s (2-vCPU host, Python 3.11,
+numpy 2.4, mpmath 1.3 without gmpy2).
 """
 
 from __future__ import annotations

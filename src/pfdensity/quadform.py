@@ -7,26 +7,25 @@ exponent into independent one-dimensional pieces
     gamma_+(u) = Lambda_l u + K_l^2 u^2 - ln u   (D_l > 0)
     gamma_-(u) = Lambda_l u - K_l^2 u^2 - ln u   (D_l < 0)
 
-with Lambda = (s*lam)^t T.  Each gamma_- coordinate is a logistic-type
-saddle problem (effective multiplier Lambda_l / 2K_l^2 at dual value
-2K_l^2); gamma_+ coordinates never produce complex saddles and only
-contribute the constraint Lambda_l u_l = 0.
+with Lambda = (s*lam)^t T and K_l^2 = |D_l|.  The split is (T, D, Lambda)
+and nothing more.  Each gamma_- coordinate is a logistic-type saddle
+(effective multiplier Lambda_l / 2K_l^2 at dual value 2K_l^2), which
+split_density solves; gamma_+ coordinates never produce complex saddles and
+only contribute the constraint Lambda_l u_l = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .bell import MapSpec1D
 from .errors import DegenerateForm
-from .saddle import SaddleProblem, zero_density_q
+from .saddle import zero_density_q
 
 __all__ = [
     "SymmetricForm",
-    "GammaCoordinate",
     "QuadSplit",
     "symmetric_eigen",
     "projected_form",
@@ -108,26 +107,14 @@ def projected_form(s, Q) -> SymmetricForm:
 
 
 @dataclass(frozen=True)
-class GammaCoordinate:
-    index: int
-    sign: int                      # +1 for gamma_+, -1 for gamma_-
-    Lambda: float
-    Ksq: float
-    problem: Optional[SaddleProblem]   # logistic-type dispatch for gamma_-
-    constraint: Optional[float]        # Lambda_l for the gamma_+ condition
-
-
-@dataclass(frozen=True)
 class QuadSplit:
     T: np.ndarray
     D: np.ndarray
     Lambda: np.ndarray
-    p_plus: int
-    gammas: tuple
 
 
 def split_gamma(s, lam, Q) -> QuadSplit:
-    """Diagonalise the projected form and emit the per-coordinate problems.
+    """Diagonalise the projected form: S = T diag(D) T^t, Lambda = (s*lam)^t T.
 
     Raises DegenerateForm when any eigenvalue is below 1e-12 of the
     spectral radius (the p vs d-p sign split needs strict signs).
@@ -143,30 +130,13 @@ def split_gamma(s, lam, Q) -> QuadSplit:
             f"projected form has an eigenvalue below {_SIGN_TOL} of the "
             f"spectral radius {radius:.3e}")
 
-    Lambda = (s * lam) @ T
-    gammas = []
-    p_plus = 0
-    for idx, d_l in enumerate(D):
-        if d_l > 0.0:
-            p_plus += 1
-            gammas.append(GammaCoordinate(
-                index=idx, sign=+1, Lambda=float(Lambda[idx]), Ksq=float(d_l),
-                problem=None, constraint=float(Lambda[idx])))
-        else:
-            ksq = -float(d_l)
-            s_eff = 2.0 * ksq
-            lam_eff = float(Lambda[idx]) / s_eff
-            gammas.append(GammaCoordinate(
-                index=idx, sign=-1, Lambda=float(Lambda[idx]), Ksq=ksq,
-                problem=SaddleProblem(MapSpec1D.logistic(lam_eff), s_eff),
-                constraint=None))
-    return QuadSplit(T=T, D=D, Lambda=Lambda, p_plus=p_plus,
-                     gammas=tuple(gammas))
+    return QuadSplit(T=T, D=D, Lambda=(s * lam) @ T)
 
 
 def split_density(split: QuadSplit, index: int) -> float:
     """Zero density of one coordinate; gamma_+ coordinates contribute none."""
-    g = split.gammas[index]
-    if g.problem is None:
+    if split.D[index] > 0.0:
         return 0.0
-    return zero_density_q(g.problem)
+    s_eff = 2.0 * -float(split.D[index])
+    lam_eff = float(split.Lambda[index]) / s_eff
+    return zero_density_q(MapSpec1D.logistic(lam_eff), s_eff)

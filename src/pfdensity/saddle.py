@@ -11,35 +11,25 @@ Closed forms for the logistic family serve as oracles.
 saddle_sweep does the whole analysis for an array of s: the critical
 polynomials of the grid are one (m, deg f + 1) array that
 poly.poly_roots_batch solves at once, and the selection, q and p are array
-operations.  The one-point functions (analyze, zero_density_q,
-invariant_density_p) are one-element sweeps, so there is one selection
-rule.  The choice of root solver follows what the caller holds: a grid
-of polynomials of one degree takes the batched 53-bit kernel, and a single
-polynomial, such as a chain H_n, keeps the scalar poly_roots (the poly
-module gives the measured reasons).
+operations.  zero_density_q and invariant_density_p are one-element
+sweeps, so there is one selection rule and one check on s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import mpmath
 import numpy as np
 
 from .bell import MapSpec1D
 from .errors import DomainError
-from .poly import MP_LOCK, Polynomial, _horner, poly_roots_batch
+from .poly import MP_LOCK, _horner, _trim, poly_roots_batch
 
 __all__ = [
-    "SaddleProblem",
-    "SaddleResult",
     "SaddleSweep",
     "saddle_sweep",
-    "critical_polynomial",
-    "critical_points",
-    "analyze",
     "zero_density_q",
     "logistic_closed_q",
     "logistic_closed_p",
@@ -49,38 +39,6 @@ __all__ = [
 ]
 
 _IMAG_CUTOFF = 1e-10  # |Im a| <= cutoff |a|: the critical point a counts as real
-
-
-@dataclass(frozen=True)
-class SaddleProblem:
-    f: MapSpec1D
-    s: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s > 0):
-            raise ValueError("s must be finite and positive")
-
-
-@dataclass(frozen=True)
-class SaddleResult:
-    critical_points: tuple
-    residuals: tuple
-    selected: Optional[int]
-    gamma_real: Optional[float]
-    q_value: float
-
-
-def critical_polynomial(prob: SaddleProblem) -> Polynomial:
-    """s*a*f'(a) - 1 as a dense polynomial in a."""
-    fc = prob.f.coeffs
-    # a*f'(a) has coefficient k*fc[k] on a^k
-    coeffs = [k * c * prob.s for k, c in enumerate(fc)]
-    coeffs[0] = -1.0
-    return Polynomial(coeffs)
-
-
-def critical_points(prob: SaddleProblem) -> list:
-    return list(analyze(prob).critical_points)
 
 
 @dataclass(frozen=True)
@@ -107,9 +65,7 @@ def saddle_sweep(f: MapSpec1D, s) -> SaddleSweep:
     if not (np.isfinite(s) & (s > 0)).all():
         raise ValueError("s must be finite and positive")
     fc = f.coeffs
-    kc = [k * c for k, c in enumerate(fc)]  # a*f'(a) has k*fc[k] on a^k
-    while len(kc) > 1 and kc[-1] == 0:
-        kc.pop()
+    kc = _trim([k * c for k, c in enumerate(fc)])  # a*f'(a) has k*fc[k] on a^k
     crit = s[:, None] * np.array(kc)
     crit[:, 0] = -1.0
     points = poly_roots_batch(crit)
@@ -135,20 +91,8 @@ def saddle_sweep(f: MapSpec1D, s) -> SaddleSweep:
                        np.where(saddle, gamma[rows, best], np.nan), q, p)
 
 
-def analyze(prob: SaddleProblem) -> SaddleResult:
-    """Locate critical points, select the dominant one if complex, report q."""
-    sweep = saddle_sweep(prob.f, [prob.s])
-    points = tuple(complex(a) for a in sweep.points[0] if a == a)
-    cp = critical_polynomial(prob)
-    residuals = tuple(abs(cp(a)) for a in points)
-    if sweep.selected[0] < 0:
-        return SaddleResult(points, residuals, None, None, 0.0)
-    return SaddleResult(points, residuals, int(sweep.selected[0]),
-                        float(sweep.gamma_real[0]), float(sweep.q[0]))
-
-
-def zero_density_q(prob: SaddleProblem) -> float:
-    return float(saddle_sweep(prob.f, [prob.s]).q[0])
+def zero_density_q(f: MapSpec1D, s: float) -> float:
+    return float(saddle_sweep(f, [s]).q[0])
 
 
 def logistic_closed_q(lam: float, s: float) -> float:
@@ -185,9 +129,9 @@ def logistic_p_mass(lam: float) -> float:
     return float(val)
 
 
-def invariant_density_p(prob: SaddleProblem) -> float:
+def invariant_density_p(f: MapSpec1D, s: float) -> float:
     """p(s) = -s q'(s) from the selected saddle, in closed form (saddle_sweep)."""
-    return float(saddle_sweep(prob.f, [prob.s]).p[0])
+    return float(saddle_sweep(f, [s]).p[0])
 
 
 def wigner_change_of_variables(lam: float, s: float) -> tuple:

@@ -24,8 +24,7 @@ from pfdensity.odeiter import (DifferentialIteration, OdeSystem,
                                critical_frequency_solution, euler_iterate,
                                jacobian_eigen)
 from pfdensity.poly import poly_roots, real_zeros
-from pfdensity.saddle import (SaddleProblem, invariant_density_p,
-                              logistic_p_mass, zero_density_q)
+from pfdensity.saddle import invariant_density_p, logistic_p_mass, zero_density_q
 
 
 @contextmanager
@@ -106,7 +105,7 @@ def test_criterion_2_saddle_vs_closed_form():
             hi = 4.0 / (lam * lam)
             for k in range(1, 101):
                 s = hi * k / 101.0
-                got = zero_density_q(SaddleProblem(f, s))
+                got = zero_density_q(f, s)
                 want = lam / (2.0 * math.pi) * math.sqrt(1.0 / s - lam * lam / 4.0)
                 assert abs(got - want) < 1e-10
 
@@ -132,7 +131,7 @@ def test_criterion_4_invariant_density_shape():
             products = []
             for k in range(2, 100):
                 s = hi * k / 101.0
-                p = invariant_density_p(SaddleProblem(f, s))
+                p = invariant_density_p(f, s)
                 products.append(p * math.sqrt(s * (hi - s)))
             mean = sum(products) / len(products)
             assert all(abs(v - mean) <= 1e-6 * abs(mean) for v in products)

@@ -190,17 +190,19 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_ode_fixed_points_infinite_radius_is_valid_json(tmp_path):
-    # linspace(-inf, inf, 5) seeds inf, -inf and NaN; none is a fixed point
+def test_ode_fixed_points_infinite_radius_is_valid_json(tmp_path, capsys):
+    # linspace(-inf, inf, 5) would seed inf, -inf and NaN with numpy warnings
     system = tmp_path / "decay.json"
     system.write_text(json.dumps(
         {"dim": 1, "components": [[{"exps": [1], "coef": -1.0}]]}))
-    out = tmp_path / "fp.json"
-    with np.errstate(all="ignore"):
+    for radius in ("inf", "nan"):
         assert run(["ode", "fixed-points", "--system", str(system),
-                    "--radius", "inf", "--out", str(out)]) == 0
-    obj = _strict_json(out.read_text())
-    assert obj == {"fixed_points": [], "non_converged_seeds": 5}
+                    "--radius", radius]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = _strict_json(captured.err)["error"]
+        assert err == {"type": "ValueError",
+                       "message": f"radius must be finite, got {radius}"}
 
 
 def test_write_json_refuses_nan(capsys):
@@ -270,6 +272,20 @@ def test_ode_fixed_points_golden_bytes(lorenz_system_file, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXED_POINTS_SHA256
 
 
+@pytest.mark.parametrize("flag,value", [("--a0", "nan,1,1"), ("--a", "nan,1,1"),
+                                        ("--a", "inf,1,1"), ("--a0", "1,-inf,1")])
+def test_ode_non_finite_point_exit_code_and_json(lorenz_system_file, capsys, flag,
+                                                 value):
+    action = "euler" if flag == "--a0" else "frequencies"
+    assert run(["ode", action, "--system", lorenz_system_file,
+                f"{flag}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"] == f"{flag} {value!r} is not finite"
+
+
 @pytest.mark.parametrize("action,point", [
     ("frequencies", "--a=1,2"), ("frequencies", "--a=1,2,3,4"),
     ("euler", "--a0=1,2"), ("euler", "--a0=1,2,3,4")])
@@ -321,7 +337,7 @@ def test_compare_ks(tmp_path):
     pts = [math.sin(math.pi * (k - 0.5) / (2 * n)) ** 2 for k in range(1, n + 1)]
     sample.write_text("\n".join(f"{p:.17g}" for p in pts))
     out = tmp_path / "cdf.csv"
-    code = run(["compare", "--metric", "ks", "--sample", str(sample),
+    code = run(["compare", "--sample", str(sample),
                 "--reference", "arcsine", "--out", str(out)])
     assert code == 0
     rows = out.read_text().splitlines()
@@ -333,9 +349,10 @@ def test_compare_reads_histogram(tmp_path, capsys, logistic_map_file):
     hist = tmp_path / "hist.csv"
     run(["orbit", "--map", logistic_map_file, "--x0", "1.7", "--burn", "500",
          "--keep", "20000", "--bins", "50", "--out", str(hist)])
-    code = run(["compare", "--metric", "ks", "--sample", str(hist),
+    code = run(["compare", "--sample", str(hist),
                 "--reference", "arcsine", "--rescale"])
     assert code == 0
+    assert json.loads(capsys.readouterr().out)["metric"] == "ks"
 
 
 @pytest.mark.parametrize("body", ["0.1\nnan\n0.5\n", "0.1\ninf\n0.5\n",
@@ -358,7 +375,7 @@ def test_compare_non_finite_sample_exit_code_and_json(tmp_path, capsys, body,
 def test_compare_bad_histogram_is_a_json_error(tmp_path, capsys, body, error):
     hist = tmp_path / "hist.csv"
     hist.write_text("bin_lo,bin_hi,count\n" + body)
-    code = run(["compare", "--metric", "ks", "--sample", str(hist),
+    code = run(["compare", "--sample", str(hist),
                 "--reference", "arcsine"])
     assert code == 1
     err = json.loads(capsys.readouterr().err)
@@ -405,6 +422,15 @@ def test_threads_option_is_a_usage_error(logistic_map_file):
     assert exc.value.code == 2
 
 
+def test_compare_metric_option_is_a_usage_error(tmp_path):
+    sample = tmp_path / "sample.txt"
+    sample.write_text("0.1\n0.5\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["compare", "--metric", "ks", "--sample", str(sample),
+             "--reference", "uniform"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("argv", [["hermite", "zeros", "-n", "8",
                                    "--precision-bits", "128"],
                                   ["density", "saddle", "--s", "0.1:0.9:3",
@@ -435,6 +461,43 @@ def test_non_finite_map_coefficient_exit_code_and_json(tmp_path, capsys):
     assert "nan" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [["hermite", "gen", "-n", "4"],
+                                  ["hermite", "zeros", "-n", "4"],
+                                  ["orbit", "--x0", "0.5", "--keep", "10"],
+                                  ["density", "saddle", "--s", "0.5:0.5:1"]],
+                         ids=["hermite-gen", "hermite-zeros", "orbit", "density"])
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+def test_non_finite_map_coefficient_is_a_domain_error(tmp_path, capsys, argv,
+                                                      coeff):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"coeffs": [0.0, 2.0, coeff]}))
+    assert run(argv + ["--map", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)["error"]
+    assert err == {"type": "DomainError",
+                   "message": f"map coefficient a_2 = {coeff!r} is not finite"}
+
+
+# SHA-256 of the stdout of `density saddle` and `density invariant` on
+# f = 2a - a^4/4 at s = 0.01, 0.02, ..., 1.2; the support ends near s = 0.84,
+# so the grid holds both complex saddles and real ones.
+QUARTIC_DENSITY_SHA256 = {
+    "saddle": "94a934bdd2d878e6085d86058843b8315557ef86e9388739a6cb3608bdfa163b",
+    "invariant": "56f3128ce60a693d1e7bb039c99612da8c59b3a1b9f1dffa3b488528e4b4f7e9",
+}
+
+
+@pytest.mark.parametrize("action", sorted(QUARTIC_DENSITY_SHA256))
+def test_quartic_density_golden_bytes(tmp_path, capsys, action):
+    quartic = tmp_path / "quartic.json"
+    quartic.write_text(json.dumps({"coeffs": [0.0, 2.0, 0.0, 0.0, -0.25]}))
+    assert run(["density", action, "--map", str(quartic),
+                "--s", "0.01:1.2:120"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == QUARTIC_DENSITY_SHA256[action]
+
+
 def test_byte_identical_reruns(logistic_map_file, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -448,8 +511,8 @@ def test_seventeen_digit_roundtrip(logistic_map_file, tmp_path):
     run(["density", "saddle", "--map", logistic_map_file, "--s", "0.1:0.9:9",
          "--out", str(out)])
     from pfdensity.bell import MapSpec1D
-    from pfdensity.saddle import SaddleProblem, zero_density_q
+    from pfdensity.saddle import zero_density_q
     f = MapSpec1D.logistic(2.0)
     for row in out.read_text().splitlines()[1:]:
         s, q = (float(v) for v in row.split(","))
-        assert q == zero_density_q(SaddleProblem(f, s))  # exact round-trip
+        assert q == zero_density_q(f, s)  # exact round-trip

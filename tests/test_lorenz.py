@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pfdensity import lorenz
 from pfdensity.errors import DegenerateDirection, DomainError
 from pfdensity.lorenz import (FIXED_POINT_TAGS, CycleSample, LorenzParams,
                               L_coefficients, characteristic_at_fixed_points,
@@ -238,7 +239,7 @@ def test_cycle_sample_on_reduced_slice():
     admissibility (s-t)^4/(s^2+t^2)^(3/2) = 16/2^1.5 < 16 holds and the
     density equals |l2| sqrt(8 mu - l2^2) / (8 pi mu)."""
     s_point = (math.sqrt(2.0), 1.0, -1.0)
-    cs = cycle_sample(s_point)
+    cs = cycle_sample(q_decomposition(s_point))
     assert cs.l1 == pytest.approx(0.0, abs=1e-14)
     assert cs.l3 == pytest.approx(0.0, abs=1e-14)
     assert cs.l2 == pytest.approx(2.0, abs=1e-12)
@@ -253,7 +254,7 @@ def test_cycle_sample_on_reduced_slice():
 def test_cycle_density_zero_when_l2_vanishes():
     # direction with x = y = z gives L = dir, l2 = (x y sqrt2 + z(z - y))/(mu sqrt2)
     # choose (0, 1, 1): l2 = (0 + 1*(1-1)) = 0
-    cs = cycle_sample((0.0, 1.0, 1.0))
+    cs = cycle_sample(q_decomposition((0.0, 1.0, 1.0)))
     assert cs.l2 == pytest.approx(0.0, abs=1e-15)
     assert cs.density == 0.0
 
@@ -262,7 +263,7 @@ def test_cycle_density_zero_outside_admissible_region():
     # on the reduced slice with s = 3: (s-t)^4/(s^2+t^2)^(3/2) = 5.657*3 > 16
     s = 3.0
     s_point = (s * math.sqrt(2.0), s, -s)
-    cs = cycle_sample(s_point)
+    cs = cycle_sample(q_decomposition(s_point))
     assert cs.l2**2 > 8.0 * cs.mu
     assert not cs.admissible
     assert cs.density == 0.0
@@ -273,7 +274,7 @@ def test_cycle_density_vanishing_radical():
     # find it by scaling the slice family: l2 = 2 s, mu = s sqrt(2):
     # 4 s^2 = 8 s sqrt(2) at s = 2 sqrt(2)
     s = 2.0 * math.sqrt(2.0)
-    cs = cycle_sample((s * math.sqrt(2.0), s, -s))
+    cs = cycle_sample(q_decomposition((s * math.sqrt(2.0), s, -s)))
     assert cs.l2**2 == pytest.approx(8.0 * cs.mu, rel=1e-12)
     assert cs.density == pytest.approx(0.0, abs=1e-6)
 
@@ -301,6 +302,14 @@ def test_report_full():
     for tag in FIXED_POINT_TAGS:
         assert len(report["surfaces"]["l1"][tag]) == n
         assert len(report["surfaces"]["l3"][tag]) == n
+
+
+def test_report_decomposes_each_direction_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lorenz, "q_decomposition",
+                        lambda g: calls.append(g) or q_decomposition(g))
+    lorenz_report(P)
+    assert calls == direction_grid()
 
 
 def test_report_low_rho_has_only_theta():

@@ -122,6 +122,12 @@ def test_seed_lattice_shape():
     assert any(np.array_equal(s, [0.0, 0.0]) for s in seeds)
 
 
+@pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan])
+def test_seed_lattice_rejects_non_finite_radius(radius):
+    with pytest.raises(ValueError, match="radius must be finite"):
+        seed_lattice(2, radius)
+
+
 def test_jacobian_eigen_diagonal():
     eig = jacobian_eigen(DIAG23, [0.0, 0.0]).eigenvalues
     assert sorted(z.real for z in eig) == pytest.approx([-3.0, -2.0])

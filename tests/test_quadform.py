@@ -7,7 +7,7 @@ from pfdensity.bell import MapSpec1D
 from pfdensity.errors import DegenerateForm
 from pfdensity.quadform import (QuadSplit, SymmetricForm, projected_form,
                                 split_density, split_gamma, symmetric_eigen)
-from pfdensity.saddle import SaddleProblem, zero_density_q
+from pfdensity.saddle import zero_density_q
 
 LORENZ_Q_34 = [[0.0, 4.0, -3.0],
                [4.0, 0.0, 0.0],
@@ -78,14 +78,12 @@ def test_projected_form_sum():
 
 def test_split_d1_logistic_reduces_to_direct_problem():
     # dyadic s: the float rescaling in the dispatch is exact, so the
-    # dispatched problem and its density are bitwise equal to the direct one
+    # dispatched density is bitwise equal to the direct one
     lam = 2.0
     for s in (0.25, 0.5, 1.0, 2.0):
         split = split_gamma([s], [lam], [[[-0.5]]])
-        g = split.gammas[0]
-        assert g.sign == -1
-        assert g.problem == SaddleProblem(MapSpec1D.logistic(lam), s)
-        direct = zero_density_q(SaddleProblem(MapSpec1D.logistic(lam), s))
+        assert split.D[0] < 0.0
+        direct = zero_density_q(MapSpec1D.logistic(lam), s)
         assert split_density(split, 0) == direct
 
 
@@ -93,7 +91,7 @@ def test_split_d1_general_s_close():
     lam, s = 3.9, 0.3137
     split = split_gamma([s], [lam], [[[-0.5]]])
     got = split_density(split, 0)
-    direct = zero_density_q(SaddleProblem(MapSpec1D.logistic(lam), s))
+    direct = zero_density_q(MapSpec1D.logistic(lam), s)
     assert got == pytest.approx(direct, rel=1e-12)
 
 
@@ -101,15 +99,12 @@ def test_split_mixed_signature():
     # D = diag(+1, -1) after projection: one constraint, one arcsine coordinate
     Q = [np.diag([1.0, 0.0]), np.diag([0.0, -1.0])]
     split = split_gamma([1.0, 1.0], [0.7, 0.9], Q)
-    assert split.p_plus == 1
-    signs = sorted(g.sign for g in split.gammas)
-    assert signs == [-1, 1]
-    plus = next(g for g in split.gammas if g.sign == 1)
-    minus = next(g for g in split.gammas if g.sign == -1)
-    assert plus.constraint == pytest.approx(plus.Lambda)
-    assert plus.problem is None
-    assert minus.problem is not None
-    assert split_density(split, plus.index) == 0.0
+    assert list(np.sign(split.D)) == [-1.0, 1.0]
+    assert split_density(split, 1) == 0.0
+    # the gamma_- coordinate is logistic with multiplier 0.9 / 2 at s = 2
+    q = split_density(split, 0)
+    assert q > 0.0
+    assert q == zero_density_q(MapSpec1D.logistic(0.45), 2.0)
 
 
 def test_split_degenerate_eigenvalue():

@@ -8,12 +8,16 @@ import pytest
 from pfdensity import poly
 from pfdensity.bell import MapSpec1D
 from pfdensity.errors import DomainError
-from pfdensity.saddle import (SaddleProblem, analyze, critical_points,
-                              invariant_density_p, logistic_closed_p,
+from pfdensity.saddle import (invariant_density_p, logistic_closed_p,
                               logistic_closed_q, logistic_p_mass, saddle_sweep,
                               wigner_change_of_variables, zero_density_q)
 
 LOGISTIC2 = MapSpec1D.logistic(2.0)
+
+
+def points_at(f, s):
+    """The critical points at one s, without the NaN padding of short rows."""
+    return [complex(a) for a in saddle_sweep(f, [s]).points[0] if a == a]
 
 
 def interior_grid(lam, count=100):
@@ -28,21 +32,20 @@ def test_logistic_critical_points_match_unit_circle_form():
         theta = math.acos(lam * math.sqrt(s) / 2.0)
         expected = [cmath.exp(1j * sign * theta) / math.sqrt(s)
                     for sign in (-1, 1)]
-        got = critical_points(SaddleProblem(MapSpec1D.logistic(lam), s))
+        got = points_at(MapSpec1D.logistic(lam), s)
         assert len(got) == 2
         for e in expected:
             assert min(abs(g - e) for g in got) < 1e-12
 
 
 def test_linear_map_single_real_point():
-    got = critical_points(SaddleProblem(MapSpec1D((0.0, 1.0)), 2.0))
+    got = points_at(MapSpec1D((0.0, 1.0)), 2.0)
     assert got == [complex(0.5)]
 
 
 def test_m_hermite_critical_points_match_cubic_oracle():
     # s(lam a - a^3) - 1 = 0 at lam=1, s=1; oracle: companion eigenvalues
-    prob = SaddleProblem(MapSpec1D.m_hermite(1.0, 3), 1.0)
-    got = critical_points(prob)
+    got = points_at(MapSpec1D.m_hermite(1.0, 3), 1.0)
     oracle = sorted(np.roots([-1.0, 0.0, 1.0, -1.0]),
                     key=lambda z: (z.real, z.imag))
     assert len(got) == 3
@@ -51,28 +54,29 @@ def test_m_hermite_critical_points_match_cubic_oracle():
 
 
 def test_critical_point_residuals_small():
-    res = analyze(SaddleProblem(LOGISTIC2, 0.37))
-    assert max(res.residuals) < 1e-10
+    # |s a f'(a) - 1| with f'(a) = 2 - a
+    s = 0.37
+    assert max(abs(s * a * (2.0 - a) - 1.0) for a in points_at(LOGISTIC2, s)) < 1e-10
 
 
 def test_q_value_at_quarter():
-    assert zero_density_q(SaddleProblem(LOGISTIC2, 0.25)) == pytest.approx(
+    assert zero_density_q(LOGISTIC2, 0.25) == pytest.approx(
         math.sqrt(3.0) / math.pi, abs=1e-12)
 
 
 def test_q_zero_at_support_endpoint():
-    assert zero_density_q(SaddleProblem(LOGISTIC2, 1.0)) == 0.0
+    assert zero_density_q(LOGISTIC2, 1.0) == 0.0
 
 
 def test_q_zero_outside_support():
-    assert zero_density_q(SaddleProblem(LOGISTIC2, 2.0)) == 0.0
+    assert zero_density_q(LOGISTIC2, 2.0) == 0.0
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.9])
 def test_q_matches_closed_form_on_grid(lam):
     f = MapSpec1D.logistic(lam)
     for s in interior_grid(lam):
-        got = zero_density_q(SaddleProblem(f, s))
+        got = zero_density_q(f, s)
         assert abs(got - logistic_closed_q(lam, s)) < 1e-10
 
 
@@ -84,10 +88,10 @@ def test_closed_q_values():
 
 
 def test_saddle_selection_maximal_real_part():
-    res = analyze(SaddleProblem(LOGISTIC2, 0.4))
-    assert res.selected is not None
-    sel_gamma = res.gamma_real
-    for i, a in enumerate(res.critical_points):
+    sweep = saddle_sweep(LOGISTIC2, [0.4])
+    assert sweep.selected[0] >= 0
+    sel_gamma = sweep.gamma_real[0]
+    for a in points_at(LOGISTIC2, 0.4):
         if abs(a.imag) > 1e-10:
             g = (0.4 * (2.0 * a - a * a / 2.0) - cmath.log(a)).real
             assert g <= sel_gamma + 1e-12
@@ -95,16 +99,14 @@ def test_saddle_selection_maximal_real_part():
 
 def test_conjugate_saddles_same_q():
     # both members of the conjugate pair give the same |Im f|
-    prob = SaddleProblem(LOGISTIC2, 0.6)
-    res = analyze(prob)
-    pts = [a for a in res.critical_points if abs(a.imag) > 1e-10]
+    pts = [a for a in points_at(LOGISTIC2, 0.6) if abs(a.imag) > 1e-10]
     assert len(pts) == 2
     f = lambda a: 2.0 * a - a * a / 2.0
     assert abs(abs(f(pts[0]).imag) - abs(f(pts[1]).imag)) < 1e-12
 
 
 def p_at(f, s):
-    return invariant_density_p(SaddleProblem(f, s))
+    return invariant_density_p(f, s)
 
 
 def test_invariant_density_logistic_half():
@@ -152,11 +154,10 @@ def test_quartic_q_and_p_are_zero_past_the_support_end(lam):
     a_max = (lam / 4.0) ** (1.0 / 3.0)
     s_end = 1.0 / (lam * a_max - a_max**4)
     for t in (1.001, 1.1, 2.0):
-        prob = SaddleProblem(f, t * s_end)
-        res = analyze(prob)
-        assert res.selected is None
-        assert res.q_value == 0.0
-        assert invariant_density_p(prob) == 0.0
+        sweep = saddle_sweep(f, [t * s_end])
+        assert sweep.selected[0] == -1
+        assert sweep.q[0] == 0.0
+        assert invariant_density_p(f, t * s_end) == 0.0
 
 
 def _mp_quartic_q(lam, s):
@@ -234,7 +235,7 @@ def test_change_of_variables_identity(lam):
         t, w = wigner_change_of_variables(lam, s)
         assert abs(w - (2.0 / math.pi) * math.sqrt(1.0 - t * t)) < 1e-10
         # and the saddle-point q agrees with the same transform
-        w2 = zero_density_q(SaddleProblem(MapSpec1D.logistic(lam), s)) \
+        w2 = zero_density_q(MapSpec1D.logistic(lam), s) \
             * 8.0 * t / (lam * lam)
         assert abs(w2 - w) < 1e-10
 
@@ -243,22 +244,21 @@ def test_delta_zero_degeneration():
     # f = a + 0*F(a) is the identity: every critical point solves s a = 1
     ident = MapSpec1D.identity()
     for s in (0.5, 1.0, 3.0):
-        pts = critical_points(SaddleProblem(ident, s))
-        assert pts == [complex(1.0 / s)]
-        assert zero_density_q(SaddleProblem(ident, s)) == 0.0
+        assert points_at(ident, s) == [complex(1.0 / s)]
+        assert zero_density_q(ident, s) == 0.0
 
 
 def test_positive_quadratic_has_no_density():
     f = MapSpec1D((0.0, 1.3, 0.5))  # lam a + a^2/2
     for s in (0.1, 0.5, 1.0, 5.0):
-        assert zero_density_q(SaddleProblem(f, s)) == 0.0
+        assert zero_density_q(f, s) == 0.0
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
-        SaddleProblem(LOGISTIC2, 0.0)
-    with pytest.raises(ValueError):
-        SaddleProblem(LOGISTIC2, -1.0)
+    for one in (zero_density_q, invariant_density_p):
+        for s in (0.0, -1.0):
+            with pytest.raises(ValueError, match="finite and positive"):
+                one(LOGISTIC2, s)
 
 
 def _seeded_maps():
@@ -274,14 +274,13 @@ def _seeded_maps():
 def test_sweep_equals_one_point_calls_bitwise(f):
     grid = np.linspace(0.01, 3.0, 37)
     sweep = saddle_sweep(f, grid)
-    probs = [SaddleProblem(f, float(s)) for s in grid]
     for name, one in (("q", zero_density_q), ("p", invariant_density_p)):
-        assert np.array([one(prob) for prob in probs]).tobytes() == \
+        assert np.array([one(f, float(s)) for s in grid]).tobytes() == \
             getattr(sweep, name).tobytes()
-    for i, prob in enumerate(probs):
-        res = analyze(prob)
-        assert np.array(res.critical_points).tobytes() == sweep.points[i].tobytes()
-        assert sweep.selected[i] == (-1 if res.selected is None else res.selected)
+    for i, s in enumerate(grid):
+        row = saddle_sweep(f, [float(s)])
+        assert row.points[0].tobytes() == sweep.points[i].tobytes()
+        assert row.selected[0] == sweep.selected[i]
     assert saddle_sweep(f, grid[::-1]).q.tobytes() == sweep.q[::-1].tobytes()
 
 
@@ -296,9 +295,8 @@ def test_support_end_inside_a_sweep_falls_back_to_poly_roots(monkeypatch):
     sweep = saddle_sweep(LOGISTIC2, grid)
     assert len(calls) == 1
     assert sweep.q[2] == sweep.p[2] == 0.0
-    assert list(sweep.q) == [zero_density_q(SaddleProblem(LOGISTIC2, s)) for s in grid]
-    assert list(sweep.p) == [invariant_density_p(SaddleProblem(LOGISTIC2, s))
-                             for s in grid]
+    assert list(sweep.q) == [zero_density_q(LOGISTIC2, s) for s in grid]
+    assert list(sweep.p) == [invariant_density_p(LOGISTIC2, s) for s in grid]
 
 
 def test_row_with_fewer_points_is_nan_padded():
@@ -307,7 +305,7 @@ def test_row_with_fewer_points_is_nan_padded():
     sweep = saddle_sweep(f, [1e-30, 1.0])
     assert sweep.points[0][0] == 1 / 1e-30 and np.isnan(sweep.points[0][1:]).all()
     assert sweep.q[0] == sweep.p[0] == 0.0
-    assert analyze(SaddleProblem(f, 1e-30)).critical_points == (1 / 1e-30,)
+    assert saddle_sweep(f, [1e-30]).points[0].tobytes() == sweep.points[0].tobytes()
 
 
 @pytest.mark.parametrize("lam", [1e-11, 1e-6, 2.0])
@@ -316,10 +314,9 @@ def test_small_maps_keep_their_saddle(lam):
     # scale; an absolute cut on Im a took it for real below lam ~ 1e-10
     f = MapSpec1D.logistic(lam)
     for s in (0.5 / lam**2, 2.0 / lam**2, 3.9 / lam**2):
-        prob = SaddleProblem(f, s)
-        assert zero_density_q(prob) == pytest.approx(logistic_closed_q(lam, s),
+        assert zero_density_q(f, s) == pytest.approx(logistic_closed_q(lam, s),
                                                      rel=1e-12)
-        assert invariant_density_p(prob) == pytest.approx(
+        assert invariant_density_p(f, s) == pytest.approx(
             logistic_closed_p(lam, s), rel=1e-12)
 
 

@@ -1,5 +1,7 @@
 """Smoke tests for the runnable experiment scripts (fast configurations)."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -57,3 +59,18 @@ def test_semicircle_zeros_script(tmp_path):
         csv = (tmp_path / f"scaled_zeros_n{n}.csv").read_text().splitlines()
         assert csv[0] == "index,t"
         assert len(csv) == 1 + n // 2
+
+
+def test_benchmark_tracer_names_resolve(monkeypatch):
+    # `perfbench/run.py --trace 1` wraps each (module, name) of TRACED by
+    # name; a renamed or deleted function would break the traced run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for _, module, name in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(module), name, None)), \
+            f"{module}.{name}"
