@@ -51,10 +51,17 @@ class MapSpec1D:
     coeffs: tuple
 
     def __init__(self, coeffs):
-        coeffs = tuple(float(c) for c in coeffs)
+        values = []
         for k, c in enumerate(coeffs):
+            try:
+                c = float(c)
+            except OverflowError:  # an int or Fraction beyond the double range
+                raise DomainError(
+                    f"map coefficient a_{k} is beyond the double range") from None
             if not math.isfinite(c):
                 raise DomainError(f"map coefficient a_{k} = {c!r} is not finite")
+            values.append(c)
+        coeffs = tuple(values)
         if len(coeffs) < 2:
             raise ValueError("map must have degree >= 1")
         if coeffs[0] != 0.0:

@@ -11,6 +11,7 @@ unstated scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -36,6 +37,8 @@ __all__ = [
 
 ORBIT_GUARD = 1e6
 _ORBIT_CHUNK = 1 << 12  # orbit steps per list before they go into the array
+_UNROLL = 8  # Horner steps per pass of the generated loop
+_HORNER_DEPTH = 64  # coefficients per expression: bounds the compiler's nesting
 
 
 @dataclass(frozen=True)
@@ -85,38 +88,73 @@ def _seed_perturbation(seed: int) -> float:
     return (_splitmix64(seed) / 2.0**64) * 1e-12
 
 
+def _horner_lines(count: int, x: str, y: str) -> list:
+    """Source lines that set y to ((c_0*x + c_1)*x + ...)*x + c_{count-1},
+    one expression per _HORNER_DEPTH coefficients through the local h."""
+    lines, acc = [], "c_0"
+    for i in range(1, count):
+        if i % _HORNER_DEPTH == 0:
+            lines.append(f"h = {acc}")
+            acc = "h"
+        acc = f"({acc})*{x} + c_{i}"
+    return lines + [f"{y} = {acc}"]
+
+
+@functools.lru_cache(maxsize=32)
+def _horner_chunk(count: int):
+    """Generated `chunk(x, steps, c_0, .., c_{count-1})`: the list of the
+    next `steps` iterates of the Horner step, written out _UNROLL steps to
+    a loop pass."""
+    names = [f"x_{k}" for k in range(1, _UNROLL)] + ["x"]
+    unrolled = [line for x, y in zip(["x"] + names, names)
+                for line in _horner_lines(count, x, y)]
+    src = (f"def chunk(x, steps, {', '.join(f'c_{i}' for i in range(count))}):\n"
+           "    out = []\n"
+           f"    for _ in range(steps // {_UNROLL}):\n"
+           + "".join(f"        {line}\n" for line in unrolled)
+           + f"        out.extend(({', '.join(names)}))\n"
+           f"    for _ in range(steps % {_UNROLL}):\n"
+           + "".join(f"        {line}\n" for line in _horner_lines(count, "x", "x"))
+           + "        out.append(x)\n"
+           "    return out\n")
+    scope = {}
+    exec(compile(src, f"<horner {count}>", "exec"), scope)
+    return scope["chunk"]
+
+
 def orbit_sample(f: MapSpec1D, x0: float, burn: int, keep: int,
                  seed: int = 0) -> np.ndarray:
-    """x_{burn+1} .. x_{burn+keep} under x -> f(x), guarded at |x| <= 1e6."""
+    """x_{burn+1} .. x_{burn+keep} under x -> f(x) from a finite x0,
+    guarded at |x| <= 1e6."""
     if burn < 0:
         raise ValueError("burn must be >= 0")
     if keep < 1:
         raise ValueError("keep must be >= 1")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 = {x0!r} is not finite")
     coeffs = tuple(reversed(f.coeffs))
     if coeffs[0] == 0:
         # Horner started at 0.0 * x + c, which can differ from a zero c in
         # its sign; a nonzero c equals it exactly, so only then start at c
         coeffs = (0.0,) + coeffs
-    lead, *rest = coeffs
+    chunk = _horner_chunk(len(coeffs))
     x = x0 + _seed_perturbation(seed)
     out = np.empty(keep)
-    # Iterate i = -burn .. keep - 1 in chunks that each fill a short list,
-    # so no step tests its index and the list never holds the whole orbit;
-    # burn-in chunks (i < 0) are dropped.
+    # Iterate i = -burn .. keep - 1 in chunks of generated straight-line
+    # Horner steps, so the list never holds the whole orbit; burn-in chunks
+    # (i < 0) are dropped.  Each chunk is checked once, after it has run: an
+    # orbit that escapes runs on (to inf, then NaN) to the chunk's end, and
+    # its first iterate with ~(|x| <= 1e6) is the escape.
     starts = [*range(-burn, 0, _ORBIT_CHUNK), *range(0, keep, _ORBIT_CHUNK)]
     for lo, hi in zip(starts, starts[1:] + [keep]):
-        chunk = []
-        append = chunk.append
-        for i in range(lo, hi):
-            acc = lead
-            for c in rest:
-                acc = acc * x + c
-            x = acc
-            if not (abs(x) <= ORBIT_GUARD):
-                raise OrbitEscape(burn + 1 + i, x)
-            append(x)
-        if lo >= 0:
-            out[lo:hi] = chunk
+        xs = chunk(x, hi - lo, *coeffs)
+        x = xs[-1]
+        arr = out[lo:hi] if lo >= 0 else np.empty(hi - lo)
+        arr[:] = xs
+        bad = ~(np.abs(arr) <= ORBIT_GUARD)
+        if bad.any():
+            i = int(bad.argmax())
+            raise OrbitEscape(burn + 1 + lo + i, xs[i])
     return out
 
 

@@ -8,20 +8,26 @@ Jacobians with Faddeev-LeVerrier characteristic polynomials, and the
 critical-frequency solve s(I + tau*J) = 1/a whose singularities sit at
 tau = -1/lambda for real eigenvalues lambda of J.
 
-Each OdeSystem is compiled once, at construction, into two term tables of
-rows (k, coef, ((index, exponent), ...)) that keep only nonzero exponents:
-`_terms` has one row per term of F_k, `_dterms` one row per term of
-dF_i/da_l (k = i*dim + l, coefficient coef*e_l).  F, J, the Euler loop and
-Newton all evaluate these tables on Python floats in the original term
-order (v = coef; v *= x_j**e for each factor; out[k] += v), and Euler keeps
-S += F, then a + delta*F, and the |a_i| <= GUARD test that also catches
-NaN.  Every result is therefore bit-identical to a direct loop over the
-(exps, coef) terms in numpy doubles; tests/test_odeiter.py keeps that loop
-as the reference.
+Each OdeSystem is compiled once, at construction, into two term tables:
+`_terms` with one row per term of F_k, `_dterms` with one per term of
+dF_i/da_l (k = i*dim + l, coefficient coef*e_l).  A table is its structure,
+rows (k, ((index, exponent), ...)) that keep only nonzero exponents, and
+its coefficients.  For each structure, Python source is generated once per
+process and cached: out_k = 0.0, then out_k += c_n*a_j**e*... for each row
+in order, with a_j for e = 1 (x**1 is exactly x) and a_j**e for e >= 2
+(pow can differ from repeated products in the last bit).  The coefficients
+arrive as arguments, so inf, NaN and the sign of a zero need no literal
+and no two systems share them.  F and J are such functions; the Euler loop
+is one function too, on locals a_i and S_i: S_i + F_i, then
+a_i + delta*F_i, then the |a_i| <= GUARD test that also catches NaN.  Every
+result is therefore bit-identical to a direct loop over the (exps, coef)
+terms in numpy doubles; tests/test_odeiter.py keeps that loop as the
+reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -59,19 +65,58 @@ def _max_abs(x: list) -> float:
     return math.nan if any(v != v for v in x) else max(map(abs, x))
 
 
-def _evaluate(rows, size: int, x: list) -> list:
-    """Sum the terms of a table at the point x (a list of floats): row
-    (k, coef, ((j, e), ...)) adds coef * x_j**e * ... to out[k], in row order."""
-    out = [0.0] * size
+def _sums(shape, size: int, out: str) -> list:
+    """Source lines that set out_k, k < size, to 0.0 and then add, for the
+    n-th row (k, ((j, e), ...)) of `shape` in row order, the term
+    c_n*a_j**e*..., with a_j for e = 1.  One statement per term keeps the
+    compiler's nesting depth fixed however many terms a table has."""
+    lines = [f"{out}_{k} = 0.0" for k in range(size)]
+    for n, (k, factors) in enumerate(shape):
+        lines.append(f"{out}_{k} += c_{n}" + "".join(
+            f"*a_{j}" if e == 1 else f"*a_{j}**{e}" for j, e in factors))
+    return lines
+
+
+def _names(prefix: str, count: int) -> str:
+    return ", ".join(f"{prefix}_{i}" for i in range(count))
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(kind: str, dim: int, size: int, shape: tuple):
+    """The function of `kind` generated for the table structure `shape`:
+    "sums" maps (c, a) to out, "euler" runs the Euler loop from a."""
+    head = f"    [{_names('c', len(shape))}] = c\n    [{_names('a', dim)}] = a\n"
+    if kind == "sums":
+        src = (f"def sums(c, a):\n{head}"
+               + "".join(f"    {line}\n" for line in _sums(shape, size, "o"))
+               + f"    return [{_names('o', size)}]\n")
+    else:
+        src = (f"def euler(c, a, delta, n, G):\n{head}"
+               f"    {' = '.join(f'S_{i}' for i in range(dim))} = 0.0\n"
+               "    for step in range(1, n + 1):\n"
+               + "".join(f"        {line}\n" for line in _sums(shape, dim, "f"))
+               + "".join(f"        S_{i} = S_{i} + f_{i}\n" for i in range(dim))
+               + "".join(f"        a_{i} = a_{i} + delta*f_{i}\n" for i in range(dim))
+               + "        if not (" + " and ".join(
+                   f"abs(a_{i}) <= G" for i in range(dim)) + "):\n"
+               "            raise TrajectoryEscape(step)\n"
+               f"    return [{_names('a', dim)}], [{_names('S', dim)}]\n")
+    scope = {"TrajectoryEscape": TrajectoryEscape}
+    exec(compile(src, f"<odeiter {kind}>", "exec"), scope)
+    return scope[kind]
+
+
+def _generated(kind: str, table: tuple, dim: int, size: int, x: list, *args):
+    """Run the generated function of `kind` on a (shape, coefs) table; where
+    a power overflows (OverflowError on floats) rerun it on np.float64 copies
+    of x, whose power returns +-inf as numpy does.  Points past step 1 of the
+    Euler loop are bounded by GUARD, so only its first step can overflow."""
+    shape, coefs = table
+    fn = _compiled(kind, dim, size, shape)
     try:
-        for k, v, factors in rows:
-            for j, e in factors:
-                v *= x[j] ** e
-            out[k] += v
+        return fn(coefs, x, *args)
     except OverflowError:
-        # float ** int raises where numpy's power returns +-inf; so do that
-        return _evaluate(rows, size, [np.float64(u) for u in x])
-    return out
+        return fn(coefs, [np.float64(u) for u in x], *args)
 
 
 @dataclass(frozen=True)
@@ -102,14 +147,17 @@ class OdeSystem:
             raise ValueError("need one component per dimension")
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "components", tuple(comps))
-        object.__setattr__(self, "_terms", tuple(
-            (i, coef, tuple((j, e) for j, e in enumerate(exps) if e))
-            for i, terms in enumerate(comps) for exps, coef in terms))
-        object.__setattr__(self, "_dterms", tuple(
-            (i * self.dim + l, coef * e,
-             tuple((m, em - (m == l)) for m, em in enumerate(exps) if em - (m == l)))
-            for i, terms in enumerate(comps) for exps, coef in terms
-            for l, e in enumerate(exps) if e))
+        f_rows = [(i, coef, tuple((j, e) for j, e in enumerate(exps) if e))
+                  for i, comp in enumerate(comps) for exps, coef in comp]
+        j_rows = [(i * self.dim + l, coef * e,
+                   tuple((m, em - (m == l)) for m, em in enumerate(exps)
+                         if em - (m == l)))
+                  for i, comp in enumerate(comps) for exps, coef in comp
+                  for l, e in enumerate(exps) if e]
+        for name, rows in (("_terms", f_rows), ("_dterms", j_rows)):
+            object.__setattr__(self, name, (
+                tuple((k, factors) for k, _, factors in rows),
+                tuple(coef for _, coef, _ in rows)))
 
     def _point(self, a) -> list:
         a = np.asarray(a, dtype=float)
@@ -119,11 +167,15 @@ class OdeSystem:
         return a.tolist()
 
     def __call__(self, a) -> np.ndarray:
-        return np.array(_evaluate(self._terms, self.dim, self._point(a)))
+        return np.array(self._field(self._point(a)))
 
     def jacobian(self, a) -> np.ndarray:
         d = self.dim
-        return np.reshape(_evaluate(self._dterms, d * d, self._point(a)), (d, d))
+        return np.reshape(
+            _generated("sums", self._dterms, d, d * d, self._point(a)), (d, d))
+
+    def _field(self, x: list) -> list:
+        return _generated("sums", self._terms, self.dim, self.dim, x)
 
     @classmethod
     def linear(cls, matrix) -> "OdeSystem":
@@ -178,16 +230,9 @@ class EulerResult(NamedTuple):
 def euler_iterate(it: DifferentialIteration, a0) -> EulerResult:
     """n explicit Euler steps; S_n accumulates the field values so the
     identity a_n - a0 = delta * S_n holds up to rounding."""
-    a = it.system._point(a0)
-    S = [0.0] * len(a)
-    terms, dim = it.system._terms, it.system.dim
-    delta = it.delta
-    for step in range(1, it.n + 1):
-        fa = _evaluate(terms, dim, a)
-        S = [s + f for s, f in zip(S, fa)]
-        a = [x + delta * f for x, f in zip(a, fa)]
-        if not all(abs(x) <= GUARD for x in a):
-            raise TrajectoryEscape(step)
+    sys = it.system
+    a, S = _generated("euler", sys._terms, sys.dim, sys.dim, sys._point(a0),
+                      it.delta, it.n, GUARD)
     return EulerResult(a_n=np.array(a), S_n=np.array(S))
 
 
@@ -217,7 +262,7 @@ def fixed_points(sys: OdeSystem, seeds=None, radius: float = 2.0) -> FixedPoints
         x = sys._point(seed)
         ok = False
         for _ in range(60):
-            fa = _evaluate(sys._terms, sys.dim, x)
+            fa = sys._field(x)
             tol = 1e-13 * (1.0 + _max_abs(x))
             if all(abs(v) <= tol for v in fa):
                 # an infinite coordinate makes tol infinite, so any F passes

@@ -176,6 +176,17 @@ def test_orbit_bad_burn_or_bins_is_a_json_error(logistic_map_file, capsys,
     assert err["error"] == {"type": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
+def test_orbit_non_finite_start_names_x0(logistic_map_file, capsys, x0):
+    assert run(["orbit", "--map", logistic_map_file, f"--x0={x0}",
+                "--keep", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)["error"]
+    assert err == {"type": "ValueError",
+                   "message": f"x0 = {float(x0)!r} is not finite"}
+
+
 def test_ode_fixed_points(lorenz_system_file, tmp_path):
     out = tmp_path / "fp.json"
     assert run(["ode", "fixed-points", "--system", lorenz_system_file,
@@ -477,6 +488,21 @@ def test_non_finite_map_coefficient_is_a_domain_error(tmp_path, capsys, argv,
     err = _strict_json(captured.err)["error"]
     assert err == {"type": "DomainError",
                    "message": f"map coefficient a_2 = {coeff!r} is not finite"}
+
+
+@pytest.mark.parametrize("argv", [["hermite", "gen", "-n", "3"],
+                                  ["orbit", "--x0", "0.5", "--keep", "10"]],
+                         ids=["hermite-gen", "orbit"])
+def test_map_coefficient_beyond_the_double_range_is_a_domain_error(
+        tmp_path, capsys, argv):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"coeffs": [0, 2, 10**400]}))
+    assert run(argv + ["--map", str(big)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)["error"]
+    assert err == {"type": "DomainError",
+                   "message": "map coefficient a_2 is beyond the double range"}
 
 
 # SHA-256 of the stdout of `density saddle` and `density invariant` on

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -84,6 +86,14 @@ def test_orbit_matches_the_reference_loop_bitwise(coeffs, x0, burn, keep):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def test_high_degree_orbit_matches_the_reference_loop_bitwise():
+    # degree 301: one Horner expression would nest 302 parentheses deep,
+    # past what the compiler accepts
+    f = MapSpec1D((0.0, 0.5) + (1e-3, -2e-3, 0.0) * 100)
+    got = orbit_sample(f, 0.3, 10, 100, seed=5)
+    assert got.tobytes() == _reference_orbit(f, 0.3, 10, 100, seed=5).tobytes()
+
+
 @pytest.mark.parametrize("burn", [0, 10, 19, 20, 5000])
 def test_orbit_escape_step_matches_the_reference_loop(burn):
     f = MapSpec1D((0.0, 2.0))
@@ -93,6 +103,79 @@ def test_orbit_escape_step_matches_the_reference_loop(burn):
         orbit_sample(f, 1.0, burn, 5000)
     assert got.value.step == want.value.step == 20
     assert str(got.value) == str(want.value)
+
+
+_GROWTH = 1.002  # f(x) = 1.002 x crosses 1e6 at a step set by x0
+
+
+def _escape_at(step):
+    """x0 whose orbit under x -> 1.002 x first leaves |x| <= 1e6 at `step`,
+    half a step clear of the bound on either side."""
+    return 1e6 * _GROWTH ** -(step - 0.5)
+
+
+@pytest.mark.parametrize("burn, step", [
+    (0, 1), (0, 4095), (0, 4096), (0, 4097), (0, 8192),  # kept chunks' ends
+    (5000, 1), (5000, 4096), (5000, 4097), (5000, 5000),  # burn-in chunks
+    (5000, 5001), (5000, 5000 + 4096), (5000, 5000 + 4097),  # kept after burn
+])
+def test_chunked_escape_check_matches_the_reference_loop(burn, step):
+    f = MapSpec1D((0.0, _GROWTH))
+    x0 = _escape_at(step)
+    with pytest.raises(OrbitEscape) as want:
+        _reference_orbit(f, x0, burn, 3 * 4096)
+    with pytest.raises(OrbitEscape) as got:
+        orbit_sample(f, x0, burn, 3 * 4096)
+    assert got.value.step == want.value.step == step
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("burn", [0, 7, 5000])
+def test_escape_reports_the_first_bad_iterate_before_inf_and_nan(burn):
+    # f(x) = 2x + x^2 with a zero top coefficient: the orbit leaves the guard,
+    # overflows to inf a few steps later, and 0.0 * inf then makes it NaN,
+    # all inside one chunk; the escape is the first iterate past 1e6.
+    f = MapSpec1D((0.0, 2.0, 1.0, 0.0))
+    x, seen = 1e-3, []
+    while not math.isnan(x):
+        x = (((0.0 * x + 0.0) * x + 1.0) * x + 2.0) * x + 0.0
+        seen.append(x)
+    assert math.isinf(seen[-2]) and len(seen) < 4096
+    with pytest.raises(OrbitEscape) as want:
+        _reference_orbit(f, 1e-3, burn, 4096)
+    with pytest.raises(OrbitEscape) as got:
+        orbit_sample(f, 1e-3, burn, 4096)
+    assert got.value.step == want.value.step > 1
+    assert math.isfinite(got.value.value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_is_rejected_before_iterating(x0):
+    with pytest.raises(ValueError, match="x0 = .* is not finite"):
+        orbit_sample(CHAOTIC, x0, burn=0, keep=10)
+
+
+def test_zero_signs_of_two_maps_stay_apart():
+    # From x = 0.0, x -> -x + c gives -0.0, 0.0, -0.0, ... for c = -0.0 and
+    # 0.0 throughout for c = 0.0; the generated step takes each map's own c.
+    from pfdensity.empirical import _seed_perturbation
+    x0 = -_seed_perturbation(0)
+    maps = {"plus": MapSpec1D((0.0, -1.0)), "minus": MapSpec1D((-0.0, -1.0))}
+    runs = {}
+    for order in (("plus", "minus"), ("minus", "plus")):
+        for name in order:
+            got = orbit_sample(maps[name], x0, 3, 64).tobytes()
+            assert got == _reference_orbit(maps[name], x0, 3, 64).tobytes()
+            assert runs.setdefault(name, got) == got
+    assert runs["plus"] != runs["minus"]
+
+
+def test_map_survives_pickle_and_deepcopy():
+    want = orbit_sample(CHAOTIC, 1.7, 100, 5000, seed=4)
+    for twin in (pickle.loads(pickle.dumps(CHAOTIC)), copy.deepcopy(CHAOTIC)):
+        assert twin == CHAOTIC
+        assert orbit_sample(twin, 1.7, 100, 5000, seed=4).tobytes() == want.tobytes()
 
 
 def test_seed_perturbation_bounded():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -496,3 +498,83 @@ def test_term_tables_stay_out_of_equality_hash_and_repr():
     assert twin == LORENZ and hash(twin) == hash(LORENZ)
     assert "_terms" not in repr(LORENZ) and "_dterms" not in repr(LORENZ)
     assert set(LORENZ.to_json()) == {"dim", "components"}
+
+
+def _assert_same_as_reference(sys, a, delta=0.01, n=50):
+    """F, J and n Euler steps at a agree with the reference loops bit for bit
+    (NaN payloads aside)."""
+    with np.errstate(all="ignore"):
+        got = (sys(a), sys.jacobian(a), _outcome(
+            lambda: euler_iterate(DifferentialIteration(sys, delta, n), a)))
+        want = (_ref_call(sys, a), _ref_jacobian(sys, a),
+                _outcome(lambda: _ref_euler(DifferentialIteration(sys, delta, n), a)))
+    for g, w in zip(got[:2], want[:2]):
+        nan = np.isnan(w)
+        assert np.array_equal(np.isnan(g), nan)
+        assert g[~nan].tobytes() == w[~nan].tobytes()
+    assert got[2][0] == want[2][0]
+    if want[2][0] == "escape":
+        assert got[2][1] == want[2][1]
+    else:
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got[2][1:], want[2][1:]))
+
+
+def test_generated_code_keeps_zero_signs_apart():
+    # Two systems with one structure whose coefficients differ only in the
+    # sign of a zero.  Every sum starts at 0.0, so the sign never reaches F, J
+    # or the Euler loop; both must match the reference in either order.
+    plus = OdeSystem(2, [[((0, 1), 0.0)], [((1, 0), -1.0), ((0, 0), 0.0)]])
+    minus = OdeSystem(2, [[((0, 1), -0.0)], [((1, 0), -1.0), ((0, 0), -0.0)]])
+    assert plus == minus  # 0.0 == -0.0, so they compare equal
+    for first, second in ((plus, minus), (minus, plus)):
+        for sys in (first, second):
+            for a in ([0.5, 2.0], [-0.5, -2.0], [0.0, -0.0]):
+                _assert_same_as_reference(sys, a)
+
+
+@pytest.mark.parametrize("coef", [math.inf, -math.inf, math.nan])
+def test_generated_code_takes_non_finite_coefficients(coef):
+    sys = OdeSystem(2, [[((1, 0), -1.0), ((0, 2), coef)],
+                        [((1, 1), coef), ((0, 0), 0.5)]])
+    for a in ([0.5, 0.25], [0.0, 1.0], [1.0, 0.0], [-2.0, -0.0]):
+        _assert_same_as_reference(sys, a)
+
+
+def test_generated_code_on_dim_8_degree_4_fields():
+    rng = np.random.default_rng(88)
+    for _ in range(6):
+        comps = []
+        for i in range(8):
+            terms = []
+            for _ in range(5):
+                exps = [0] * 8
+                for _ in range(4):
+                    exps[int(rng.integers(8))] += 1
+                terms.append((tuple(exps), float(rng.uniform(-1.0, 1.0))))
+            terms.append((tuple(int(j == i) for j in range(8)), -2.0))
+            comps.append(terms)
+        sys = OdeSystem(8, comps)
+        for scale in (0.1, 1.0, 3.0):
+            _assert_same_as_reference(sys, rng.uniform(-scale, scale, size=8),
+                                      delta=0.005, n=100)
+
+
+def test_generated_code_takes_thousands_of_terms():
+    # one statement per term: a single 5000-term expression would exceed the
+    # compiler's nesting depth
+    sys = OdeSystem(2, [[((1, 0), -1e-4)] * 5000, [((1, 1), 1e-3)] * 3000])
+    for a in ([0.5, 0.25], [-1.5, 2.0]):
+        _assert_same_as_reference(sys, a, n=3)
+
+
+def test_system_survives_pickle_and_deepcopy():
+    it = DifferentialIteration(LORENZ, 1e-3, 2000)
+    want = euler_iterate(it, [1.0, 2.0, 3.0])
+    for twin in (pickle.loads(pickle.dumps(LORENZ)), copy.deepcopy(LORENZ)):
+        assert twin == LORENZ and twin._terms == LORENZ._terms
+        assert twin._dterms == LORENZ._dterms
+        got = euler_iterate(DifferentialIteration(twin, 1e-3, 2000), [1.0, 2.0, 3.0])
+        assert got.a_n.tobytes() == want.a_n.tobytes()
+        assert got.S_n.tobytes() == want.S_n.tobytes()
+        assert twin.jacobian([1.0, 2.0, 3.0]).tobytes() == \
+            LORENZ.jacobian([1.0, 2.0, 3.0]).tobytes()
