@@ -79,12 +79,7 @@ def _write_lines(path, lines):
 
 
 def _write_json(path, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)])
 
 
 def _cmd_hermite(args) -> int:

@@ -51,10 +51,14 @@ class Histogram:
     def __post_init__(self):
         if not np.all(np.diff(self.edges) > 0):
             raise ValueError("edges must be strictly increasing")
+        if np.any(np.asarray(self.counts) < 0):
+            raise ValueError("counts must be >= 0")
         if int(np.sum(self.counts)) != self.total:
             raise ValueError("counts must sum to total")
 
     def cdf_at_edges(self) -> np.ndarray:
+        if self.total == 0:
+            raise EmptySample("the histogram has no counts")
         return np.concatenate([[0.0], np.cumsum(self.counts) / self.total])
 
 
@@ -104,18 +108,18 @@ def _horner_lines(count: int, x: str, y: str) -> list:
 def _horner_chunk(count: int):
     """Generated `chunk(x, steps, c_0, .., c_{count-1})`: the list of the
     next `steps` iterates of the Horner step, written out _UNROLL steps to
-    a loop pass."""
+    a loop pass.  The last pass may run up to _UNROLL - 1 steps past `steps`
+    and those iterates are deleted; running on is harmless, since float
+    products and sums overflow to inf or NaN and never raise."""
     names = [f"x_{k}" for k in range(1, _UNROLL)] + ["x"]
     unrolled = [line for x, y in zip(["x"] + names, names)
                 for line in _horner_lines(count, x, y)]
     src = (f"def chunk(x, steps, {', '.join(f'c_{i}' for i in range(count))}):\n"
            "    out = []\n"
-           f"    for _ in range(steps // {_UNROLL}):\n"
+           f"    for _ in range(-(-steps // {_UNROLL})):\n"
            + "".join(f"        {line}\n" for line in unrolled)
            + f"        out.extend(({', '.join(names)}))\n"
-           f"    for _ in range(steps % {_UNROLL}):\n"
-           + "".join(f"        {line}\n" for line in _horner_lines(count, "x", "x"))
-           + "        out.append(x)\n"
+           "    del out[steps:]\n"
            "    return out\n")
     scope = {}
     exec(compile(src, f"<horner {count}>", "exec"), scope)

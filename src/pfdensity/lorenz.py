@@ -1,11 +1,12 @@
 """The Lorenz field as a differential iteration, end to end.
 
-Covers the fixed points and their characteristic cubics, the projected
-quadratic form Q with its constant orthogonal eigenbasis T and spectrum
-(0, -mu, +mu), the linear l-coefficients at each fixed point (including
-the shifted variants at alpha_+/-), the condition surfaces, and the
-asymptotic cycle density q(s) = |l2| sqrt(8 mu - l2^2) / (8 pi mu) on the
-admissible region l2^2 < 8 mu.
+Covers the fixed points theta = 0 and alpha_+/- = (a, a, a^2/beta) with
+a = +-alpha, their characteristic cubics, the projected quadratic form Q
+with its constant orthogonal eigenbasis T and spectrum (0, -mu, +mu), the
+linear l-coefficients at each fixed point (including the shifted variants
+at alpha_+/-; any other tag is a ValueError), the condition surfaces, and
+the asymptotic cycle density q(s) = |l2| sqrt(8 mu - l2^2) / (8 pi mu) on
+the admissible region l2^2 < 8 mu (cycle_sample).
 
 The l-coefficients are defined by the matrix product l = L T^t (the
 identity l.u = L(T^t u) is property-tested); the condition surfaces and
@@ -45,7 +46,6 @@ __all__ = [
     "factor_coefficients",
     "factorized_exponent",
     "cycle_sample",
-    "cycle_density",
     "direction_grid",
     "lorenz_report",
 ]
@@ -82,18 +82,23 @@ def lorenz_system(p: LorenzParams) -> OdeSystem:
     ])
 
 
-def fixed_point(p: LorenzParams, tag: str) -> np.ndarray:
-    if tag == "theta":
-        return np.zeros(3)
+def _signed_alpha(p: LorenzParams, tag: str) -> float:
+    """+alpha at alpha_plus, -alpha at alpha_minus: the x and y of that fixed point."""
     alpha = p.alpha
     if alpha is None:
         raise DomainError(f"fixed point {tag!r} requires rho > 1")
-    z = alpha * alpha / p.beta
     if tag == "alpha_plus":
-        return np.array([alpha, alpha, z])
+        return alpha
     if tag == "alpha_minus":
-        return np.array([-alpha, -alpha, z])
+        return -alpha
     raise ValueError(f"unknown tag {tag!r}")
+
+
+def fixed_point(p: LorenzParams, tag: str) -> np.ndarray:
+    if tag == "theta":
+        return np.zeros(3)
+    a = _signed_alpha(p, tag)
+    return np.array([a, a, a * a / p.beta])
 
 
 def fixed_points_by_tag(p: LorenzParams) -> dict:
@@ -140,7 +145,6 @@ class LorenzDecomposition:
     mu: float
     Q: np.ndarray
     T: np.ndarray
-    Lambda: np.ndarray
 
 
 def q_decomposition(direction) -> LorenzDecomposition:
@@ -155,20 +159,15 @@ def q_decomposition(direction) -> LorenzDecomposition:
         [y / mu, -z / (mu * s2),  z / (mu * s2)],
         [z / mu,  y / (mu * s2), -y / (mu * s2)],
     ])
-    Lambda = np.diag([0.0, -mu, mu])
     return LorenzDecomposition(direction=(x, y, z), mu=mu,
-                               Q=q_matrix(direction), T=T, Lambda=Lambda)
+                               Q=q_matrix(direction), T=T)
 
 
 def _alpha_shift(p: LorenzParams, direction, delta: float, tag: str):
     """Additive shift of L when recentring the iteration at alpha_+/-."""
     if tag == "theta":
         return np.zeros(3)
-    alpha = p.alpha
-    if alpha is None:
-        raise DomainError(f"fixed point {tag!r} requires rho > 1")
-    if tag == "alpha_minus":
-        alpha = -alpha
+    alpha = _signed_alpha(p, tag)
     x, y, z = (float(v) for v in direction)
     return delta * np.array([
         z * alpha - y * alpha * alpha / p.beta,
@@ -254,11 +253,6 @@ def cycle_sample(dec: LorenzDecomposition) -> CycleSample:
                        admissible=admissible, density=density)
 
 
-def cycle_density(s_point) -> float:
-    """Density value at a normalised direction; 0 outside the admissible set."""
-    return cycle_sample(q_decomposition(s_point)).density
-
-
 def direction_grid() -> list:
     """6 x 8 deterministic unit directions avoiding the degenerate axis y = z = 0."""
     grid = []
@@ -279,16 +273,15 @@ def lorenz_report(p: LorenzParams, delta: float = 1e-3) -> dict:
         raise ValueError(f"delta must be finite, got {delta!r}")
     grid = direction_grid()
 
-    theta_cubic, alpha_cubic = characteristic_at_fixed_points(p)
+    theta_roots, alpha_roots = (None if c is None else poly_roots(c)
+                                for c in characteristic_at_fixed_points(p))
     sys = lorenz_system(p)
-    tags = FIXED_POINT_TAGS if p.rho > 1.0 else ("theta",)
+    points = fixed_points_by_tag(p)
 
     fps = []
-    for tag in tags:
-        pt = fixed_point(p, tag)
+    for tag, pt in points.items():
         eig = jacobian_eigen(sys, pt)
-        cubic = theta_cubic if tag == "theta" else alpha_cubic
-        roots = poly_roots(cubic)
+        roots = theta_roots if tag == "theta" else alpha_roots
         fps.append({
             "tag": tag,
             "point": [float(v) for v in pt],
@@ -296,11 +289,11 @@ def lorenz_report(p: LorenzParams, delta: float = 1e-3) -> dict:
             "characteristic_roots": [[z.real, z.imag] for z in roots],
         })
 
-    surfaces = {"l1": {tag: [] for tag in tags}, "l3": {tag: [] for tag in tags}}
+    surfaces = {"l1": {tag: [] for tag in points}, "l3": {tag: [] for tag in points}}
     samples = []
     for g in grid:
         dec = q_decomposition(g)
-        for tag in tags:
+        for tag in points:
             l1, _, l3 = l_coefficients(dec, p, delta, tag)
             surfaces["l1"][tag].append(l1)
             surfaces["l3"][tag].append(l3)

@@ -109,14 +109,16 @@ def _compiled(kind: str, dim: int, size: int, shape: tuple):
 def _generated(kind: str, table: tuple, dim: int, size: int, x: list, *args):
     """Run the generated function of `kind` on a (shape, coefs) table; where
     a power overflows (OverflowError on floats) rerun it on np.float64 copies
-    of x, whose power returns +-inf as numpy does.  Points past step 1 of the
-    Euler loop are bounded by GUARD, so only its first step can overflow."""
+    of x, whose power returns +-inf as numpy does (its warnings silenced).
+    Points past step 1 of the Euler loop are bounded by GUARD, so only its
+    first step can overflow."""
     shape, coefs = table
     fn = _compiled(kind, dim, size, shape)
     try:
         return fn(coefs, x, *args)
     except OverflowError:
-        return fn(coefs, [np.float64(u) for u in x], *args)
+        with np.errstate(all="ignore"):
+            return fn(coefs, [np.float64(u) for u in x], *args)
 
 
 @dataclass(frozen=True)

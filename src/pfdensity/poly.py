@@ -69,7 +69,6 @@ _BATCH_ENTRIES = 1 << 16
 
 __all__ = [
     "Polynomial",
-    "poly_eval",
     "poly_derivative",
     "poly_roots",
     "poly_roots_batch",
@@ -100,7 +99,7 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        return poly_eval(self, x)
+        return _horner(self.coeffs, x)
 
 
 def _horner(coeffs, x):
@@ -109,10 +108,6 @@ def _horner(coeffs, x):
     for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
-
-
-def poly_eval(p: Polynomial, x):
-    return _horner(p.coeffs, x)
 
 
 def poly_derivative(p: Polynomial) -> Polynomial:

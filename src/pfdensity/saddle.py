@@ -12,7 +12,8 @@ saddle_sweep does the whole analysis for an array of s: the critical
 polynomials of the grid are one (m, deg f + 1) array that
 poly.poly_roots_batch solves at once, and the selection, q and p are array
 operations.  zero_density_q and invariant_density_p are one-element
-sweeps, so there is one selection rule and one check on s.
+sweeps, so there is one selection rule and one check on s; an s that
+overflows a coefficient of the critical polynomial is a DomainError.
 """
 
 from __future__ import annotations
@@ -66,8 +67,13 @@ def saddle_sweep(f: MapSpec1D, s) -> SaddleSweep:
         raise ValueError("s must be finite and positive")
     fc = f.coeffs
     kc = _trim([k * c for k, c in enumerate(fc)])  # a*f'(a) has k*fc[k] on a^k
-    crit = s[:, None] * np.array(kc)
+    with np.errstate(over="ignore"):
+        crit = s[:, None] * np.array(kc)
     crit[:, 0] = -1.0
+    finite = np.isfinite(crit).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"s = {float(s[finite.argmin()])!r} overflows a "
+                          "coefficient of the critical polynomial s*a*f'(a) - 1")
     points = poly_roots_batch(crit)
 
     rows = np.arange(len(s))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,20 @@ def test_density_s_that_is_not_positive_is_an_error(logistic_map_file, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("action", ["saddle", "invariant"])
+def test_density_overflowing_s_names_the_s(tmp_path, capsys, action):
+    # 1e308 * 2 overflows the a^1 coefficient of s*a*f'(a) - 1; 1e300 does not
+    path = tmp_path / "logistic.json"
+    path.write_text(json.dumps({"coeffs": [0, 2, -0.5]}))
+    assert run(["density", action, "--map", str(path),
+                "--s", "1e300:1e308:2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)["error"]
+    assert err["type"] == "DomainError"
+    assert err["message"].startswith("s = 1e+308 overflows")
+
+
 def test_orbit_histogram_schema(logistic_map_file, tmp_path):
     out = tmp_path / "hist.csv"
     assert run(["orbit", "--map", logistic_map_file, "--x0", "0.1",
@@ -214,6 +229,28 @@ def test_ode_fixed_points_infinite_radius_is_valid_json(tmp_path, capsys):
         err = _strict_json(captured.err)["error"]
         assert err == {"type": "ValueError",
                        "message": f"radius must be finite, got {radius}"}
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["ode", "euler", "--a0=1e200", "--steps", "3"], 1, "TrajectoryEscape"),
+    (["ode", "fixed-points", "--radius", "1e200"], 0, None),
+])
+def test_ode_overflowing_power_prints_no_warning(tmp_path, capsys, argv, code,
+                                                 error):
+    # (1e200)**3 overflows: the np.float64 rerun gives inf without a warning
+    system = tmp_path / "cubic.json"
+    system.write_text(json.dumps(
+        {"dim": 1, "components": [[{"exps": [3], "coef": -1.0}]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--system", str(system)]) == code
+    captured = capsys.readouterr()
+    if error is None:
+        assert captured.err == ""
+        _strict_json(captured.out)
+    else:
+        assert captured.out == ""
+        assert _strict_json(captured.err)["error"]["type"] == error
 
 
 def test_write_json_refuses_nan(capsys):
@@ -382,7 +419,9 @@ def test_compare_non_finite_sample_exit_code_and_json(tmp_path, capsys, body,
 
 
 @pytest.mark.parametrize("body, error", [("", "EmptySample"),
-                                         ("0.0,0.5,3\n0.5,1.0\n", "ValueError")])
+                                         ("0.0,0.5,3\n0.5,1.0\n", "ValueError"),
+                                         ("0.0,0.5,-2\n0.5,1.0,3\n", "ValueError"),
+                                         ("0.0,0.5,0\n0.5,1.0,0\n", "EmptySample")])
 def test_compare_bad_histogram_is_a_json_error(tmp_path, capsys, body, error):
     hist = tmp_path / "hist.csv"
     hist.write_text("bin_lo,bin_hi,count\n" + body)

@@ -77,6 +77,9 @@ def _reference_orbit(f, x0, burn, keep, seed=0):
     ((0.0, 1.0, 0.0, -0.0), 0.25, 3, 500),  # -0.0 on top
     ((-0.0, -0.0), 0.5, 2, 500),            # the zero map keeps its zero signs
     ((0.0, -1.0), -0.0, 0, 500),
+    # every remainder mod 8 of the burn-in and of the last kept chunk
+    *[((0.0, 3.7, -3.7), 0.3, burn, 4096 + 5 * burn + 1) for burn in range(8)],
+    *[((0.0, 3.7, -3.7), 0.3, 4096 + burn, burn + 1) for burn in range(8)],
 ])
 def test_orbit_matches_the_reference_loop_bitwise(coeffs, x0, burn, keep):
     f = MapSpec1D(coeffs)

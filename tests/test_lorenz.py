@@ -7,7 +7,7 @@ from pfdensity import lorenz
 from pfdensity.errors import DegenerateDirection, DomainError
 from pfdensity.lorenz import (FIXED_POINT_TAGS, CycleSample, LorenzParams,
                               L_coefficients, characteristic_at_fixed_points,
-                              cycle_density, cycle_sample,
+                              cycle_sample,
                               direction_grid, factor_coefficients,
                               factorized_exponent, fixed_point,
                               fixed_points_by_tag, l_coefficients,
@@ -185,6 +185,31 @@ def test_alpha_minus_is_alpha_negated_exactly():
     assert np.array_equal(got, manual)
 
 
+_DIRECTION = (0.4, 1.1, -0.8)
+_TAGGED = {
+    "L_coefficients": lambda p, tag: L_coefficients(p, _DIRECTION, 0.01, tag),
+    "l_coefficients": lambda p, tag: l_coefficients(
+        q_decomposition(_DIRECTION), p, 0.01, tag),
+    "projection_value": lambda p, tag: projection_value(
+        p, _DIRECTION, 0.01, (0.3, -0.2, 0.5), tag),
+    "factorized_exponent": lambda p, tag: factorized_exponent(
+        q_decomposition(_DIRECTION), p, 0.01, (0.3, -0.2, 0.5), tag),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAGGED))
+def test_unknown_tag_is_an_error(name):
+    call = _TAGGED[name]
+    call(P, "alpha_plus")
+    with pytest.raises(ValueError, match="unknown tag 'alpha_plsu'"):
+        call(P, "alpha_plsu")
+    low = LorenzParams(10.0, 0.5, 8.0 / 3.0)
+    call(low, "theta")
+    for tag in ("alpha_plus", "alpha_minus", "alpha_plsu"):
+        with pytest.raises(DomainError, match="requires rho > 1"):
+            call(low, tag)
+
+
 def test_projection_identity():
     # y.f(a) = L(a) + delta (z b - y c) a against the iteration evaluated directly
     rng = np.random.default_rng(29)
@@ -248,7 +273,6 @@ def test_cycle_sample_on_reduced_slice():
     expected = 2.0 * math.sqrt(8.0 * math.sqrt(2.0) - 4.0) / \
         (8.0 * math.pi * math.sqrt(2.0))
     assert cs.density == pytest.approx(expected, abs=1e-12)
-    assert cycle_density(s_point) == cs.density
 
 
 def test_cycle_density_zero_when_l2_vanishes():
@@ -310,6 +334,16 @@ def test_report_decomposes_each_direction_once(monkeypatch):
                         lambda g: calls.append(g) or q_decomposition(g))
     lorenz_report(P)
     assert calls == direction_grid()
+
+
+@pytest.mark.parametrize("rho, solves", [(28.0, 2), (0.5, 1)])
+def test_report_solves_each_cubic_once(monkeypatch, rho, solves):
+    params = LorenzParams(10.0, rho, 8.0 / 3.0)
+    calls = []
+    monkeypatch.setattr(lorenz, "poly_roots",
+                        lambda c: calls.append(c) or poly_roots(c))
+    lorenz_report(params)
+    assert calls == list(characteristic_at_fixed_points(params))[:solves]
 
 
 def test_report_low_rho_has_only_theta():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pfdensity import poly
 from pfdensity.bell import MapSpec1D, bell_sequence_exact
 from pfdensity.errors import DegreeZero, DomainError, NonConvergence
-from pfdensity.poly import (Polynomial, poly_derivative, poly_eval, poly_roots,
+from pfdensity.poly import (Polynomial, poly_derivative, poly_roots,
                             poly_roots_batch, real_zeros)
 
 HERMITE4 = Polynomial([12.0, 0.0, -48.0, 0.0, 16.0])
@@ -20,16 +20,16 @@ HERMITE4_ROOTS = [-1.6506801238857851, -0.5246476232752904,
 
 
 def test_eval_factored_root():
-    assert poly_eval(Polynomial([-1, 0, 1]), 1.0) == 0
+    assert Polynomial([-1, 0, 1])(1.0) == 0
 
 
 def test_eval_constant_complex_arg():
-    assert poly_eval(Polynomial([1.0]), 7 + 2j) == 1.0
+    assert Polynomial([1.0])(7 + 2j) == 1.0
 
 
 def test_eval_cubic():
     # 8x^3 - 12x at x=2: 64 - 24 = 40
-    assert poly_eval(Polynomial([0.0, -12.0, 0.0, 8.0]), 2.0) == 40.0
+    assert Polynomial([0.0, -12.0, 0.0, 8.0])(2.0) == 40.0
 
 
 @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=9),
@@ -38,7 +38,7 @@ def test_horner_matches_termwise(coeffs, x):
     p = Polynomial(coeffs)
     direct = sum(c * x**k for k, c in enumerate(p.coeffs))
     scale = max(1.0, abs(direct))
-    assert abs(poly_eval(p, x) - direct) <= 1e-12 * scale
+    assert abs(p(x) - direct) <= 1e-12 * scale
 
 
 def test_derivative_power_rule():
@@ -343,7 +343,7 @@ def test_residual_bound_holds():
         p = _random_poly(rng, int(rng.integers(2, 10)))
         for r in poly_roots(p):
             terms = sum(abs(c) * abs(r) ** k for k, c in enumerate(p.coeffs))
-            assert abs(poly_eval(p, r)) <= 4 * p.degree * 2.0**-53 * terms
+            assert abs(p(r)) <= 4 * p.degree * 2.0**-53 * terms
 
 
 def test_high_precision_path_matches_double():
@@ -388,7 +388,7 @@ def test_batch_roots_meet_the_bound_and_match_poly_roots(degree):
         p = Polynomial(list(row))
         for r in roots:
             terms = sum(abs(c) * abs(r) ** k for k, c in enumerate(p.coeffs))
-            assert abs(poly_eval(p, r)) <= 4 * degree * 2.0**-53 * terms
+            assert abs(p(r)) <= 4 * degree * 2.0**-53 * terms
         want = poly_roots(p)
         for r in roots:
             assert min(abs(r - w) for w in want) <= 1e-14 * abs(r)
