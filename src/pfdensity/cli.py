@@ -9,6 +9,7 @@ identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -231,7 +232,9 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="pfdensity",
         description="Invariant densities of bounded polynomial iterations")

@@ -23,11 +23,20 @@ a_i + delta*F_i, then the |a_i| <= GUARD test that also catches NaN.  Every
 result is therefore bit-identical to a direct loop over the (exps, coef)
 terms in numpy doubles; tests/test_odeiter.py keeps that loop as the
 reference.
+
+fixed_points runs Newton from its seeds in blocks of _NEWTON_BLOCK.  Each
+sweep evaluates F, the tolerance test and J per seed with those generated
+functions, then solves the stacked Jacobians of every seed still stepping
+in one np.linalg.solve; a LinAlgError from the stack reruns that sweep's
+solves seed by seed, so only a seed whose own J is singular stops.  LAPACK
+solves each matrix of a stack as it solves it alone, so the points and the
+drop count are bit-identical to the loop of single solves, seed by seed.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -252,37 +261,82 @@ class FixedPoints(NamedTuple):
     non_converged: int
 
 
-def fixed_points(sys: OdeSystem, seeds=None, radius: float = 2.0) -> FixedPoints:
-    """At most 60 Newton steps from every seed; a root is accepted once
-    |F(alpha)| <= 1e-13 (1 + |alpha|) with every coordinate finite, and
-    deduplicated at distance 1e-8."""
-    if seeds is None:
-        seeds = seed_lattice(sys.dim, radius)
-    found = []
-    dropped = 0
-    for seed in seeds:
-        x = sys._point(seed)
-        ok = False
-        for _ in range(60):
+def _newton_steps(J: list, F: list, dim: int) -> list:
+    """The Newton steps J_k^-1 F_k as lists, from one stacked solve; where
+    that raises LinAlgError, from one solve per k, with None for a
+    singular J_k."""
+    Js = np.reshape(J, (len(J), dim, dim))
+    Fs = np.array(F, dtype=float)
+    try:
+        return np.linalg.solve(Js, Fs[:, :, None])[:, :, 0].tolist()
+    except np.linalg.LinAlgError:
+        pass
+    steps = []
+    for Jk, Fk in zip(Js, Fs):
+        try:
+            steps.append(np.linalg.solve(Jk, Fk).tolist())
+        except np.linalg.LinAlgError:
+            steps.append(None)
+    return steps
+
+
+def _newton(sys: OdeSystem, xs: list) -> list:
+    """At most 60 Newton steps from every point of xs, in sweeps over the
+    points still stepping, each updated in xs; whether each converged."""
+    d = sys.dim
+    ok = [False] * len(xs)
+    active = range(len(xs))
+    for _ in range(60):
+        todo, F = [], []
+        for i in active:
+            x = xs[i]
             fa = sys._field(x)
             tol = 1e-13 * (1.0 + _max_abs(x))
             if all(abs(v) <= tol for v in fa):
                 # an infinite coordinate makes tol infinite, so any F passes
-                ok = all(map(math.isfinite, x))
-                break
-            try:
-                step = np.linalg.solve(sys.jacobian(x), fa)
-            except np.linalg.LinAlgError:
-                break
-            x = [u - s for u, s in zip(x, step.tolist())]
-            if not all(abs(u) <= GUARD for u in x):
-                break
-        if not ok:
-            dropped += 1
-            continue
-        if any(all(abs(u - v) < 1e-8 for u, v in zip(x, b)) for b in found):
-            continue
-        found.append(x)
+                ok[i] = all(map(math.isfinite, x))
+            else:
+                todo.append(i)
+                F.append(fa)
+        if not todo:
+            break
+        J = [_generated("sums", sys._dterms, d, d * d, xs[i]) for i in todo]
+        active = []
+        for i, step in zip(todo, _newton_steps(J, F, d)):
+            if step is None:
+                continue
+            x = xs[i] = [u - s for u, s in zip(xs[i], step)]
+            if all(abs(u) <= GUARD for u in x):
+                active.append(i)
+    return ok
+
+
+_NEWTON_BLOCK = 4096  # seeds per block: at most this many Jacobians stacked
+
+
+def fixed_points(sys: OdeSystem, seeds=None, radius: float = 2.0) -> FixedPoints:
+    """At most 60 Newton steps from every seed; a root is accepted once
+    |F(alpha)| <= 1e-13 (1 + |alpha|) with every coordinate finite, and
+    deduplicated at distance 1e-8.
+
+    Seeds go through in blocks of _NEWTON_BLOCK, with one stacked
+    np.linalg.solve per Newton sweep of a block; if that raises
+    LinAlgError, the sweep solves seed by seed and drops a seed whose own
+    solve raises.  Every step, point and drop is bit-identical to a loop
+    of single solves, seed by seed, and acceptance and deduplication run
+    in seed order."""
+    if seeds is None:
+        seeds = seed_lattice(sys.dim, radius)
+    found = []
+    dropped = 0
+    it = iter(seeds)
+    while block := [sys._point(s) for s in itertools.islice(it, _NEWTON_BLOCK)]:
+        for x, ok in zip(block, _newton(sys, block)):
+            if not ok:
+                dropped += 1
+            elif not any(all(abs(u - v) < 1e-8 for u, v in zip(x, b))
+                         for b in found):
+                found.append(x)
     found.sort(key=tuple)
     return FixedPoints([np.array(p) for p in found], dropped)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .bell import MapSpec1D
@@ -126,6 +125,8 @@ def logistic_closed_p(lam: float, s: float, normalized: bool = False) -> float:
 
 def logistic_p_mass(lam: float) -> float:
     """Integral of the raw closed-form p over its support (tanh-sinh quadrature)."""
+    import mpmath
+
     hi = 4.0 / (lam * lam)
     with MP_LOCK, mpmath.workdps(30):
         val = mpmath.quad(

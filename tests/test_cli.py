@@ -1,12 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pfdensity import bell
+from pfdensity import bell, cli
 from pfdensity.cli import _write_json, run
 from pfdensity.poly import poly_roots
 from pfdensity.saddle import logistic_closed_q
@@ -454,6 +458,54 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["density", "saddle", "--bogus-flag", "1"])
     assert exc.value.code == 2
+
+
+def _fresh_python(args, cwd):
+    """`python args` in a new interpreter, with this checkout's src first."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _fresh_process(argv, cwd):
+    return _fresh_python(["-m", "pfdensity.cli", *argv], cwd)
+
+
+def test_cli_import_does_not_load_mpmath(tmp_path):
+    # mpmath is imported on the climb past 53 bits, not by every process
+    proc = _fresh_python(
+        ["-c", "import sys, pfdensity.cli; print('mpmath' in sys.modules)"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_cached_parser_keeps_no_state_between_runs(lorenz_system_file, tmp_path,
+                                                   capsys):
+    assert cli._build_parser() is cli._build_parser()
+    euler = ["ode", "euler", "--system", lorenz_system_file, "--steps", "10"]
+    with pytest.raises(SystemExit) as exc:
+        run(euler)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    fresh = _fresh_process(euler, tmp_path)
+    assert fresh.returncode == 2
+    assert captured.out == "" and captured.err == fresh.stderr
+    assert "ode euler requires --a0" in captured.err
+    assert run(euler + ["--a0", "1,1,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == 10
+
+    chaotic = tmp_path / "full_logistic.json"
+    chaotic.write_text(json.dumps({"coeffs": [0.0, 4.0, -4.0]}))
+    orbit = ["orbit", "--map", str(chaotic), "--x0", "0.1", "--burn", "100",
+             "--keep", "1000", "--bins", "20"]
+    assert run(["--seed", "5"] + orbit) == 0
+    seeded = capsys.readouterr().out
+    assert run(orbit) == 0
+    unseeded = capsys.readouterr().out
+    assert unseeded != seeded
+    assert unseeded == _fresh_process(orbit, tmp_path).stdout
 
 
 def test_domain_error_exit_code_and_json(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfdensity import odeiter
 from pfdensity.errors import DomainError, SingularTau, TrajectoryEscape
 from pfdensity.lorenz import LorenzParams, lorenz_system
 from pfdensity.odeiter import (DifferentialIteration, OdeSystem,
@@ -420,6 +421,63 @@ def test_compiled_newton_matches_reference_bitwise():
     want, want_dropped = _ref_fixed_points(LORENZ, seed_lattice(3, 10.0))
     assert dropped == want_dropped
     assert all(np.array_equal(p, w) for p, w in zip(pts, want))
+
+
+# F = (a0^2 - 1, a1^2): J = diag(2 a0, 2 a1) is exactly singular at the
+# lattice seeds with a0 = 0 or a1 = 0 and regular at the others.
+SQUARES = OdeSystem(2, [[((2, 0), 1.0), ((0, 0), -1.0)], [((0, 2), 1.0)]])
+
+
+def _assert_matches_reference(got, want):
+    pts, dropped = got
+    want_pts, want_dropped = want
+    assert dropped == want_dropped
+    assert len(pts) == len(want_pts)
+    assert all(np.array_equal(p, w) for p, w in zip(pts, want_pts))
+
+
+def _counting_solve(monkeypatch):
+    """Count the np.linalg.solve calls, and the LinAlgErrors they raise by
+    the number of matrices solved (1 for a single J, m for an (m, d, d) stack)."""
+    counts = {"calls": 0, "raised": []}
+    solve = np.linalg.solve
+
+    def counted(J, b):
+        counts["calls"] += 1
+        try:
+            return solve(J, b)
+        except np.linalg.LinAlgError:
+            counts["raised"].append(len(J) if np.ndim(J) == 3 else 1)
+            raise
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return counts
+
+
+def test_newton_singular_seeds_in_a_stack_match_reference(monkeypatch):
+    seeds = seed_lattice(2, 2.0)
+    want = _ref_fixed_points(SQUARES, seeds)
+    counts = _counting_solve(monkeypatch)
+    got = fixed_points(SQUARES, seeds)
+    _assert_matches_reference(got, want)
+    assert (len(got.points), got.non_converged) == (6, 7)
+    # a stack raised, and the seed-by-seed retry then raised for single seeds
+    assert max(counts["raised"]) > 1 and min(counts["raised"]) == 1
+
+
+def test_newton_across_blocks_matches_reference(monkeypatch):
+    seeds = seed_lattice(3, 10.0)
+    want = _ref_fixed_points(LORENZ, seeds)
+    monkeypatch.setattr(odeiter, "_NEWTON_BLOCK", 7)
+    _assert_matches_reference(fixed_points(LORENZ, seeds), want)
+    monkeypatch.setattr(odeiter, "_NEWTON_BLOCK", 1)
+    _assert_matches_reference(fixed_points(LORENZ, seeds), want)
+
+
+def test_newton_solves_once_per_sweep(monkeypatch):
+    counts = _counting_solve(monkeypatch)
+    fixed_points(LORENZ, radius=10.0)  # 125 seeds, 698 Newton steps
+    assert counts["raised"] == []
+    assert 0 < counts["calls"] <= 60
 
 
 def test_newton_non_finite_seeds_match_reference():
