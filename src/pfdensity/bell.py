@@ -14,8 +14,10 @@ they are i! f_i.  Over the lcm D of their denominators (a power of two for
 a float map) the recurrence runs in plain ints, so no rounding enters the
 chain; callers read it as exact Fractions or as correctly rounded floats.
 chain_roots solves H_n(y, 0) by the recurrence itself in doubles (Bini,
-Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005) and certifies
-each real root by exact integer signs.  The resolving gap and the
+Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005), for quadratic
+maps from where the half-semicircle law puts the zeros, and certifies each
+real root by integer signs: Horner on truncated-int balls decides them,
+exact ints only where a ball holds 0.  The resolving gap and the
 triangular coefficient system built on the gaps live here too.
 """
 
@@ -40,9 +42,9 @@ __all__ = [
     "resolving_gap_exact",
     "chain_roots",
     "solve_coefficient_system",
-    "classify_multiplier",
-    "scaled_float_coeffs",
 ]
+
+_BALL_BITS = 64  # _certified's first ball width is deg H_n + this many bits
 
 @dataclass(frozen=True)
 class MapSpec1D:
@@ -162,7 +164,7 @@ def bell_sequence(f: MapSpec1D, n: int) -> list:
     """Float view of the chain at a = 0: each coefficient is the nearest double.
 
     Raises CoefficientOverflow if a coefficient is beyond the double range;
-    use bell_sequence_exact / scaled_float_coeffs then.
+    use bell_sequence_exact then.
     """
     rows, D = _int_chain(_derivs_at_0(f), n)
     return [Polynomial(_floats(rows.pop(0), D, m)) for m in range(n + 1)]
@@ -172,11 +174,15 @@ def _chain_step(derivs, n: int, m0: int):
     """poly._batch_aberth's evaluator for Q = H_n(y, 0) / y^m0: (H_m, H'_m) by
     the recurrence in complex doubles, the last deg f rows rescaled at each
     step by a power of two (exact), the correction Q/Q' = H / (H' - m0 H/y),
-    and a freeze once that is within a few ulps of |y|."""
+    and a freeze once that is within a few ulps of |y|, or once it has been
+    within 2^-44 |y| for four sweeps: rounding can keep a root cycling just
+    above the few ulps (the smallest root of logistic H_512, at 0.9-2.3e-15)."""
     w = [[(i, math.comb(m - 1, i - 1) * float(c)) for i, c in enumerate(derivs[:m], 1)
           if c] or [(1, 0.0)] for m in range(1, n + 1)]
+    near = 0  # sweeps each root has spent within 2^-44 |y|; y holds all N roots
 
     def evaluate(rows, y):
+        nonlocal near
         win = [np.array([np.ones_like(y), np.zeros_like(y)])]  # rows (H_m, H'_m)
         for (i, c), *rest in w:
             s = sum((c * win[-i] for i, c in rest), c * win[-i])
@@ -187,8 +193,37 @@ def _chain_step(derivs, n: int, m0: int):
             win = [v * np.ldexp(1.0, -np.frexp(big)[1]) for v in win]
         h, hp = win[-1]
         corr = h / (hp - m0 * h / y)  # 0, not NaN, where H = 0
-        return corr, abs(corr) <= 2.0 ** -50 * abs(y), True
+        near = (near + 1) * (abs(corr) <= 2.0 ** -44 * abs(y))
+        return corr, (abs(corr) <= 2.0 ** -50 * abs(y)) | (near >= 4), True
     return evaluate
+
+
+def _ball_signs(terms, points, K: int) -> list:
+    """The sign of sum_j terms[j] P^j at each int P of points, or 0 where
+    undecided, by Horner on balls of K-bit ints (Johansson, "Arb", IEEE
+    Trans. Comput. 66, 2017).
+
+    Each term is m 2^s plus under u 2^s, m of at most K bits, u = 0 where
+    s = 0 (exact).  The running sum is (A +- R) 2^e: A P and R |P| are
+    exact, an aligned term adds u 2^(s - e) to R (or u + 1 units when
+    s < e), and cutting A back to K bits (floor) adds 2 units.  The sign is
+    decided once |A| > R."""
+    cut = [(t >> s, s, int(s > 0)) for t in terms for s in [max(t.bit_length() - K, 0)]]
+    (m_top, s_top, u_top), *rest = reversed(cut)
+    signs = []
+    for P in points:
+        aP, A, R, e = abs(P), m_top, u_top, s_top
+        for m, s, u in rest:
+            d = s - e
+            if d >= 0:
+                A, R = A * P + (m << d), R * aP + (u << d)
+            else:
+                A, R = A * P + (m >> -d), R * aP + u + 1
+            x = A.bit_length() - K
+            if x > 0:
+                A, R, e = A >> x, (R >> x) + 2, e + x
+        signs.append((A > R) - (A < -R))
+    return signs
 
 
 def _certified(row, D, m0: int, xs) -> bool:
@@ -196,7 +231,9 @@ def _certified(row, D, m0: int, xs) -> bool:
 
     Each bracket end x(1 -+ 2^-40) is an int P over one 2^E, where Q has the
     sign of sum_k row[k] P^(k-m0) (2^E D)^(deg-k).  Disjoint brackets, each
-    with a strict sign change (none at x = 0), hold one root each."""
+    with a strict sign change (none at x = 0), hold one root each.  The
+    signs come from _ball_signs at K = deg + _BALL_BITS bits, then 2K and 4K
+    for the ends left undecided, and exact int Horner for any still left."""
     E = max(x.as_integer_ratio()[1].bit_length() for x in xs) + 39
     Ms = [int(Fraction(x) * 2**E) for x in xs]  # exact, multiples of 2^40
     ends = [sorted((M - (M >> 40), M + (M >> 40))) for M in Ms]
@@ -204,14 +241,56 @@ def _certified(row, D, m0: int, xs) -> bool:
         return False
     q, deg = 2**E * D, len(row) - 1
     terms = [row[k] * q ** (deg - k) for k in range(m0, deg + 1)]
-    return all(_horner(terms, lo) * _horner(terms, hi) < 0 for lo, hi in ends)
+    signs = dict.fromkeys((P for end in ends for P in end), 0)  # distinct ends
+    top = max(t.bit_length() for t in terms)
+    for K in [(deg + _BALL_BITS) << i for i in range(3)]:
+        todo = [P for P, s in signs.items() if not s]
+        if todo and K < top:
+            signs.update(zip(todo, _ball_signs(terms, todo, K)))
+    for P in [P for P, s in signs.items() if not s]:
+        v = _horner(terms, P)
+        signs[P] = (v > 0) - (v < 0)
+    return all(signs[lo] * signs[hi] < 0 for lo, hi in ends)
+
+
+def _semicircle_quantiles(p):
+    """The t in (0, 1) with half_semicircle_cdf(t) = p, for each p of an array.
+
+    With t = sin(th) this is g(th) = sin(2 th) + 2 th - pi p = 0.  g is
+    increasing and concave on [0, pi/2], so Newton from th = 0 climbs to
+    each root without passing it; 20 steps settle p up to 1 - 2^-17."""
+    th = np.zeros_like(p)
+    for _ in range(20):
+        th -= (np.sin(2 * th) + 2 * th - np.pi * p) / (4 * np.cos(th) ** 2)
+    return np.sin(th)
+
+
+def _starts(f: MapSpec1D, row, D, n: int, N: int):
+    """Aberth start points for the N roots of Q = H_n / y^m0.
+
+    A quadratic f = lam a + c2 a^2 is the logistic map up to a -> -2 c2 a,
+    so its zeros are -2 c2 over the logistic's, y = -2 c2 n (2 t / lam)^2
+    with t on the half-semicircle law; each starts at its quantile, a little
+    off the axis.  Any other map starts from the Newton polygon of
+    log2|row[k] / D^k|, as _newton_starts, on 2^-slope circles.
+    """
+    lam, *rest = _trim(f.coeffs)[1:]
+    if len(rest) == 1 and lam and rest[0]:
+        t = _semicircle_quantiles((2 * np.arange(1, N + 1) - 1 + n % 2) / n)
+        return -2 * rest[0] * n * (2 * t / lam) ** 2 * (1 + 1e-3j)
+    hull = _upper_hull([(k, math.log2(abs(c)) - k * math.log2(D))
+                        for k, c in enumerate(row) if c])
+    return np.concatenate([np.exp2((y1 - y2) / (k2 - k1)) * np.exp(
+        2j * np.pi * np.arange(k2 - k1) / (k2 - k1) + 1j * np.pi / (2 * N))
+        for (k1, y1), (k2, y2) in zip(hull, hull[1:])])
 
 
 def chain_roots(f: MapSpec1D, n: int) -> list:
     """All roots of H_n(y, 0), with multiplicity, sorted like poly_roots.
 
     H_n = y^m0 Q(y), m0 exact.  Aberth sweeps by the recurrence start from
-    the Newton polygon of log2|row[k] / D^k|, which converts no coefficient.
+    _starts: the half-semicircle quantiles for a quadratic map, else the
+    Newton polygon of log2|row[k] / D^k|, which converts no coefficient.
     Unless the real parts of Q's N roots are finite and _certified, every
     root comes from poly_roots on the exact H_n instead.
     """
@@ -227,12 +306,8 @@ def chain_roots(f: MapSpec1D, n: int) -> list:
             evaluate = _chain_step(derivs, n, m0)
         except OverflowError:  # a weight beyond the double range
             return poly_roots(_exact(row, D))
-        hull = _upper_hull([(k, math.log2(abs(c)) - k * math.log2(D))
-                            for k, c in enumerate(row) if c])
-        with np.errstate(all="ignore"):  # as _newton_starts, on 2^-slope circles
-            z = np.concatenate([np.exp2((y1 - y2) / (k2 - k1)) * np.exp(
-                2j * np.pi * np.arange(k2 - k1) / (k2 - k1) + 1j * np.pi / (2 * N))
-                for (k1, y1), (k2, y2) in zip(hull, hull[1:])])
+        with np.errstate(all="ignore"):
+            z = _starts(f, row, D, n, N)
             z, ok = _batch_aberth(evaluate, z[None])
         xs = sorted(float(r.real) for r in z[0])
         if ok[0] and all(map(math.isfinite, xs)) and _certified(row, D, m0, xs):
@@ -257,24 +332,6 @@ def resolving_gap(f: MapSpec1D, n: int) -> Polynomial:
     return Polynomial(_floats(*_gap_row(f, n), n))
 
 
-def scaled_float_coeffs(p: Polynomial):
-    """(normalised float coefficients, log2 scale) for out-of-range polynomials.
-
-    Coefficients are divided by 2**log2_scale so the largest magnitude lands
-    near 1; the log-scale is returned separately and is exact.
-    """
-    mags = [abs(c) for c in p.coeffs if c != 0]
-    if not mags:
-        return [0.0] * len(p.coeffs), 0
-    maxmag = max(mags)
-    if isinstance(maxmag, (int, Fraction)):
-        log2_scale = maxmag.numerator.bit_length() - maxmag.denominator.bit_length()
-    else:
-        log2_scale = int(math.floor(math.log2(float(maxmag))))
-    scale = Fraction(2) ** log2_scale
-    return [float(Fraction(c) / scale) for c in p.coeffs], log2_scale
-
-
 @dataclass(frozen=True)
 class CoefficientSystem:
     """Solved triangular system: sum_{m<=n} b*_m e^m(y) cancels in degrees 1..n-1.
@@ -288,18 +345,6 @@ class CoefficientSystem:
     b_n: float
     b_star: tuple
     h: tuple
-
-
-def classify_multiplier(lam: float, n: int = 1) -> str:
-    """attracting / repelling / neutral according to |lam^n| vs 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    mag = abs(lam) ** n
-    if mag < 1.0:
-        return "attracting"
-    if mag > 1.0:
-        return "repelling"
-    return "neutral"
 
 
 def _resonance_check(lam: float, n: int):

@@ -37,7 +37,8 @@ __all__ = [
 
 ORBIT_GUARD = 1e6
 _ORBIT_CHUNK = 1 << 12  # orbit steps per list before they go into the array
-_UNROLL = 8  # Horner steps per pass of the generated loop
+_UNROLL = 8  # Horner steps per pass of the generated loop, at most
+_UNROLL_TERMS = 512  # and at most this many coefficients written out per pass
 _HORNER_DEPTH = 64  # coefficients per expression: bounds the compiler's nesting
 
 
@@ -107,18 +108,21 @@ def _horner_lines(count: int, x: str, y: str) -> list:
 @functools.lru_cache(maxsize=32)
 def _horner_chunk(count: int):
     """Generated `chunk(x, steps, c_0, .., c_{count-1})`: the list of the
-    next `steps` iterates of the Horner step, written out _UNROLL steps to
-    a loop pass.  The last pass may run up to _UNROLL - 1 steps past `steps`
-    and those iterates are deleted; running on is harmless, since float
-    products and sums overflow to inf or NaN and never raise."""
-    names = [f"x_{k}" for k in range(1, _UNROLL)] + ["x"]
+    next `steps` iterates of the Horner step, written out u steps to a loop
+    pass, u = _UNROLL down to 1 as count grows past _UNROLL_TERMS / _UNROLL,
+    so compiling a long step stays linear in count.  The last pass may run
+    up to u - 1 steps past `steps` and those iterates are deleted; running
+    on is harmless, since float products and sums overflow to inf or NaN
+    and never raise."""
+    unroll = max(1, min(_UNROLL, _UNROLL_TERMS // count))
+    names = [f"x_{k}" for k in range(1, unroll)] + ["x"]
     unrolled = [line for x, y in zip(["x"] + names, names)
                 for line in _horner_lines(count, x, y)]
     src = (f"def chunk(x, steps, {', '.join(f'c_{i}' for i in range(count))}):\n"
            "    out = []\n"
-           f"    for _ in range(-(-steps // {_UNROLL})):\n"
+           f"    for _ in range(-(-steps // {unroll})):\n"
            + "".join(f"        {line}\n" for line in unrolled)
-           + f"        out.extend(({', '.join(names)}))\n"
+           + f"        out.extend(({', '.join(names)},))\n"
            "    del out[steps:]\n"
            "    return out\n")
     scope = {}

@@ -70,7 +70,6 @@ _BATCH_ENTRIES = 1 << 16
 
 __all__ = [
     "Polynomial",
-    "poly_derivative",
     "poly_roots",
     "poly_roots_batch",
     "real_zeros",
@@ -109,12 +108,6 @@ def _horner(coeffs, x):
     for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
-
-
-def poly_derivative(p: Polynomial) -> Polynomial:
-    if p.degree == 0:
-        return Polynomial([0])
-    return Polynomial([k * c for k, c in enumerate(p.coeffs)][1:])
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from pfdensity import bell
 from pfdensity.bell import (MapSpec1D, bell_chain, bell_sequence,
-                            bell_sequence_exact, chain_roots,
-                            classify_multiplier, resolving_gap,
-                            resolving_gap_exact, scaled_float_coeffs,
-                            solve_coefficient_system)
+                            bell_sequence_exact, chain_roots, resolving_gap,
+                            resolving_gap_exact, solve_coefficient_system)
 from pfdensity.cli import run
 from pfdensity.errors import CoefficientOverflow, ResonanceDetected
-from pfdensity.poly import Polynomial, poly_roots, real_zeros
+from pfdensity.poly import Polynomial, _horner, poly_roots, real_zeros
 
 
 def hermite_phys(m, t):
@@ -311,23 +309,6 @@ def test_overflow_reported():
     assert len(bell_sequence(f, 10)) == 11
 
 
-def test_scaled_export_for_overflowing_chain():
-    f = MapSpec1D((0.0, 1e30, -0.5))
-    p = bell_sequence_exact(f, 11)[11]
-    coeffs, log2_scale = scaled_float_coeffs(p)
-    assert max(abs(c) for c in coeffs) == pytest.approx(1.0, rel=1.0)
-    assert log2_scale > 1000  # lam^11 = 1e330 alone needs ~1097 bits
-    assert all(math.isfinite(c) for c in coeffs)
-
-
-def test_scaled_export_for_int_coefficients():
-    # an int beyond the double range is scaled by its bit length, not float()
-    coeffs, log2_scale = scaled_float_coeffs(Polynomial([10**400, 1]))
-    assert log2_scale == (10**400).bit_length() - 1
-    assert 1.0 <= coeffs[0] < 2.0
-    assert coeffs == [float(Fraction(10**400, 2**log2_scale)), 0.0]  # 2**-1328 underflows
-
-
 def golub_welsch_positive_nodes(n):
     """Positive zeros of the physicists' H_n, to about 2^-128 relative.
 
@@ -367,7 +348,8 @@ def _assert_logistic_zeros(lam, n, nodes):
     with mpmath.workprec(128):
         want = sorted(2 * h * h / mpmath.mpf(lam) ** 2 for h in nodes)
         assert len(got) == len(want)
-        # measured: at most 3.7e-16 (n = 256), 1.9e-16 (n <= 64)
+        # measured against Golub-Welsch nodes: at most 4.3e-16 (n <= 64),
+        # 2.1e-16 (n = 256), 3.0e-16 (n = 512); hermgauss's own nodes: 4.0e-16
         assert max(abs(mpmath.mpf(y) / w - 1) for y, w in zip(got, want)) <= 1e-15
 
 
@@ -376,6 +358,70 @@ def test_chain_roots_match_golub_welsch_nodes(monkeypatch):
     nodes = golub_welsch_positive_nodes(256)
     for lam in (2.0, 0.25, -2.0):
         _assert_logistic_zeros(lam, 256, nodes)
+
+
+def test_chain_roots_match_golub_welsch_nodes_at_512(monkeypatch):
+    # The smallest root cycles in rounding noise (0.9-2.3e-15 corrections)
+    # and freezes on its fourth sweep within 2^-44, 2.7e-16 off.
+    _no_fallback(monkeypatch)
+    _assert_logistic_zeros(2.0, 512, golub_welsch_positive_nodes(512))
+
+
+def _counted_evaluator(monkeypatch):
+    calls = []
+    real = bell._chain_step
+
+    def counted(*args):
+        evaluate = real(*args)
+        return lambda rows, y: calls.append(1) or evaluate(rows, y)
+    monkeypatch.setattr(bell, "_chain_step", counted)
+    return calls
+
+
+def _counted_exact_signs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bell, "_horner", lambda t, x: calls.append(x) or _horner(t, x))
+    return calls
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_semicircle_starts_take_few_sweeps(monkeypatch, n):
+    # measured: 4 sweeps at n = 64 and 5 at n = 256 (13 and 41 from the
+    # Newton-polygon circles); the first ball width decides every sign
+    _no_fallback(monkeypatch)
+    sweeps = _counted_evaluator(monkeypatch)
+    exact = _counted_exact_signs(monkeypatch)
+    assert len(chain_roots(MapSpec1D.logistic(2.0), n)) == n
+    assert len(sweeps) <= 6
+    assert exact == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2**200, 2**200), min_size=1, max_size=12).filter(lambda g: g[-1]),
+       st.integers(-2**60, 2**60), st.integers(-3, 3), st.integers(2, 300))
+def test_ball_signs_never_contradict_exact_signs(g, r, delta, K):
+    # (x - r) g(x) at P = r + delta: 0, or small against its terms
+    terms = [0] * (len(g) + 1)
+    for i, c in enumerate(g):
+        terms[i + 1] += c
+        terms[i] -= r * c
+    v = _horner(terms, r + delta)
+    assert bell._ball_signs(terms, [r + delta], K) in ([0], [(v > 0) - (v < 0)])
+
+
+def test_certificate_takes_undecided_balls_to_exact_signs(monkeypatch):
+    # Balls of 16, 32 and 64 bits cannot decide every end of H_128's
+    # brackets; those go to exact int Horner, with the verdicts of full width.
+    f = MapSpec1D.logistic(2.0)
+    rows, D = bell._int_chain(bell._derivs_at_0(f), 128)
+    xs = [r.real for r in chain_roots(f, 128) if r]
+    moved = xs[:5] + [xs[5] * (1 + 1e-9)] + xs[6:]
+    want = [bell._certified(rows[128], D, 64, x) for x in (xs, moved)]
+    assert want == [True, False]
+    exact = _counted_exact_signs(monkeypatch)
+    monkeypatch.setattr(bell, "_BALL_BITS", 16 - 128)
+    assert [bell._certified(rows[128], D, 64, x) for x in (xs, moved)] == want
+    assert 0 < len(exact) < 4 * len(xs)
 
 
 @pytest.mark.parametrize("n", [*range(2, 21), 64])
@@ -392,6 +438,8 @@ def test_chain_roots_match_hermgauss_nodes(monkeypatch, n):
     ((0.0, 0.0, -0.5, 1.0), 12),           # lam = 0: H_12 has degree 6
     ((0.0, 2.0, -0.5), 1),                 # H_1 = 2y: no root off the origin
     ((0.0, 1.0), 5),                       # H_5 = y^5
+    ((0.0, float(Fraction(3, 7)), 0.3), 40),  # c2 > 0: the zeros are negative
+    ((0.0, float(Fraction(3, 7)), 0.3), 41),
 ])
 def test_chain_roots_agree_with_poly_roots(coeffs, n):
     f = MapSpec1D(coeffs)
@@ -430,14 +478,3 @@ def test_certificate_rejects_a_moved_root(monkeypatch):
     monkeypatch.setattr(bell, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
     assert chain_roots(f, 64) == want
     assert len(calls) == 1
-
-
-@pytest.mark.parametrize("lam,expected", [
-    (0.5, "attracting"),
-    (1.0, "neutral"),
-    (2.0, "repelling"),
-    (-3.0, "repelling"),
-])
-def test_classify_multiplier(lam, expected):
-    assert classify_multiplier(lam) == expected
-    assert classify_multiplier(lam, n=3) == expected

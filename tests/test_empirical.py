@@ -97,6 +97,16 @@ def test_high_degree_orbit_matches_the_reference_loop_bitwise():
     assert got.tobytes() == _reference_orbit(f, 0.3, 10, 100, seed=5).tobytes()
 
 
+@pytest.mark.parametrize("degree", [71, 200, 5001])
+def test_long_step_orbit_matches_the_reference_loop_bitwise(degree):
+    # 7, 2 and 1 unrolled steps per pass of the generated loop
+    tail = ((1e-6, -2e-6) * degree)[:degree - 1]
+    f = MapSpec1D((0.0, 0.5) + tail)
+    assert f.degree == degree
+    got = orbit_sample(f, 0.3, 7, 30, seed=2)
+    assert got.tobytes() == _reference_orbit(f, 0.3, 7, 30, seed=2).tobytes()
+
+
 @pytest.mark.parametrize("burn", [0, 10, 19, 20, 5000])
 def test_orbit_escape_step_matches_the_reference_loop(burn):
     f = MapSpec1D((0.0, 2.0))

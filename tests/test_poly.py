@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from pfdensity import poly
 from pfdensity.bell import MapSpec1D, bell_sequence_exact
 from pfdensity.errors import DegreeZero, DomainError, NonConvergence
-from pfdensity.poly import (Polynomial, poly_derivative, poly_roots,
-                            poly_roots_batch, real_zeros)
+from pfdensity.poly import Polynomial, poly_roots, poly_roots_batch, real_zeros
 
 HERMITE4 = Polynomial([12.0, 0.0, -48.0, 0.0, 16.0])
 # companion-matrix eigenvalue oracle (np.roots) for 16x^4 - 48x^2 + 12:
@@ -39,19 +38,6 @@ def test_horner_matches_termwise(coeffs, x):
     direct = sum(c * x**k for k, c in enumerate(p.coeffs))
     scale = max(1.0, abs(direct))
     assert abs(p(x) - direct) <= 1e-12 * scale
-
-
-def test_derivative_power_rule():
-    assert poly_derivative(Polynomial([0, 0, 0, 1])).coeffs == (0, 0, 3)
-
-
-def test_derivative_constant():
-    assert poly_derivative(Polynomial([5.0])).coeffs == (0,)
-
-
-def test_derivative_quadratic_in_y():
-    lam = 1.3
-    assert poly_derivative(Polynomial([0.0, -1.0, lam])).coeffs == (-1.0, 2 * lam)
 
 
 def test_roots_of_unity():

@@ -47,10 +47,10 @@ def test_semicircle_zeros_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()
             if line.split() and line.split()[0].isdigit()]
-    assert [int(r[0]) for r in rows] == [8, 16, 32, 64, 128, 256, 512]
+    assert [int(r[0]) for r in rows] == [8, 16, 32, 64, 128, 256, 512, 1024]
     ks = [float(r[3]) for r in rows]
     assert all(a > b for a, b in zip(ks, ks[1:]))
-    # measured: KS ~ 1.21 n^-0.968 over n = 8..512
+    # measured: KS ~ 1.22 n^-0.971 over n = 8..1024
     fit = [line for line in proc.stdout.splitlines()
            if line.startswith("least-squares")]
     assert len(fit) == 1
