@@ -5,10 +5,34 @@ polynomials and the triangular coefficient system), saddle (steepest
 descent zero/invariant densities), quadform (orthogonal splitting in
 R^d), empirical (orbit and zero-set statistics), odeiter (differential
 iteration), lorenz (case study), cli.
+
+Importing the package compiles none of its modules.  Each name of
+__all__ is bound to a module registered in sys.modules through
+importlib.util.LazyLoader, which compiles and runs the module's source on
+the first import of it or attribute read from it; a CLI command thus
+compiles only the modules it runs.  A module-level __getattr__ (PEP 562)
+would defer as much, but would leave the modules out of sys.modules until
+first use, where the benchmark's tracer (perfbench/tracing.py) looks up
+the functions it wraps.
 """
 
-from . import bell, empirical, errors, lorenz, odeiter, poly, quadform, saddle
+import importlib.util
+import sys
 
 __all__ = ["bell", "empirical", "errors", "lorenz", "odeiter", "poly",
            "quadform", "saddle"]
 __version__ = "0.1.0"
+
+
+def _register_lazily(name: str):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in __all__:
+    globals()[_name] = _register_lazily(_name)
+del _name

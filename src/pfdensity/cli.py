@@ -4,27 +4,24 @@ Exit codes: 0 success, 1 domain error (machine-readable JSON on stderr),
 2 usage error.  All numeric CSV fields carry 17 significant digits so
 64-bit floats round-trip exactly; outputs are byte-identical for
 identical inputs and seeds.
+
+Each command imports the modules it runs when it runs, and calls them
+through the module, so that a process compiles only what its command
+uses and a function replaced on its module is the one called.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 
-import numpy as np
-
-from . import bell, empirical, lorenz, odeiter, saddle
 from .errors import DomainError, EmptySample, ToolkitError
-from .poly import real_zeros
 
 __all__ = ["main", "run"]
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _parse_range(spec: str):
@@ -60,18 +57,21 @@ def _parse_point(spec: str, flag: str):
     return point
 
 
-def _load_map(path: str) -> bell.MapSpec1D:
+def _load_map(path: str):
+    from . import bell
+
     with open(path, encoding="utf-8") as fh:
         return bell.MapSpec1D.from_json(json.load(fh))
 
 
-def _load_system(path: str) -> odeiter.OdeSystem:
+def _load_system(path: str):
+    from . import odeiter
+
     with open(path, encoding="utf-8") as fh:
         return odeiter.OdeSystem.from_json(json.load(fh))
 
 
-def _write_lines(path, lines):
-    text = "\n".join(lines) + "\n"
+def _write_text(path, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -80,29 +80,38 @@ def _write_lines(path, lines):
 
 
 def _write_json(path, obj):
-    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)])
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _write_csv(path, header: str, row: str, rows):
+    """The header line, then one line row % r for each tuple r of rows.
+
+    One % runs over every row; a %.17g field reads as f"{float(x):.17g}",
+    also for ints, Fractions, numpy floats, signed zeros, infinities and nan.
+    """
+    rows = list(rows)
+    body = ((row + "\n") * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    _write_text(path, f"{header}\n{body}")
 
 
 def _cmd_hermite(args) -> int:
+    from . import bell, poly
+
     f = _load_map(args.map)
     if args.action == "gen":
         seq = bell.bell_sequence(f, args.n)
-        lines = ["m,k,coeff"]
-        for m, p in enumerate(seq):
-            for k, c in enumerate(p.coeffs):
-                lines.append(f"{m},{k},{_fmt(c)}")
-        _write_lines(args.out, lines)
+        _write_csv(args.out, "m,k,coeff", "%d,%d,%.17g",
+                   ((m, k, c) for m, p in enumerate(seq) for k, c in enumerate(p.coeffs)))
         return 0
     # zeros
-    zeros = real_zeros(bell.chain_roots(f, args.n))
-    lines = ["index,zero"]
-    for i, z in enumerate(zeros):
-        lines.append(f"{i},{_fmt(z)}")
-    _write_lines(args.out, lines)
+    zeros = poly.real_zeros(bell.chain_roots(f, args.n))
+    _write_csv(args.out, "index,zero", "%d,%.17g", enumerate(zeros))
     return 0
 
 
 def _cmd_density(args) -> int:
+    from . import saddle
+
     f = _load_map(args.map)
     points = _range_points(args.s)
     if args.action == "invariant" and args.support is not None:
@@ -112,23 +121,25 @@ def _cmd_density(args) -> int:
                 raise DomainError(f"s={s!r} outside the support ({lo!r}, {hi!r})")
     sweep = saddle.saddle_sweep(f, points)
     header, values = ("s,q", sweep.q) if args.action == "saddle" else ("s,p", sweep.p)
-    _write_lines(args.out,
-                 [header] + [f"{_fmt(s)},{_fmt(v)}" for s, v in zip(points, values)])
+    _write_csv(args.out, header, "%.17g,%.17g", zip(points, values))
     return 0
 
 
 def _cmd_orbit(args) -> int:
+    from . import empirical
+
     f = _load_map(args.map)
     hist = empirical.iterate_orbit(f, args.x0, args.burn, args.keep,
                                    seed=args.seed, bins=args.bins)
-    lines = ["bin_lo,bin_hi,count"]
-    for lo, hi, c in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
-        lines.append(f"{_fmt(lo)},{_fmt(hi)},{int(c)}")
-    _write_lines(args.out, lines)
+    edges = hist.edges.tolist()
+    _write_csv(args.out, "bin_lo,bin_hi,count", "%.17g,%.17g,%d",
+               zip(edges[:-1], edges[1:], hist.counts.tolist()))
     return 0
 
 
 def _cmd_ode(args) -> int:
+    from . import odeiter
+
     sys_ = _load_system(args.system)
     if args.action == "fixed-points":
         pts, dropped = odeiter.fixed_points(sys_, radius=args.radius)
@@ -162,17 +173,25 @@ def _cmd_ode(args) -> int:
 
 
 def _cmd_lorenz(args) -> int:
+    from . import lorenz
+
     p = lorenz.LorenzParams(args.sigma, args.rho, args.beta)
     report = lorenz.lorenz_report(p, delta=args.delta)
     _write_json(args.out, report)
     return 0
 
 
-_REFERENCES = {
-    "arcsine": lambda x: empirical.arcsine_cdf(x, 0.0, 1.0),
-    "half-semicircle": empirical.half_semicircle_cdf,
-    "uniform": lambda x: min(1.0, max(0.0, x)),
-}
+_REFERENCES = ("arcsine", "half-semicircle", "uniform")
+
+
+def _reference_cdf(name: str):
+    from . import empirical
+
+    if name == "arcsine":
+        return lambda x: empirical.arcsine_cdf(x, 0.0, 1.0)
+    if name == "half-semicircle":
+        return empirical.half_semicircle_cdf
+    return lambda x: min(1.0, max(0.0, x))
 
 
 def _finite(text: str) -> float:
@@ -183,6 +202,8 @@ def _finite(text: str) -> float:
 
 
 def _read_sample(path: str):
+    import numpy as np
+
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
         rest = fh.read().splitlines()
@@ -204,7 +225,9 @@ def _read_sample(path: str):
 
 
 def _cmd_compare(args) -> int:
-    ref = _REFERENCES[args.reference]
+    from . import empirical
+
+    ref = _reference_cdf(args.reference)
     kind, data = _read_sample(args.sample)
     if kind == "histogram":
         edges, counts = data
@@ -223,10 +246,8 @@ def _cmd_compare(args) -> int:
         n = len(ecdf)
         emp = [(k + 1) / n for k in range(n)]
     if args.out:
-        lines = ["x,empirical,reference"]
-        lines += [f"{_fmt(x)},{_fmt(e)},{_fmt(ref(float(x)))}"
-                  for x, e in zip(xs, emp)]
-        _write_lines(args.out, lines)
+        _write_csv(args.out, "x,empirical,reference", "%.17g,%.17g,%.17g",
+                   ((x, e, ref(float(x))) for x, e in zip(xs, emp)))
     print(json.dumps({"metric": "ks", "distance": ks,
                       "reference": args.reference}))
     return 0
@@ -291,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="empirical vs reference CDF")
     cmp_.add_argument("--sample", required=True,
                       help="value-per-line file or bin_lo,bin_hi,count CSV")
-    cmp_.add_argument("--reference", choices=sorted(_REFERENCES), required=True)
+    cmp_.add_argument("--reference", choices=_REFERENCES, required=True)
     cmp_.add_argument("--rescale", action="store_true",
                       help="affine-rescale the sample support onto [0, 1]")
     cmp_.add_argument("--out", default=None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -152,17 +153,20 @@ def orbit_sample(f: MapSpec1D, x0: float, burn: int, keep: int,
     # Horner steps, so the list never holds the whole orbit; burn-in chunks
     # (i < 0) are dropped.  Each chunk is checked once, after it has run: an
     # orbit that escapes runs on (to inf, then NaN) to the chunk's end, and
-    # its first iterate with ~(|x| <= 1e6) is the escape.
+    # its first iterate with ~(|x| <= 1e6) is the escape.  A chunk enters
+    # numpy packed by struct, which converts its floats a few times faster
+    # than assigning the list to an array does.
     starts = [*range(-burn, 0, _ORBIT_CHUNK), *range(0, keep, _ORBIT_CHUNK)]
     for lo, hi in zip(starts, starts[1:] + [keep]):
         xs = chunk(x, hi - lo, *coeffs)
         x = xs[-1]
-        arr = out[lo:hi] if lo >= 0 else np.empty(hi - lo)
-        arr[:] = xs
+        arr = np.frombuffer(struct.pack(f"{hi - lo}d", *xs))
         bad = ~(np.abs(arr) <= ORBIT_GUARD)
         if bad.any():
             i = int(bad.argmax())
             raise OrbitEscape(burn + 1 + lo + i, xs[i])
+        if lo >= 0:
+            out[lo:hi] = arr
     return out
 
 
@@ -186,10 +190,11 @@ def iterate_orbit(f: MapSpec1D, x0: float, burn: int, keep: int,
         edges = _auto_edges(values, bins)
     else:
         edges = np.asarray(edges, dtype=float)
-    inside = values[(values >= edges[0]) & (values <= edges[-1])]
-    counts, _ = np.histogram(inside, bins=edges)
-    return Histogram(edges=edges, counts=counts, total=int(inside.size),
-                     out_of_range=int(values.size - inside.size))
+    # np.histogram counts only the values in [edges[0], edges[-1]]
+    counts, _ = np.histogram(values, bins=edges)
+    total = int(counts.sum())
+    return Histogram(edges=edges, counts=counts, total=total,
+                     out_of_range=values.size - total)
 
 
 class ScaledZeros(NamedTuple):

@@ -481,6 +481,73 @@ def test_cli_import_does_not_load_mpmath(tmp_path):
     assert proc.stdout == "False\n"
 
 
+_PROBE = """import json, sys, types
+def loaded():
+    # a module the package registered lazily keeps a subclass of
+    # types.ModuleType until its first use runs it
+    return sorted(name.split(".")[1] for name, m in sys.modules.items()
+                  if name.startswith("pfdensity.") and type(m) is types.ModuleType)
+out = []
+"""
+
+
+def _loaded_after(steps, cwd):
+    """For each step run in turn in one new interpreter: the pfdensity
+    modules that have run, and whether numpy is imported."""
+    code = _PROBE + "".join(f"{step}\nout.append([loaded(), 'numpy' in sys.modules])\n"
+                            for step in steps) + "print(json.dumps(out))\n"
+    proc = _fresh_python(["-c", code], cwd)
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(x) for x in json.loads(proc.stdout.splitlines()[-1])]
+
+
+def test_cli_import_runs_only_cli_and_errors(tmp_path):
+    # the benchmark's setup for zeros, chain and density
+    assert _loaded_after(["import pfdensity.cli",
+                          "from pfdensity.bell import MapSpec1D"], tmp_path) == [
+        (["cli", "errors"], False),
+        (["bell", "cli", "errors", "poly"], True),
+    ]
+    # and for lorenz
+    assert _loaded_after(["import pfdensity.cli\n"
+                          "from pfdensity.lorenz import LorenzParams, lorenz_system"],
+                         tmp_path) == [(["cli", "errors", "lorenz", "odeiter", "poly"], True)]
+
+
+def test_package_attributes_resolve_on_first_use(tmp_path):
+    assert _loaded_after(["import pfdensity",
+                          "assert callable(pfdensity.saddle.saddle_sweep)"], tmp_path) == [
+        ([], False),
+        (["bell", "errors", "poly", "saddle"], True),
+    ]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["hermite", "zeros", "--map", "MAP", "-n", "8"], ["bell", "poly"]),
+    (["density", "saddle", "--map", "MAP", "--s", "0.1:0.9:3"],
+     ["bell", "poly", "saddle"]),
+    (["orbit", "--map", "MAP", "--x0", "0.1", "--keep", "100"],
+     ["bell", "empirical", "poly"]),
+    (["compare", "--sample", "SAMPLE", "--reference", "uniform"],
+     ["bell", "empirical", "poly"]),
+    (["ode", "euler", "--system", "SYSTEM", "--a0", "1,1,1", "--steps", "10"],
+     ["odeiter", "poly"]),
+    (["lorenz", "report", "--sigma", "10", "--rho", "28", "--beta", "2.5"],
+     ["lorenz", "odeiter", "poly"]),
+])
+def test_each_command_runs_only_its_modules(logistic_map_file, lorenz_system_file,
+                                            tmp_path, argv, modules):
+    sample = tmp_path / "sample.txt"
+    sample.write_text("0.1\n0.5\n")
+    files = {"MAP": logistic_map_file, "SYSTEM": lorenz_system_file,
+             "SAMPLE": str(sample)}
+    argv = [files.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")]
+    [(ran, _)] = _loaded_after(
+        ["import pfdensity.cli\n"
+         f"assert pfdensity.cli.run({argv!r}) == 0"], tmp_path)
+    assert ran == sorted(["cli", "errors", *modules])
+
+
 def test_cached_parser_keeps_no_state_between_runs(lorenz_system_file, tmp_path,
                                                    capsys):
     assert cli._build_parser() is cli._build_parser()

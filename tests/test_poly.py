@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfdensity import poly
@@ -154,6 +154,18 @@ def test_roots_spread_over_decades(base):
     roots = poly_roots(Polynomial(coeffs))
     assert [r.real for r in roots] == [float(base**k) for k in range(6)]
     assert all(abs(r.imag) <= poly._TARGET * r.real for r in roots)
+
+
+def test_newton_polygon_edges_on_one_circle_start_apart():
+    # x^6 + x^2 + (1 - 2^-53): both hull edges have radius 1.0 as a double.
+    # With one offset for both, two starts coincide and the 53-bit and
+    # 128-bit levels leave four roots unsettled; turned apart, the 53-bit
+    # level settles all six.
+    c = [1 - 2.0**-53, 0, 1, 0, 0, 0, 1]
+    starts = poly._newton_starts(c, poly._DOUBLE)
+    assert min(abs(a - b) for i, a in enumerate(starts) for b in starts[:i]) > 0.1
+    roots, missed = poly._level(c, poly._DOUBLE, None)
+    assert len(roots) == 6 and missed == []
 
 
 def test_coefficient_that_underflows_as_a_double():
@@ -311,6 +323,7 @@ def test_real_zeros_sorted_hermite():
 @settings(max_examples=30)
 @given(st.lists(st.floats(-1, 1, allow_nan=False), min_size=1, max_size=5),
        st.floats(0.3, 1.0))
+@example(body=[0.9999999999999999, 1.0], lead=1.0)  # two edges on one circle
 def test_even_polynomial_zeros_symmetric(body, lead):
     # p(x) = q(x^2) has zeros symmetric about 0
     even = [0.0] * (2 * len(body) + 3)

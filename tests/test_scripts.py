@@ -74,3 +74,17 @@ def test_benchmark_tracer_names_resolve(monkeypatch):
     for _, module, name in tracing.TRACED:
         assert callable(getattr(importlib.import_module(module), name, None)), \
             f"{module}.{name}"
+
+
+def test_benchmark_tracer_installs_after_the_benchmarks_imports():
+    # The traced run wraps each (module, name) of TRACED through sys.modules
+    # before a workload has run all of its commands, so importing the
+    # package must put every module there, as it does without running them
+    proc = _run(["-c", "import sys, time, tracing\n"
+                       "from pfdensity import bell, cli, quadform\n"
+                       "tracing.Tracer(time.perf_counter).install()\n"
+                       "print([f'{m}.{name}' for _, m, name in tracing.TRACED\n"
+                       "       if not hasattr(getattr(sys.modules[m], name), '__wrapped__')])\n"],
+                cwd=ROOT / "perfbench")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
