@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CoefficientOverflow, DegreeZero, DomainError, ResonanceDetected
-from .poly import (_GOLDEN_ANGLE, Polynomial, _batch_aberth, _horner, _trim,
+from .poly import (Polynomial, _batch_aberth, _circle_starts, _horner, _trim,
                    _upper_hull, poly_roots)
 
 __all__ = [
@@ -273,8 +273,7 @@ def _starts(f: MapSpec1D, row, D, n: int, N: int):
     so its zeros are -2 c2 over the logistic's, y = -2 c2 n (2 t / lam)^2
     with t on the half-semicircle law; each starts at its quantile, a little
     off the axis.  Any other map starts from the Newton polygon of
-    log2|row[k] / D^k|, as _newton_starts, on 2^-slope circles, an edge on
-    the circle of the one before turned a further golden angle.
+    log2|row[k] / D^k|, on 2^-slope circles placed as _newton_starts does.
     """
     lam, *rest = _trim(f.coeffs)[1:]
     if len(rest) == 1 and lam and rest[0]:
@@ -282,15 +281,9 @@ def _starts(f: MapSpec1D, row, D, n: int, N: int):
         return -2 * rest[0] * n * (2 * t / lam) ** 2 * (1 + 1e-3j)
     hull = _upper_hull([(k, math.log2(abs(c)) - k * math.log2(D))
                         for k, c in enumerate(row) if c])
-    offset, last, z = np.pi / (2 * N), None, []
-    for (k1, y1), (k2, y2) in zip(hull, hull[1:]):
-        radius = np.exp2((y1 - y2) / (k2 - k1))
-        if radius == last:
-            offset += _GOLDEN_ANGLE
-        last = radius
-        z.append(radius * np.exp(2j * np.pi * np.arange(k2 - k1) / (k2 - k1)
-                                 + 1j * offset))
-    return np.concatenate(z)
+    return np.array(_circle_starts([(k2 - k1, np.exp2((y1 - y2) / (k2 - k1)))
+                                    for (k1, y1), (k2, y2) in zip(hull, hull[1:])],
+                                   np.pi / (2 * N), np.pi, np.exp))
 
 
 def chain_roots(f: MapSpec1D, n: int) -> list:

@@ -5,9 +5,9 @@ Exit codes: 0 success, 1 domain error (machine-readable JSON on stderr),
 64-bit floats round-trip exactly; outputs are byte-identical for
 identical inputs and seeds.
 
-Each command imports the modules it runs when it runs, and calls them
-through the module, so that a process compiles only what its command
-uses and a function replaced on its module is the one called.
+The command modules are bound lazily (see the package docstring), so a
+process compiles only the modules its command uses; calls go through the
+module, so a function replaced on its module is the one called.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import math
 import sys
 
+from . import bell, empirical, lorenz, odeiter, poly, saddle
 from .errors import DomainError, EmptySample, ToolkitError
 
 __all__ = ["main", "run"]
@@ -57,16 +58,12 @@ def _parse_point(spec: str, flag: str):
     return point
 
 
-def _load_map(path: str):
-    from . import bell
-
+def _load_map(path: str) -> bell.MapSpec1D:
     with open(path, encoding="utf-8") as fh:
         return bell.MapSpec1D.from_json(json.load(fh))
 
 
-def _load_system(path: str):
-    from . import odeiter
-
+def _load_system(path: str) -> odeiter.OdeSystem:
     with open(path, encoding="utf-8") as fh:
         return odeiter.OdeSystem.from_json(json.load(fh))
 
@@ -95,8 +92,6 @@ def _write_csv(path, header: str, row: str, rows):
 
 
 def _cmd_hermite(args) -> int:
-    from . import bell, poly
-
     f = _load_map(args.map)
     if args.action == "gen":
         seq = bell.bell_sequence(f, args.n)
@@ -110,8 +105,6 @@ def _cmd_hermite(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    from . import saddle
-
     f = _load_map(args.map)
     points = _range_points(args.s)
     if args.action == "invariant" and args.support is not None:
@@ -126,8 +119,6 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    from . import empirical
-
     f = _load_map(args.map)
     hist = empirical.iterate_orbit(f, args.x0, args.burn, args.keep,
                                    seed=args.seed, bins=args.bins)
@@ -138,8 +129,6 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_ode(args) -> int:
-    from . import odeiter
-
     sys_ = _load_system(args.system)
     if args.action == "fixed-points":
         pts, dropped = odeiter.fixed_points(sys_, radius=args.radius)
@@ -173,25 +162,18 @@ def _cmd_ode(args) -> int:
 
 
 def _cmd_lorenz(args) -> int:
-    from . import lorenz
-
     p = lorenz.LorenzParams(args.sigma, args.rho, args.beta)
     report = lorenz.lorenz_report(p, delta=args.delta)
     _write_json(args.out, report)
     return 0
 
 
-_REFERENCES = ("arcsine", "half-semicircle", "uniform")
-
-
-def _reference_cdf(name: str):
-    from . import empirical
-
-    if name == "arcsine":
-        return lambda x: empirical.arcsine_cdf(x, 0.0, 1.0)
-    if name == "half-semicircle":
-        return empirical.half_semicircle_cdf
-    return lambda x: min(1.0, max(0.0, x))
+# lambdas, so that importing cli reads nothing from empirical
+_REFERENCES = {
+    "arcsine": lambda x: empirical.arcsine_cdf(x, 0.0, 1.0),
+    "half-semicircle": lambda x: empirical.half_semicircle_cdf(x),
+    "uniform": lambda x: min(1.0, max(0.0, x)),
+}
 
 
 def _finite(text: str) -> float:
@@ -225,9 +207,7 @@ def _read_sample(path: str):
 
 
 def _cmd_compare(args) -> int:
-    from . import empirical
-
-    ref = _reference_cdf(args.reference)
+    ref = _REFERENCES[args.reference]
     kind, data = _read_sample(args.sample)
     if kind == "histogram":
         edges, counts = data
@@ -312,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="empirical vs reference CDF")
     cmp_.add_argument("--sample", required=True,
                       help="value-per-line file or bin_lo,bin_hi,count CSV")
-    cmp_.add_argument("--reference", choices=_REFERENCES, required=True)
+    cmp_.add_argument("--reference", choices=sorted(_REFERENCES), required=True)
     cmp_.add_argument("--rescale", action="store_true",
                       help="affine-rescale the sample support onto [0, 1]")
     cmp_.add_argument("--out", default=None)

@@ -144,8 +144,8 @@ def _mp_arith(bits: int) -> _Arith:
                   tiny=mpmath.mpf("1e-60"))
 
 
-# pi (3 - sqrt 5): the turn between the start circles of successive
-# Newton-polygon edges (_newton_starts, bell._starts)
+# pi (3 - sqrt 5), which no difference j1/m1 - j2/m2 of fractions of a
+# turn matches
 _GOLDEN_ANGLE = math.pi * (3 - math.sqrt(5))
 
 
@@ -170,25 +170,31 @@ def _newton_starts(c, ar: _Arith):
     puts k2 - k1 points on a circle of radius 2^-slope, where those two terms
     balance, so roots spread over many decades start near their own moduli
     (Bini, Numer. Algorithms 13, 1996).  log2 comes from ar.frexp, so it
-    holds for mpf values beyond the double range.  Two edges of nearly equal
-    slope can round to one radius, and one offset would then put their j = 0
-    starts on one point, which Aberth never separates (two of the six
-    starts of x^6 + x^2 + 1 - 2^-53).  So an edge on the circle of the one
-    before turns by a further golden angle, which no difference of fractions
-    of a turn j1/m1 - j2/m2 matches.
+    holds for mpf values beyond the double range.
     """
     n = len(c) - 1
     hull = _upper_hull([(k, exp2 + math.log2(mant)) for k, (mant, exp2)
                         in enumerate(ar.frexp(abs(x)) for x in c) if mant])
-    offset = ar.pi / (2 * n)
+    return _circle_starts([(k2 - k1, (abs(c[k1]) / abs(c[k2])) ** (ar.one / (k2 - k1)))
+                           for (k1, _), (k2, _) in zip(hull, hull[1:])],
+                          ar.pi / (2 * n), ar.pi, ar.exp)
+
+
+def _circle_starts(edges, offset, pi, exp):
+    """m points spaced evenly on a circle of the radius, turned by offset,
+    for each Newton-polygon edge (m, radius), in the arithmetic of pi, exp.
+
+    Two edges of nearly equal slope can round to one radius, and one offset
+    would then put their j = 0 starts on one point, which Aberth never
+    separates (two of the six starts of x^6 + x^2 + 1 - 2^-53).  So an edge
+    on the circle of the one before turns by a further _GOLDEN_ANGLE.
+    """
     z, last = [], None
-    for (k1, _), (k2, _) in zip(hull, hull[1:]):
-        m = k2 - k1
-        radius = (abs(c[k1]) / abs(c[k2])) ** (ar.one / m)
+    for m, radius in edges:
         if radius == last:
             offset += _GOLDEN_ANGLE
         last = radius
-        z += [radius * ar.exp(1j * (2 * ar.pi * j / m + offset)) for j in range(m)]
+        z += [radius * exp(1j * (2 * pi * j / m + offset)) for j in range(m)]
     return z
 
 

@@ -522,6 +522,53 @@ def test_package_attributes_resolve_on_first_use(tmp_path):
     ]
 
 
+_FIRST_USE_ON_THREADS = """import threading, pfdensity
+names = [("poly", "poly_roots"), ("bell", "chain_roots"), ("saddle", "saddle_sweep"),
+         ("lorenz", "lorenz_report"), ("quadform", "symmetric_eigen"),
+         ("empirical", "iterate_orbit"), ("odeiter", "fixed_points"),
+         ("bell", "MapSpec1D")]
+barrier, failed = threading.Barrier(len(names)), []
+def use(module, name):
+    barrier.wait()
+    try:
+        getattr(getattr(pfdensity, module), name)
+    except Exception as exc:
+        failed.append(repr(exc))
+threads = [threading.Thread(target=use, args=pair) for pair in names]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(failed)
+"""
+
+
+def test_first_use_on_many_threads_never_sees_a_half_run_module(tmp_path):
+    # each thread's read is the first use of a module, or comes while another
+    # thread's first use of it is still running its source
+    for _ in range(3):
+        proc = _fresh_python(["-c", _FIRST_USE_ON_THREADS], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
+def test_a_load_that_raises_leaves_the_module_unloaded(tmp_path):
+    code = """import sys, types, pfdensity
+sys.modules["numpy"] = None  # quadform's first line then raises
+try:
+    pfdensity.quadform.symmetric_eigen
+except ImportError:
+    pass
+module = sys.modules["pfdensity.quadform"]
+print(type(module) is types.ModuleType)
+del sys.modules["numpy"]
+print(callable(pfdensity.quadform.symmetric_eigen), type(module) is types.ModuleType)
+"""
+    proc = _fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\nTrue True\n"
+
+
 @pytest.mark.parametrize("argv, modules", [
     (["hermite", "zeros", "--map", "MAP", "-n", "8"], ["bell", "poly"]),
     (["density", "saddle", "--map", "MAP", "--s", "0.1:0.9:3"],
