@@ -24,6 +24,7 @@ triangular coefficient system built on the gaps live here too.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +37,6 @@ from .poly import (Polynomial, _batch_aberth, _circle_starts, _horner, _trim,
 __all__ = [
     "MapSpec1D",
     "CoefficientSystem",
-    "bell_chain",
     "bell_sequence",
     "bell_sequence_exact",
     "resolving_gap",
@@ -45,7 +45,7 @@ __all__ = [
     "solve_coefficient_system",
 ]
 
-_BALL_BITS = 64  # _certified's first ball width is deg H_n + this many bits
+_BALL_BITS = 64  # _certified's ball width is deg H_n + this many bits
 
 @dataclass(frozen=True)
 class MapSpec1D:
@@ -113,24 +113,29 @@ class MapSpec1D:
 
 
 def _int_chain(derivs, n: int):
-    """(rows, D): H_m(y, a) = sum_{k<=m} rows[m][k] (y/D)^k, D the lcm of the
-    denominators of derivs[i-1] = f^(i)(a).  Callers pop each row as they
-    convert it, so the ints and their view never coexist.
+    """(D, rows): rows yields H_0, ..., H_n with H_m(y, a) = sum_k row[k] (y/D)^k,
+    D the lcm of the denominators of derivs[i-1] = f^(i)(a).  It holds only
+    the last len(derivs) rows, all that the recurrence reads.  H_m is zero
+    below y^ceil(m / len(derivs)), so each product starts there.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     D = math.lcm(*(Fraction(c).denominator for c in derivs))
     X = [int(Fraction(c) * D) for c in derivs]
-    rows = [[1]]
-    for m in range(1, n + 1):
-        row = [0] * (m + 1)
-        for i, xi in enumerate(X[:m], start=1):
-            if xi:
-                w = math.comb(m - 1, i - 1) * xi
-                for k, c in enumerate(rows[m - i], start=1):
-                    row[k] += w * c
-        rows.append(row)
-    return rows, D
+
+    def rows():
+        window = deque([[1]], maxlen=len(X))
+        yield [1]
+        for m in range(1, n + 1):
+            row = [0] * (m + 1)
+            for i, xi in enumerate(X[:m], start=1):
+                if xi:
+                    w, lo = math.comb(m - 1, i - 1) * xi, -((i - m) // len(X))
+                    for k, c in enumerate(window[-i][lo:], start=lo + 1):
+                        row[k] += w * c
+            window.append(row)
+            yield row
+    return D, rows()
 
 
 def _derivs_at_0(f: MapSpec1D) -> list:
@@ -150,15 +155,10 @@ def _floats(row, D, order) -> list:
         raise CoefficientOverflow(order) from None
 
 
-def bell_chain(derivs, n: int) -> list:
-    """[H_0(y,a), ..., H_n(y,a)] as exact polynomials in y; derivs[i-1] = f^(i)(a)."""
-    rows, D = _int_chain(derivs, n)
-    return [_exact(rows.pop(0), D) for _ in range(n + 1)]
-
-
 def bell_sequence_exact(f: MapSpec1D, n: int) -> list:
     """[H_0(y), ..., H_n(y)] at a = 0 with exact Fraction coefficients."""
-    return bell_chain(_derivs_at_0(f), n)
+    D, rows = _int_chain(_derivs_at_0(f), n)
+    return [_exact(row, D) for row in rows]
 
 
 def bell_sequence(f: MapSpec1D, n: int) -> list:
@@ -167,8 +167,8 @@ def bell_sequence(f: MapSpec1D, n: int) -> list:
     Raises CoefficientOverflow if a coefficient is beyond the double range;
     use bell_sequence_exact then.
     """
-    rows, D = _int_chain(_derivs_at_0(f), n)
-    return [Polynomial(_floats(rows.pop(0), D, m)) for m in range(n + 1)]
+    D, rows = _int_chain(_derivs_at_0(f), n)
+    return [Polynomial(_floats(row, D, m)) for m, row in enumerate(rows)]
 
 
 def _chain_step(derivs, n: int, m0: int):
@@ -233,25 +233,20 @@ def _certified(row, D, m0: int, xs) -> bool:
     Each bracket end x(1 -+ 2^-40) is an int P over one 2^E, where Q has the
     sign of sum_k row[k] P^(k-m0) (2^E D)^(deg-k).  Disjoint brackets, each
     with a strict sign change (none at x = 0), hold one root each.  The
-    signs come from _ball_signs at K = deg + _BALL_BITS bits, then 2K and 4K
-    for the ends left undecided, and exact int Horner for any still left."""
+    signs come from _ball_signs at deg + _BALL_BITS bits, and from exact int
+    Horner for the ends a ball leaves at 0."""
     E = max(x.as_integer_ratio()[1].bit_length() for x in xs) + 39
     Ms = [int(Fraction(x) * 2**E) for x in xs]  # exact, multiples of 2^40
-    ends = [sorted((M - (M >> 40), M + (M >> 40))) for M in Ms]
-    if any(hi >= lo for (_, hi), (lo, _) in zip(ends, ends[1:])):
+    ends = [P for M in Ms for P in sorted((M - (M >> 40), M + (M >> 40)))]
+    if any(a >= b for a, b in zip(ends, ends[1:])):
         return False
     q, deg = 2**E * D, len(row) - 1
     terms = [row[k] * q ** (deg - k) for k in range(m0, deg + 1)]
-    signs = dict.fromkeys((P for end in ends for P in end), 0)  # distinct ends
-    top = max(t.bit_length() for t in terms)
-    for K in [(deg + _BALL_BITS) << i for i in range(3)]:
-        todo = [P for P, s in signs.items() if not s]
-        if todo and K < top:
-            signs.update(zip(todo, _ball_signs(terms, todo, K)))
-    for P in [P for P, s in signs.items() if not s]:
-        v = _horner(terms, P)
-        signs[P] = (v > 0) - (v < 0)
-    return all(signs[lo] * signs[hi] < 0 for lo, hi in ends)
+    signs = _ball_signs(terms, ends, deg + _BALL_BITS)
+    for j in [j for j, sign in enumerate(signs) if not sign]:
+        v = _horner(terms, ends[j])
+        signs[j] = (v > 0) - (v < 0)
+    return all(lo * hi < 0 for lo, hi in zip(signs[::2], signs[1::2]))
 
 
 def _semicircle_quantiles(p):
@@ -296,8 +291,8 @@ def chain_roots(f: MapSpec1D, n: int) -> list:
     root comes from poly_roots on the exact H_n instead.
     """
     derivs = _derivs_at_0(f)
-    rows, D = _int_chain(derivs, n)
-    row = _trim(rows[n])
+    D, rows = _int_chain(derivs, n)
+    row = _trim(deque(rows, maxlen=1)[0])
     if not any(row):
         raise DegreeZero(f"H_{n} is identically zero for this map")
     m0 = next(k for k, c in enumerate(row) if c)
@@ -320,8 +315,9 @@ def _gap_row(f: MapSpec1D, n: int):
     """(row, D): the y^k coefficient of e^n(y) = y^n - H_n(y, 0) is row[k] / D**k."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rows, D = _int_chain(_derivs_at_0(f), n)
-    return [-c for c in rows[n][:n]] + [D**n - rows[n][n]], D
+    D, rows = _int_chain(_derivs_at_0(f), n)
+    row = deque(rows, maxlen=1)[0]
+    return [-c for c in row[:n]] + [D**n - row[n]], D
 
 
 def resolving_gap_exact(f: MapSpec1D, n: int) -> Polynomial:
@@ -373,7 +369,8 @@ def solve_coefficient_system(f: MapSpec1D, n: int, b_n: float) -> CoefficientSys
         raise ValueError("b_n must be nonzero")
     _resonance_check(f.lam, n)
 
-    rows, D = _int_chain(_derivs_at_0(f), n)
+    D, rows = _int_chain(_derivs_at_0(f), n)
+    rows = list(rows)
     ln, ld = f.lam.as_integer_ratio()
     r = [(ld**k - ln**k) * D**k for k in range(n + 1)]
     B, Q = [0] * (n + 1), [0] * (n + 1)

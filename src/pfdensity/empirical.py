@@ -15,12 +15,14 @@ import functools
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .bell import MapSpec1D
 from .errors import DomainError, EmptySample, OrbitEscape
+
+if TYPE_CHECKING:
+    from .bell import MapSpec1D
 
 __all__ = [
     "Histogram",

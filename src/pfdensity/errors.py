@@ -34,7 +34,8 @@ class CoefficientOverflow(ToolkitError):
     def __init__(self, order):
         super().__init__(
             f"coefficient magnitude exceeds float range at order {order}; "
-            "lower n or use the scaled variant")
+            "lower n, or read the chain exactly with bell_sequence_exact; "
+            "hermite zeros solves such chains")
         self.order = order
 
 

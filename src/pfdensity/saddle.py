@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bell import MapSpec1D
 from .errors import DomainError
 from .poly import MP_LOCK, _horner, _trim, poly_roots_batch
+
+if TYPE_CHECKING:
+    from .bell import MapSpec1D
 
 __all__ = [
     "SaddleSweep",
@@ -35,7 +38,6 @@ __all__ = [
     "logistic_closed_p",
     "logistic_p_mass",
     "invariant_density_p",
-    "wigner_change_of_variables",
 ]
 
 _IMAG_CUTOFF = 1e-10  # |Im a| <= cutoff |a|: the critical point a counts as real
@@ -139,17 +141,3 @@ def logistic_p_mass(lam: float) -> float:
 def invariant_density_p(f: MapSpec1D, s: float) -> float:
     """p(s) = -s q'(s) from the selected saddle, in closed form (saddle_sweep)."""
     return float(saddle_sweep(f, [s]).p[0])
-
-
-def wigner_change_of_variables(lam: float, s: float) -> tuple:
-    """Map s to the semicircle variable: t = lam*sqrt(s)/2, w = q(s)*ds/dt.
-
-    Analytically w = (2/pi) sqrt(1 - t^2); the returned w is computed from
-    the closed-form q so tests can check the identity independently.
-    """
-    if not (0.0 < s <= 4.0 / (lam * lam)):
-        raise DomainError(f"s={s!r} outside (0, 4/lam^2]")
-    t = lam * math.sqrt(s) / 2.0
-    ds_dt = 8.0 * t / (lam * lam)
-    w = logistic_closed_q(lam, s) * ds_dt
-    return t, w

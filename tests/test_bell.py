@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -9,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfdensity import bell
-from pfdensity.bell import (MapSpec1D, bell_chain, bell_sequence,
-                            bell_sequence_exact, chain_roots, resolving_gap,
-                            resolving_gap_exact, solve_coefficient_system)
+from pfdensity.bell import (MapSpec1D, bell_sequence, bell_sequence_exact,
+                            chain_roots, resolving_gap, resolving_gap_exact,
+                            solve_coefficient_system)
 from pfdensity.cli import run
 from pfdensity.errors import CoefficientOverflow, ResonanceDetected
 from pfdensity.poly import Polynomial, _horner, poly_roots, real_zeros
@@ -25,13 +27,6 @@ def hermite_phys(m, t):
     for k in range(1, m):
         prev, cur = cur, 2 * t * cur - 2 * k * prev
     return cur
-
-
-def derivs_at(f, a):
-    """[f'(a), ..., f^(deg f)(a)] exactly: f^(i)(a) = sum_k k!/(k-i)! f_k a^(k-i)."""
-    fc = f.exact_coeffs()
-    return [sum(math.perm(k, i) * c * a ** (k - i) for k, c in enumerate(fc) if k >= i)
-            for i in range(1, len(fc))]
 
 
 def faa_di_bruno_chain(f, n):
@@ -64,12 +59,9 @@ def test_map_json_roundtrip():
 
 
 def test_h1_is_y_fprime():
-    f = MapSpec1D((0.0, 1.5, -0.5, 0.25))
-    for a in (Fraction(0), Fraction(1, 3), Fraction(-5, 2)):
-        H0, H1 = bell_chain(derivs_at(f, a), 1)
-        # y * f'(a) with f'(a) = 1.5 - a + 0.75 a^2
-        assert H0.coeffs == (Fraction(1),)
-        assert H1.coeffs == (Fraction(0), Fraction(3, 2) - a + Fraction(3, 4) * a * a)
+    H0, H1 = bell_sequence_exact(MapSpec1D((0.0, 1.5, -0.5, 0.25)), 1)
+    assert H0.coeffs == (Fraction(1),)
+    assert H1.coeffs == (Fraction(0), Fraction(3, 2))  # y f'(0)
 
 
 def test_identity_map_powers():
@@ -88,26 +80,64 @@ def test_logistic_h2_at_origin():
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 6),
-       st.floats(-0.5, 0.5, allow_nan=False).filter(lambda v: abs(v) > 1e-3),
-       st.floats(-0.5, 0.5, allow_nan=False))
-def test_generating_identity_against_finite_differences(n, y, a):
-    """d^n/da^n e^{y f(a)} = H_n(y,a) e^{y f(a)}, checked by a central
+       st.floats(-0.5, 0.5, allow_nan=False).filter(lambda v: abs(v) > 1e-3))
+def test_generating_identity_against_finite_differences(n, y):
+    """d^n/da^n e^{y f(a)} = H_n(y) e^{y f(a)} at a = 0, checked by a central
     finite-difference stencil evaluated in 60-digit arithmetic."""
     f = MapSpec1D((0.0, 1.25, -0.5))
-    H = bell_chain(derivs_at(f, Fraction(a)), n)[n]
+    H = bell_sequence_exact(f, n)[n]
     with mpmath.workdps(60):
-        ym, am, h = mpmath.mpf(y), mpmath.mpf(a), mpmath.mpf("1e-3")
+        ym, h = mpmath.mpf(y), mpmath.mpf("1e-3")
 
         def g(t):
             return mpmath.exp(ym * (mpmath.mpf("1.25") * t - t * t / 2))
 
         stencil = mpmath.mpf(0)
         for k in range(n + 1):
-            stencil += (-1) ** k * mpmath.binomial(n, k) * g(am + (mpmath.mpf(n) / 2 - k) * h)
-        stencil /= h**n
-        expected = float(stencil / g(am))
+            stencil += (-1) ** k * mpmath.binomial(n, k) * g((mpmath.mpf(n) / 2 - k) * h)
+        expected = float(stencil / h**n / g(0))
     got = float(H(Fraction(y)))
     assert abs(got - expected) <= 1e-5 * max(1.0, abs(expected))
+
+
+def listed_chain(derivs, n):
+    """Oracle for _int_chain: the recurrence with every row kept in a list
+    and each product taken over the whole row it reads."""
+    D = math.lcm(*(Fraction(c).denominator for c in derivs))
+    X = [int(Fraction(c) * D) for c in derivs]
+    rows = [[1]]
+    for m in range(1, n + 1):
+        row = [0] * (m + 1)
+        for i, xi in enumerate(X[:m], start=1):
+            for k, c in enumerate(rows[m - i], start=1):
+                row[k] += math.comb(m - 1, i - 1) * xi * c
+        rows.append(row)
+    return D, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([0.0, 2.0, -0.5]) | st.floats(-4, 4),
+       st.lists(st.sampled_from([0.0, 1.0, -1 / 3]) | st.floats(-4, 4), max_size=3),
+       st.integers(0, 3), st.integers(0, 40))
+def test_streamed_chain_equals_listed_recurrence(lam, rest, zeros, n):
+    # lam = 0 and trailing zero coefficients leave deg f below len(derivs)
+    derivs = bell._derivs_at_0(MapSpec1D((0.0, lam, *rest, *[0.0] * zeros)))
+    D, rows = bell._int_chain(derivs, n)
+    assert (D, list(rows)) == listed_chain(derivs, n)
+
+
+def test_streamed_chain_holds_a_window_of_rows():
+    # measured: a 0.05 MiB peak, against 1.65 MiB with every row kept
+    D, rows = bell._int_chain(bell._derivs_at_0(MapSpec1D.logistic(2.0)), 256)
+    tracemalloc.start()
+    try:
+        for row in rows:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(row) == 257
+    assert peak < 2**19
 
 
 @pytest.mark.parametrize("f", [
@@ -309,6 +339,19 @@ def test_overflow_reported():
     assert len(bell_sequence(f, 10)) == 11
 
 
+def test_overflow_message_names_only_existing_api(tmp_path, capsys):
+    map_path = tmp_path / "logistic2.json"
+    map_path.write_text(json.dumps(MapSpec1D.logistic(2.0).to_json()))
+    argv = ["--map", str(map_path), "-n", "400", "--out", str(tmp_path / "out.csv")]
+    assert run(["hermite", "gen", *argv]) == 1
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message.startswith("coefficient magnitude exceeds float range at order 291;")
+    names = re.findall(r"\b[a-z]+(?:_[a-z]+)+\b", message)
+    assert names == ["bell_sequence_exact"] and hasattr(bell, names[0])
+    assert "hermite zeros" in message
+    assert run(["hermite", "zeros", *argv]) == 0  # the chain it names is solved
+
+
 def golub_welsch_positive_nodes(n):
     """Positive zeros of the physicists' H_n, to about 2^-128 relative.
 
@@ -387,7 +430,7 @@ def _counted_exact_signs(monkeypatch):
 @pytest.mark.parametrize("n", [64, 256])
 def test_semicircle_starts_take_few_sweeps(monkeypatch, n):
     # measured: 4 sweeps at n = 64 and 5 at n = 256 (13 and 41 from the
-    # Newton-polygon circles); the first ball width decides every sign
+    # Newton-polygon circles); the ball width decides every sign
     _no_fallback(monkeypatch)
     sweeps = _counted_evaluator(monkeypatch)
     exact = _counted_exact_signs(monkeypatch)
@@ -410,18 +453,20 @@ def test_ball_signs_never_contradict_exact_signs(g, r, delta, K):
 
 
 def test_certificate_takes_undecided_balls_to_exact_signs(monkeypatch):
-    # Balls of 16, 32 and 64 bits cannot decide every end of H_128's
-    # brackets; those go to exact int Horner, with the verdicts of full width.
+    # The ball width, deg H_128 + 64 bits, decides every end of H_128's
+    # brackets; at 16 bits the ends a ball leaves at 0 go to exact int
+    # Horner, with the same verdicts.
     f = MapSpec1D.logistic(2.0)
-    rows, D = bell._int_chain(bell._derivs_at_0(f), 128)
+    D, rows = bell._int_chain(bell._derivs_at_0(f), 128)
+    *_, row = rows
     xs = [r.real for r in chain_roots(f, 128) if r]
     moved = xs[:5] + [xs[5] * (1 + 1e-9)] + xs[6:]
-    want = [bell._certified(rows[128], D, 64, x) for x in (xs, moved)]
-    assert want == [True, False]
     exact = _counted_exact_signs(monkeypatch)
+    want = [bell._certified(row, D, 64, x) for x in (xs, moved)]
+    assert want == [True, False] and exact == []
     monkeypatch.setattr(bell, "_BALL_BITS", 16 - 128)
-    assert [bell._certified(rows[128], D, 64, x) for x in (xs, moved)] == want
-    assert 0 < len(exact) < 4 * len(xs)
+    assert [bell._certified(row, D, 64, x) for x in (xs, moved)] == want
+    assert 0 < len(exact) <= 4 * len(xs)
 
 
 @pytest.mark.parametrize("n", [*range(2, 21), 64])

@@ -7,10 +7,9 @@ import pytest
 
 from pfdensity import poly
 from pfdensity.bell import MapSpec1D
-from pfdensity.errors import DomainError
 from pfdensity.saddle import (invariant_density_p, logistic_closed_p,
                               logistic_closed_q, logistic_p_mass, saddle_sweep,
-                              wigner_change_of_variables, zero_density_q)
+                              zero_density_q)
 
 LOGISTIC2 = MapSpec1D.logistic(2.0)
 
@@ -210,34 +209,14 @@ def test_raw_p_mass_is_half():
             pytest.approx(2.0 * logistic_closed_p(lam, 1.0 / (lam * lam)), rel=0)
 
 
-def test_wigner_change_of_variables_edges():
-    assert wigner_change_of_variables(2.0, 1.0) == pytest.approx((1.0, 0.0))
-    assert wigner_change_of_variables(1.0, 4.0) == pytest.approx((1.0, 0.0))
-
-
-def test_wigner_midpoint():
-    t, w = wigner_change_of_variables(2.0, 0.25)
-    assert t == pytest.approx(0.5, abs=1e-15)
-    assert w == pytest.approx((2.0 / math.pi) * math.sqrt(0.75), abs=1e-12)
-
-
-def test_wigner_domain_error():
-    with pytest.raises(DomainError):
-        wigner_change_of_variables(2.0, 1.5)
-    with pytest.raises(DomainError):
-        wigner_change_of_variables(2.0, 0.0)
-
-
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.9])
 def test_change_of_variables_identity(lam):
-    # q(s) |ds/dt| equals the semicircle density (2/pi) sqrt(1-t^2)
+    # with t = lam sqrt(s) / 2, the saddle q(s) |ds/dt| is the semicircle
+    # density (2/pi) sqrt(1 - t^2)
     for s in interior_grid(lam):
-        t, w = wigner_change_of_variables(lam, s)
+        t = lam * math.sqrt(s) / 2.0
+        w = zero_density_q(MapSpec1D.logistic(lam), s) * 8.0 * t / (lam * lam)
         assert abs(w - (2.0 / math.pi) * math.sqrt(1.0 - t * t)) < 1e-10
-        # and the saddle-point q agrees with the same transform
-        w2 = zero_density_q(MapSpec1D.logistic(lam), s) \
-            * 8.0 * t / (lam * lam)
-        assert abs(w2 - w) < 1e-10
 
 
 def test_delta_zero_degeneration():
