@@ -18,7 +18,8 @@ Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005), for quadratic
 maps from where the half-semicircle law puts the zeros, and certifies each
 real root by integer signs: Horner on truncated-int balls decides them,
 exact ints only where a ball holds 0.  The resolving gap and the
-triangular coefficient system built on the gaps live here too.
+triangular coefficient system built on the gaps live here too.  Only
+chain_roots' sweeps import numpy; the chain, gap and system run without it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import CoefficientOverflow, DegreeZero, DomainError, ResonanceDetected
 from .poly import (Polynomial, _batch_aberth, _circle_starts, _horner, _trim,
@@ -106,7 +105,13 @@ class MapSpec1D:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MapSpec1D":
-        return cls(obj["coeffs"])
+        """The map of an object {"coeffs": [numbers]}; any other shape, or a
+        true or false among the numbers, is a ValueError."""
+        coeffs = obj.get("coeffs") if isinstance(obj, dict) else None
+        if not (isinstance(coeffs, list) and all(
+                isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs)):
+            raise ValueError('a map is a JSON object whose "coeffs" is a list of numbers')
+        return cls(coeffs)
 
     def to_json(self) -> dict:
         return {"coeffs": list(self.coeffs)}
@@ -178,6 +183,8 @@ def _chain_step(derivs, n: int, m0: int):
     and a freeze once that is within a few ulps of |y|, or once it has been
     within 2^-44 |y| for four sweeps: rounding can keep a root cycling just
     above the few ulps (the smallest root of logistic H_512, at 0.9-2.3e-15)."""
+    import numpy as np
+
     w = [[(i, math.comb(m - 1, i - 1) * float(c)) for i, c in enumerate(derivs[:m], 1)
           if c] or [(1, 0.0)] for m in range(1, n + 1)]
     near = 0  # sweeps each root has spent within 2^-44 |y|; y holds all N roots
@@ -255,6 +262,8 @@ def _semicircle_quantiles(p):
     With t = sin(th) this is g(th) = sin(2 th) + 2 th - pi p = 0.  g is
     increasing and concave on [0, pi/2], so Newton from th = 0 climbs to
     each root without passing it; 20 steps settle p up to 1 - 2^-17."""
+    import numpy as np
+
     th = np.zeros_like(p)
     for _ in range(20):
         th -= (np.sin(2 * th) + 2 * th - np.pi * p) / (4 * np.cos(th) ** 2)
@@ -270,6 +279,8 @@ def _starts(f: MapSpec1D, row, D, n: int, N: int):
     off the axis.  Any other map starts from the Newton polygon of
     log2|row[k] / D^k|, on 2^-slope circles placed as _newton_starts does.
     """
+    import numpy as np
+
     lam, *rest = _trim(f.coeffs)[1:]
     if len(rest) == 1 and lam and rest[0]:
         t = _semicircle_quantiles((2 * np.arange(1, N + 1) - 1 + n % 2) / n)
@@ -290,6 +301,8 @@ def chain_roots(f: MapSpec1D, n: int) -> list:
     Unless the real parts of Q's N roots are finite and _certified, every
     root comes from poly_roots on the exact H_n instead.
     """
+    import numpy as np
+
     derivs = _derivs_at_0(f)
     D, rows = _int_chain(derivs, n)
     row = _trim(deque(rows, maxlen=1)[0])

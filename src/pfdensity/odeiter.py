@@ -152,7 +152,12 @@ class OdeSystem:
                 if sum(exps) > MAX_TOTAL_DEGREE:
                     raise ValueError(
                         f"total degree {sum(exps)} exceeds {MAX_TOTAL_DEGREE}")
-                norm.append((exps, float(coef)))
+                try:
+                    coef = float(coef)
+                except OverflowError:  # an int beyond the double range
+                    raise DomainError(f"the coefficient of the term {exps!r} "
+                                      "is beyond the double range") from None
+                norm.append((exps, coef))
             comps.append(tuple(norm))
         if len(comps) != dim:
             raise ValueError("need one component per dimension")
@@ -204,9 +209,27 @@ class OdeSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OdeSystem":
-        comps = [[(tuple(t["exps"]), t["coef"]) for t in comp]
-                 for comp in obj["components"]]
-        return cls(obj["dim"], comps)
+        """The system of to_json's object shape; a malformed one is a
+        ValueError that names the key at fault."""
+        def number(x, kind=(int, float)):
+            return isinstance(x, kind) and not isinstance(x, bool)
+
+        obj = obj if isinstance(obj, dict) else {}
+        if not number(obj.get("dim"), int):
+            raise ValueError('a system is a JSON object whose "dim" is an integer')
+        comps = obj.get("components")
+        if not (isinstance(comps, list) and all(
+                isinstance(comp, list) and all(isinstance(t, dict) for t in comp)
+                for comp in comps)):
+            raise ValueError('"components" must be a list of lists of terms')
+        terms = [t for comp in comps for t in comp]
+        if not all(isinstance(t.get("exps"), list)
+                   and all(number(e, int) for e in t["exps"]) for t in terms):
+            raise ValueError('each term\'s "exps" must be a list of integers')
+        if not all(number(t.get("coef")) for t in terms):
+            raise ValueError('each term\'s "coef" must be a number')
+        return cls(obj["dim"], [[(tuple(t["exps"]), t["coef"]) for t in comp]
+                                for comp in comps])
 
     def to_json(self) -> dict:
         return {

@@ -34,12 +34,13 @@ poly_roots_batch solves a stack of polynomials of one degree, such as the
 critical polynomials of a density grid, at once: the closed forms and the
 Aberth sweeps run as numpy operations on every row, from the eigenvalues
 of the companion matrices, with the same freeze rule and _TARGET at 53
-bits, and a row that misses them goes to poly_roots.  The solver follows
-what the caller holds: a stack takes the batch kernel, a single polynomial
-the scalar path.  Running poly_roots' 53-bit level through the batch
-kernel on one row made the mpmath levels, which climb from those roots,
-take logistic H_128 3.3-3.8 s against 2.0-2.4 s (2-vCPU host, Python 3.11,
-numpy 2.4, mpmath 1.3 without gmpy2).
+bits, and a row that misses them goes to poly_roots.  Only this batch
+code imports numpy; Polynomial, poly_roots and real_zeros run without it.
+The solver follows what the caller holds: a stack takes the batch kernel,
+a single polynomial the scalar path.  Running poly_roots' 53-bit level
+through the batch kernel on one row made the mpmath levels, which climb
+from those roots, take logistic H_128 3.3-3.8 s against 2.0-2.4 s (2-vCPU
+host, Python 3.11, numpy 2.4, mpmath 1.3 without gmpy2).
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import DegreeZero, DomainError, NonConvergence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # mpmath's working precision is process-global state; hold this lock around
 # any block that changes it so that concurrent library callers stay correct.
@@ -399,6 +401,8 @@ def _horner_rows(c, z):
 
 def _batch_quadratic(c):
     """_quadratic on every row of c (m, 3); roots and whether both settle."""
+    import numpy as np
+
     c0, c1, c2 = c[:, :1], c[:, 1:2], c[:, 2:]
     sq = np.sqrt(c1 * c1 - 4 * c2 * c0)
     q = -0.5 * np.where((c1.conj() * sq).real >= 0, c1 + sq, c1 - sq)
@@ -414,6 +418,8 @@ def _companion_starts(c):
     A row whose companion matrix is not finite (c_n tiny against the rest)
     gets NaN starts.
     """
+    import numpy as np
+
     m, n = c.shape[0], c.shape[1] - 1
     comp = np.zeros((m, n, n), dtype=complex)
     comp[:, 1:, :-1] = np.eye(n - 1)
@@ -426,6 +432,8 @@ def _companion_starts(c):
 
 def _horner_step(c):
     """_batch_aberth's evaluator for the coefficient rows c (m, n + 1)."""
+    import numpy as np
+
     n = c.shape[1] - 1
     d = c[:, 1:] * np.arange(1, n + 1)
     dd = d[:, 1:] * np.arange(1, n)
@@ -451,6 +459,8 @@ def _batch_aberth(evaluate, z):
     freezes after that step.  Returns the roots and, per row, whether every
     root froze within MAX_SWEEPS, stayed finite and was good where it froze.
     """
+    import numpy as np
+
     n = z.shape[1]
     off = ~np.eye(n, dtype=bool)
     good = np.isfinite(z).all(axis=1)
@@ -481,6 +491,8 @@ def _batch_level(coeffs):
     c_n nonzero, an exact power-of-two normalisation, and every root finite,
     within Horner's bound and _TARGET.
     """
+    import numpy as np
+
     m, n = coeffs.shape[0], coeffs.shape[1] - 1
     roots = np.full((m, n), np.nan, dtype=complex)
     ok = np.zeros(m, dtype=bool)
@@ -521,6 +533,8 @@ def poly_roots_batch(coeffs) -> np.ndarray:
     about _BATCH_ENTRIES / n^2, and a row's result does not depend on the
     rows it is solved with.
     """
+    import numpy as np
+
     coeffs = np.asarray(coeffs)
     m, n = coeffs.shape[0], coeffs.shape[1] - 1
     out = np.full((m, n), np.nan, dtype=complex)

@@ -475,14 +475,6 @@ def _fresh_process(argv, cwd):
     return _fresh_python(["-m", "pfdensity.cli", *argv], cwd)
 
 
-def test_cli_import_does_not_load_mpmath(tmp_path):
-    # mpmath is imported on the climb past 53 bits, not by every process
-    proc = _fresh_python(
-        ["-c", "import sys, pfdensity.cli; print('mpmath' in sys.modules)"], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
-
-
 _PROBE = """import json, sys, types
 def loaded():
     # a module the package registered lazily keeps a subclass of
@@ -495,8 +487,9 @@ out = []
 
 def _loaded_after(steps, cwd):
     """For each step run in turn in one new interpreter: the pfdensity
-    modules that have run, and whether numpy is imported."""
-    code = _PROBE + "".join(f"{step}\nout.append([loaded(), 'numpy' in sys.modules])\n"
+    modules that have run, and whether numpy and mpmath are imported."""
+    code = _PROBE + "".join(f"{step}\nout.append([loaded(), 'numpy' in sys.modules, "
+                            "'mpmath' in sys.modules])\n"
                             for step in steps) + "print(json.dumps(out))\n"
     proc = _fresh_python(["-c", code], cwd)
     assert proc.returncode == 0, proc.stderr
@@ -504,23 +497,37 @@ def _loaded_after(steps, cwd):
 
 
 def test_cli_import_runs_only_cli_and_errors(tmp_path):
-    # the benchmark's setup for zeros, chain and density
+    # the benchmark's setup for zeros, chain and density; numpy comes with
+    # the first sweep or batch solve, mpmath with the climb past 53 bits
     assert _loaded_after(["import pfdensity.cli",
                           "from pfdensity.bell import MapSpec1D"], tmp_path) == [
-        (["cli", "errors"], False),
-        (["bell", "cli", "errors", "poly"], True),
+        (["cli", "errors"], False, False),
+        (["bell", "cli", "errors", "poly"], False, False),
     ]
     # and for lorenz
     assert _loaded_after(["import pfdensity.cli\n"
                           "from pfdensity.lorenz import LorenzParams, lorenz_system"],
-                         tmp_path) == [(["cli", "errors", "lorenz", "odeiter", "poly"], True)]
+                         tmp_path) == [(["cli", "errors", "lorenz", "odeiter", "poly"],
+                                        True, False)]
+
+
+def test_exact_chain_calls_leave_numpy_unloaded(tmp_path):
+    chain = ["bell", "errors", "poly"]
+    assert _loaded_after([
+        "from pfdensity.bell import *\nf = MapSpec1D.logistic(2.0)",
+        "bell_sequence_exact(f, 64)",
+        "resolving_gap(f, 64)",
+        "solve_coefficient_system(f, 96, 1)",
+        "from pfdensity.poly import *\npoly_roots(Polynomial([3.0, 1, 0, 2, 1]))",
+        "chain_roots(f, 16)",
+    ], tmp_path) == [(chain, False, False)] * 5 + [(chain, True, False)]
 
 
 def test_package_attributes_resolve_on_first_use(tmp_path):
     assert _loaded_after(["import pfdensity",
                           "assert callable(pfdensity.saddle.saddle_sweep)"], tmp_path) == [
-        ([], False),
-        (["errors", "poly", "saddle"], True),
+        ([], False, False),
+        (["errors", "poly", "saddle"], True, False),
     ]
 
 
@@ -591,6 +598,7 @@ print(callable(pfdensity.quadform.symmetric_eigen), type(module) is types.Module
      ["odeiter", "poly"]),
     (["lorenz", "report", "--sigma", "10", "--rho", "28", "--beta", "2.5"],
      ["lorenz", "odeiter", "poly"]),
+    (["hermite", "gen", "--map", "MAP", "-n", "8"], ["bell", "poly"]),
 ])
 def test_each_command_runs_only_its_modules(logistic_map_file, lorenz_system_file,
                                             tmp_path, argv, modules):
@@ -599,10 +607,13 @@ def test_each_command_runs_only_its_modules(logistic_map_file, lorenz_system_fil
     files = {"MAP": logistic_map_file, "SYSTEM": lorenz_system_file,
              "SAMPLE": str(sample)}
     argv = [files.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")]
-    [(ran, _)] = _loaded_after(
+    [(ran, numpy, mpmath)] = _loaded_after(
         ["import pfdensity.cli\n"
          f"assert pfdensity.cli.run({argv!r}) == 0"], tmp_path)
     assert ran == sorted(["cli", "errors", *modules])
+    # the exact chain runs in ints; every other command has arrays to handle
+    assert numpy == (argv[:2] != ["hermite", "gen"])
+    assert not mpmath
 
 
 def test_cached_parser_keeps_no_state_between_runs(lorenz_system_file, tmp_path,
@@ -639,6 +650,64 @@ def test_domain_error_exit_code_and_json(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("body", ['{"coef": [0, 1]}', "[0, 1, -0.5]",
+                                  '{"coeffs": "01"}', '{"coeffs": [0, true]}',
+                                  '{"coeffs": [0, "2"]}', '{"coeffs": null}'],
+                         ids=["misspelled-key", "bare-list", "string", "bool",
+                              "string-coefficient", "null"])
+def test_malformed_map_json_exit_code_and_json(tmp_path, capsys, body):
+    bad = tmp_path / "bad.json"
+    bad.write_text(body)
+    assert run(["hermite", "gen", "--map", str(bad), "-n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _strict_json(captured.err)["error"] == {
+        "type": "ValueError",
+        "message": 'a map is a JSON object whose "coeffs" is a list of numbers'}
+
+
+_TERM = '{"exps": [1, 0], "coef": -1.0}'
+
+
+@pytest.mark.parametrize("body, key", [
+    ('{"dim": 2}', '"components"'),
+    (f'[[{_TERM}], [{_TERM}]]', '"dim"'),
+    (f'{{"dim": true, "components": [[{_TERM}], [{_TERM}]]}}', '"dim"'),
+    (f'{{"dim": 2, "components": [{_TERM}, {_TERM}]}}', '"components"'),
+    (f'{{"dim": 2, "components": [[{_TERM}], [{{"exps": [0, 1], "coef": "2"}}]]}}',
+     '"coef"'),
+    (f'{{"dim": 2, "components": [[{_TERM}], [{{"exps": [0, true], "coef": 1}}]]}}',
+     '"exps"'),
+    (f'{{"dim": 2, "components": [[{_TERM}], [{{"exps": [0, 1.5], "coef": 1}}]]}}',
+     '"exps"'),
+    (f'{{"dim": 2, "components": [[{_TERM}], [{{"coef": 1}}]]}}', '"exps"'),
+], ids=["no-components", "bare-list", "bool-dim", "flat-components",
+        "string-coef", "bool-exponent", "fractional-exponent", "no-exps"])
+def test_malformed_system_json_exit_code_and_json(tmp_path, capsys, body, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(body)
+    assert run(["ode", "euler", "--system", str(bad), "--a0", "1,1",
+                "--steps", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)["error"]
+    assert err["type"] == "ValueError"
+    assert key in err["message"]
+
+
+def test_system_coefficient_beyond_the_double_range_is_a_domain_error(tmp_path,
+                                                                      capsys):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dim": 1, "components": [[{"exps": [1],
+                                                          "coef": 10**400}]]}))
+    assert run(["ode", "euler", "--system", str(big), "--a0", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _strict_json(captured.err)["error"] == {
+        "type": "DomainError",
+        "message": "the coefficient of the term (1,) is beyond the double range"}
 
 
 def test_threads_option_is_a_usage_error(logistic_map_file):
