@@ -475,6 +475,14 @@ def _fresh_process(argv, cwd):
     return _fresh_python(["-m", "pfdensity.cli", *argv], cwd)
 
 
+def test_cli_import_does_not_load_mpmath(tmp_path):
+    # mpmath is imported on the climb past 53 bits, not by every process
+    proc = _fresh_python(
+        ["-c", "import sys, pfdensity.cli; print('mpmath' in sys.modules)"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 _PROBE = """import json, sys, types
 def loaded():
     # a module the package registered lazily keeps a subclass of
