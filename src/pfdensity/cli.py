@@ -151,10 +151,10 @@ def _cmd_ode(args) -> int:
         return 0
     # euler
     it = odeiter.DifferentialIteration(sys_, args.delta, args.steps)
-    a_n, S_n = odeiter.euler_iterate(it, _parse_point(args.a0, "--a0"))
+    a_n, S_n = it.iterate(_parse_point(args.a0, "--a0"))
     _write_json(args.out, {
-        "a_n": [float(v) for v in a_n],
-        "S_n": [float(v) for v in S_n],
+        "a_n": a_n,
+        "S_n": S_n,
         "delta": args.delta,
         "steps": args.steps,
     })

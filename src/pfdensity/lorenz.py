@@ -15,19 +15,25 @@ three-way factorisation of the projected exponent lives in the
 diagonalising basis a = T u, where
 y.f(Tu) = m1*u + (m2*v - d*v^2) + (m3*w + d*w^2) with m = L T and
 d = delta*mu/2 holds to rounding.
+
+numpy is imported inside the functions that build arrays: the fixed points,
+Q, T, the L- and l-coefficients, cycle_sample and lorenz_report.
+LorenzParams, lorenz_system, the characteristic cubics and direction_grid
+load and run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import DegenerateDirection, DomainError
 from .odeiter import OdeSystem, jacobian_eigen
 from .poly import Polynomial, poly_roots
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LorenzParams",
@@ -95,6 +101,8 @@ def _signed_alpha(p: LorenzParams, tag: str) -> float:
 
 
 def fixed_point(p: LorenzParams, tag: str) -> np.ndarray:
+    import numpy as np
+
     if tag == "theta":
         return np.zeros(3)
     a = _signed_alpha(p, tag)
@@ -133,6 +141,8 @@ def characteristic_at_fixed_points(p: LorenzParams):
 
 def q_matrix(direction) -> np.ndarray:
     """Hessian of the projected quadratic (zb - yc)a for axis (x, y, z)."""
+    import numpy as np
+
     _, y, z = (float(v) for v in direction)
     return np.array([[0.0, z, -y],
                      [z, 0.0, 0.0],
@@ -149,6 +159,8 @@ class LorenzDecomposition:
 
 def q_decomposition(direction) -> LorenzDecomposition:
     """Constant orthogonal eigenbasis of Q: columns of T for (0, -mu, +mu)."""
+    import numpy as np
+
     x, y, z = (float(v) for v in direction)
     mu = math.hypot(y, z)
     if mu == 0.0:
@@ -165,6 +177,8 @@ def q_decomposition(direction) -> LorenzDecomposition:
 
 def _alpha_shift(p: LorenzParams, direction, delta: float, tag: str):
     """Additive shift of L when recentring the iteration at alpha_+/-."""
+    import numpy as np
+
     if tag == "theta":
         return np.zeros(3)
     alpha = _signed_alpha(p, tag)
@@ -179,6 +193,8 @@ def _alpha_shift(p: LorenzParams, direction, delta: float, tag: str):
 def L_coefficients(p: LorenzParams, direction, delta: float,
                    tag: str = "theta") -> tuple:
     """Coefficients of the linear part y.f(a) - delta(zb - yc)a = L.a."""
+    import numpy as np
+
     x, y, z = (float(v) for v in direction)
     L = np.array([
         x * (1.0 - delta * p.sigma) + delta * p.rho * y,
@@ -192,6 +208,8 @@ def L_coefficients(p: LorenzParams, direction, delta: float,
 def l_coefficients(dec: LorenzDecomposition, p: LorenzParams, delta: float,
                    tag: str = "theta") -> tuple:
     """l = L T^t: the coefficients the condition surfaces are written in."""
+    import numpy as np
+
     L = np.array(L_coefficients(p, dec.direction, delta, tag))
     return tuple(float(v) for v in L @ dec.T.T)
 
@@ -209,6 +227,8 @@ def factor_coefficients(dec: LorenzDecomposition, p: LorenzParams,
                         delta: float, tag: str = "theta") -> tuple:
     """(m, d): linear coefficients m = L T and quadratic weight d = delta*mu/2
     of the exact factorisation in the diagonalising basis a = T u."""
+    import numpy as np
+
     L = np.array(L_coefficients(p, dec.direction, delta, tag))
     return tuple(L @ dec.T), delta * dec.mu / 2.0
 
@@ -241,6 +261,8 @@ def cycle_sample(dec: LorenzDecomposition) -> CycleSample:
     density q = |l2| sqrt(8 mu - l2^2) / (8 pi mu) when l2^2 < 8 mu, else 0.
     The l1 and l3 values locate the condition surfaces reported alongside.
     """
+    import numpy as np
+
     l = np.array(dec.direction) @ dec.T.T
     l1, l2, l3 = (float(v) for v in l)
     mu = dec.mu
@@ -268,7 +290,10 @@ def direction_grid() -> list:
 
 def lorenz_report(p: LorenzParams, delta: float = 1e-3) -> dict:
     """JSON-able end-to-end report: fixed points with spectra, per-tag
-    condition surfaces on direction_grid(), admissibility mask and densities."""
+    condition surfaces on direction_grid(), admissibility mask and densities.
+    Surfaces that overflow doubles are a DomainError naming delta."""
+    import numpy as np
+
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta!r}")
     grid = direction_grid()
@@ -291,13 +316,18 @@ def lorenz_report(p: LorenzParams, delta: float = 1e-3) -> dict:
 
     surfaces = {"l1": {tag: [] for tag in points}, "l3": {tag: [] for tag in points}}
     samples = []
-    for g in grid:
-        dec = q_decomposition(g)
-        for tag in points:
-            l1, _, l3 = l_coefficients(dec, p, delta, tag)
-            surfaces["l1"][tag].append(l1)
-            surfaces["l3"][tag].append(l3)
-        samples.append(cycle_sample(dec))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for g in grid:
+            dec = q_decomposition(g)
+            for tag in points:
+                l1, _, l3 = l_coefficients(dec, p, delta, tag)
+                surfaces["l1"][tag].append(l1)
+                surfaces["l3"][tag].append(l3)
+            samples.append(cycle_sample(dec))
+    if not all(math.isfinite(v) for side in surfaces.values()
+               for values in side.values() for v in values):
+        raise DomainError(f"the condition surfaces at delta={delta!r} "
+                          "are not finite in doubles")
 
     return {
         "params": {"sigma": p.sigma, "rho": p.rho, "beta": p.beta,

@@ -31,6 +31,13 @@ in one np.linalg.solve; a LinAlgError from the stack reruns that sweep's
 solves seed by seed, so only a seed whose own J is singular stops.  LAPACK
 solves each matrix of a stack as it solves it alone, so the points and the
 drop count are bit-identical to the loop of single solves, seed by seed.
+
+numpy is imported inside the functions that build or read arrays: F and J
+as arrays (OdeSystem.__call__, jacobian, linear), euler_iterate, the seed
+lattice, fixed_points and its solves, the spectra and frequency solves
+(which import poly too), and the overflow rerun of the generated code.
+OdeSystem's construction, point check and JSON, DifferentialIteration and
+its Euler loop (iterate, which returns lists) load and run without numpy.
 """
 
 from __future__ import annotations
@@ -39,12 +46,14 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import DomainError, SingularTau, TrajectoryEscape
-from .poly import Polynomial, poly_roots
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .poly import Polynomial
 
 __all__ = [
     "OdeSystem",
@@ -126,8 +135,25 @@ def _generated(kind: str, table: tuple, dim: int, size: int, x: list, *args):
     try:
         return fn(coefs, x, *args)
     except OverflowError:
+        import numpy as np
+
         with np.errstate(all="ignore"):
             return fn(coefs, [np.float64(u) for u in x], *args)
+
+
+def _shape(a) -> tuple:
+    """The shape np.asarray(a) has: an array's own; () for a str, bytes or
+    anything without a length; else len(a) and its entries' common shape,
+    a ValueError as in numpy where they differ."""
+    shape = getattr(a, "shape", None)
+    if shape is not None:
+        return tuple(shape)
+    if isinstance(a, (str, bytes)) or not hasattr(a, "__len__"):
+        return ()
+    inner = {_shape(v) for v in a}
+    if len(inner) > 1:
+        raise ValueError("point has entries of different shapes")
+    return (len(a), *next(iter(inner), ()))
 
 
 @dataclass(frozen=True)
@@ -176,16 +202,22 @@ class OdeSystem:
                 tuple(coef for _, coef, _ in rows)))
 
     def _point(self, a) -> list:
-        a = np.asarray(a, dtype=float)
-        if a.shape != (self.dim,):
+        """a as the floats of np.asarray(a, dtype=float).tolist(); a point
+        of any shape but (dim,) is a ValueError."""
+        shape = _shape(a)
+        if shape != (self.dim,):
             raise ValueError(
-                f"point has shape {a.shape}, the system needs ({self.dim},)")
-        return a.tolist()
+                f"point has shape {shape}, the system needs ({self.dim},)")
+        return [float(v) for v in a]
 
     def __call__(self, a) -> np.ndarray:
+        import numpy as np
+
         return np.array(self._field(self._point(a)))
 
     def jacobian(self, a) -> np.ndarray:
+        import numpy as np
+
         d = self.dim
         return np.reshape(
             _generated("sums", self._dterms, d, d * d, self._point(a)), (d, d))
@@ -195,6 +227,8 @@ class OdeSystem:
 
     @classmethod
     def linear(cls, matrix) -> "OdeSystem":
+        import numpy as np
+
         M = np.asarray(matrix, dtype=float)
         d = M.shape[0]
         comps = []
@@ -255,6 +289,14 @@ class DifferentialIteration:
     def horizon(self) -> float:
         return self.delta * self.n
 
+    def iterate(self, a0) -> tuple:
+        """n explicit Euler steps from a0: (a_n, S_n) as lists of floats,
+        S_n the sum of the field values, so a_n - a0 = delta * S_n up to
+        rounding; TrajectoryEscape once a coordinate leaves |a| <= GUARD."""
+        sys = self.system
+        return _generated("euler", sys._terms, sys.dim, sys.dim,
+                          sys._point(a0), self.delta, self.n, GUARD)
+
 
 class EulerResult(NamedTuple):
     a_n: np.ndarray
@@ -262,11 +304,10 @@ class EulerResult(NamedTuple):
 
 
 def euler_iterate(it: DifferentialIteration, a0) -> EulerResult:
-    """n explicit Euler steps; S_n accumulates the field values so the
-    identity a_n - a0 = delta * S_n holds up to rounding."""
-    sys = it.system
-    a, S = _generated("euler", sys._terms, sys.dim, sys.dim, sys._point(a0),
-                      it.delta, it.n, GUARD)
+    """it.iterate(a0) as arrays."""
+    import numpy as np
+
+    a, S = it.iterate(a0)
     return EulerResult(a_n=np.array(a), S_n=np.array(S))
 
 
@@ -274,6 +315,11 @@ def seed_lattice(dim: int, radius: float) -> list:
     """5^dim Newton seeds on a regular lattice in [-radius, radius]^dim."""
     if not math.isfinite(radius):
         raise ValueError(f"radius must be finite, got {radius!r}")
+    if not math.isfinite(2.0 * radius):  # linspace would overflow the span
+        raise ValueError(f"radius {radius!r} is too large: the lattice's "
+                         "span 2*radius overflows doubles")
+    import numpy as np
+
     axis = np.linspace(-radius, radius, 5)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     return [np.array(pt) for pt in zip(*(g.ravel() for g in grids))]
@@ -288,6 +334,8 @@ def _newton_steps(J: list, F: list, dim: int) -> list:
     """The Newton steps J_k^-1 F_k as lists, from one stacked solve; where
     that raises LinAlgError, from one solve per k, with None for a
     singular J_k."""
+    import numpy as np
+
     Js = np.reshape(J, (len(J), dim, dim))
     Fs = np.array(F, dtype=float)
     try:
@@ -348,6 +396,8 @@ def fixed_points(sys: OdeSystem, seeds=None, radius: float = 2.0) -> FixedPoints
     solve raises.  Every step, point and drop is bit-identical to a loop
     of single solves, seed by seed, and acceptance and deduplication run
     in seed order."""
+    import numpy as np
+
     if seeds is None:
         seeds = seed_lattice(sys.dim, radius)
     found = []
@@ -367,6 +417,10 @@ def fixed_points(sys: OdeSystem, seeds=None, radius: float = 2.0) -> FixedPoints
 def char_poly_faddeev(J) -> Polynomial:
     """Characteristic polynomial det(lambda I - J) by the trace recursion,
     returned with ascending coefficients and monic leading term."""
+    import numpy as np
+
+    from .poly import Polynomial
+
     J = np.asarray(J, dtype=float)
     d = J.shape[0]
     coeffs_desc = [1.0]
@@ -390,6 +444,8 @@ class JacobianEigen(NamedTuple):
 
 
 def jacobian_eigen(sys: OdeSystem, a) -> JacobianEigen:
+    from .poly import poly_roots
+
     J = sys.jacobian(a)
     cp = char_poly_faddeev(J)
     eig = poly_roots(cp)
@@ -408,6 +464,8 @@ def critical_frequency_solution(sys: OdeSystem, a, tau: float) -> np.ndarray:
     within 1e-10 of -1/lambda for a real eigenvalue lambda: that is the
     discontinuity of the resolvent, reported with the offending eigenvalue.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     if np.any(a == 0.0):
         raise DomainError("all coordinates of a must be nonzero")
@@ -430,6 +488,8 @@ def critical_frequency_solution(sys: OdeSystem, a, tau: float) -> np.ndarray:
 
 def _left_eigenvector(J: np.ndarray, lam: float) -> np.ndarray:
     """Unit left eigenvector of J for eigenvalue lam, sign-normalised."""
+    import numpy as np
+
     d = J.shape[0]
     _, _, Vt = np.linalg.svd(J.T - lam * np.eye(d))
     v = Vt[-1]
@@ -459,6 +519,8 @@ def critical_frequencies(sys: OdeSystem, a) -> FrequencyResult:
     reported but excluded from the tau candidates.  An empty tau list (no
     real eigenvalue) is a reported condition, not an error.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     J, _, eig = jacobian_eigen(sys, a)
     real = [l for l in _real_eigenvalues(eig) if abs(l) > 1e-12]

@@ -259,6 +259,42 @@ def test_ode_overflowing_power_prints_no_warning(tmp_path, capsys, argv, code,
         assert _strict_json(captured.err)["error"]["type"] == error
 
 
+def test_ode_fixed_points_radius_whose_span_overflows_is_an_error(tmp_path, capsys):
+    # linspace(-1e308, 1e308, 5) overflows 2e308 with numpy warnings
+    system = tmp_path / "decay.json"
+    system.write_text(json.dumps(
+        {"dim": 1, "components": [[{"exps": [1], "coef": -1.0}]]}))
+    for radius in ("1e308", "-1e308"):
+        assert run(["ode", "fixed-points", "--system", str(system),
+                    f"--radius={radius}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        err = _strict_json(captured.err)["error"]
+        assert err["type"] == "ValueError"
+        assert f"radius {float(radius)!r}" in err["message"]
+    assert run(["ode", "fixed-points", "--system", str(system),
+                "--radius", "8e307"]) == 0
+    assert _strict_json(capsys.readouterr().out) == {
+        "fixed_points": [[0.0]], "non_converged_seeds": 0}
+
+
+def test_ode_euler_overflow_in_a_fresh_process_matches_in_process(tmp_path, capsys):
+    # (1e200)**2 overflows: a process that has not imported numpy imports it
+    # for the np.float64 rerun of the first step
+    system = tmp_path / "overflow.json"
+    system.write_text(json.dumps({"dim": 2, "components": [
+        [{"exps": [2, 0], "coef": 1.0}, {"exps": [0, 1], "coef": 1.0}],
+        [{"exps": [1, 3], "coef": -1.0}]]}))
+    argv = ["ode", "euler", "--system", str(system), "--a0=1e200,-3", "--steps", "5"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _strict_json(captured.err)["error"] == {
+        "type": "TrajectoryEscape", "message": "trajectory escaped at step 1"}
+    fresh = _fresh_process(argv, tmp_path)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (1, "", captured.err)
+
+
 def test_write_json_refuses_nan(capsys):
     with pytest.raises(ValueError):
         _write_json("-", {"x": math.nan})
@@ -385,6 +421,20 @@ def test_lorenz_non_finite_parameter_exit_code_and_json(capsys, flag, value):
     assert err["type"] == "ValueError" and flag[2:] in err["message"]
 
 
+def test_lorenz_report_overflowing_surfaces_name_delta(tmp_path, capsys):
+    # delta * alpha overflows in the alpha shifts; inf - inf then gives nan
+    argv = ["lorenz", "report", "--sigma", "10", "--rho", "28", "--beta", "2.5",
+            "--delta", "1e308"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)["error"]
+    assert err["type"] == "DomainError" and "delta=1e+308" in err["message"]
+    fresh = _fresh_process(argv, tmp_path)  # no warning on stderr either
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (1, "", captured.err)
+    assert fresh.stderr.count("\n") == 1
+
+
 def test_compare_ks(tmp_path):
     sample = tmp_path / "sample.txt"
     n = 200
@@ -505,8 +555,9 @@ def _loaded_after(steps, cwd):
 
 
 def test_cli_import_runs_only_cli_and_errors(tmp_path):
-    # the benchmark's setup for zeros, chain and density; numpy comes with
-    # the first sweep or batch solve, mpmath with the climb past 53 bits
+    # the benchmark's setup for zeros, chain, density and lorenz; numpy comes
+    # with the first sweep, batch solve or array, mpmath with the climb past
+    # 53 bits
     assert _loaded_after(["import pfdensity.cli",
                           "from pfdensity.bell import MapSpec1D"], tmp_path) == [
         (["cli", "errors"], False, False),
@@ -516,7 +567,7 @@ def test_cli_import_runs_only_cli_and_errors(tmp_path):
     assert _loaded_after(["import pfdensity.cli\n"
                           "from pfdensity.lorenz import LorenzParams, lorenz_system"],
                          tmp_path) == [(["cli", "errors", "lorenz", "odeiter", "poly"],
-                                        True, False)]
+                                        False, False)]
 
 
 def test_exact_chain_calls_leave_numpy_unloaded(tmp_path):
@@ -529,6 +580,32 @@ def test_exact_chain_calls_leave_numpy_unloaded(tmp_path):
         "from pfdensity.poly import *\npoly_roots(Polynomial([3.0, 1, 0, 2, 1]))",
         "chain_roots(f, 16)",
     ], tmp_path) == [(chain, False, False)] * 5 + [(chain, True, False)]
+
+
+_LORENZ_SETUP = ("from pfdensity.lorenz import *\nfrom pfdensity.odeiter import *\n"
+                 "p = LorenzParams(10.0, 28.0, 2.5)\nsys_ = lorenz_system(p)")
+_ODE_MODULES = ["errors", "lorenz", "odeiter", "poly"]
+
+
+def test_ode_calls_without_arrays_leave_numpy_unloaded(lorenz_system_file, tmp_path):
+    # the field's JSON, the Euler loop and the CLI's euler run in floats
+    euler = ["ode", "euler", "--system", lorenz_system_file, "--a0", "1,1,1",
+             "--steps", "10", "--out", str(tmp_path / "out")]
+    assert _loaded_after([
+        _LORENZ_SETUP,
+        "OdeSystem.from_json(sys_.to_json())",
+        "DifferentialIteration(sys_, 1e-3, 10).iterate([1, 1, 1])",
+        f"import pfdensity.cli\nassert pfdensity.cli.run({euler!r}) == 0",
+    ], tmp_path) == [(_ODE_MODULES, False, False)] * 3 + [
+        (["cli", *_ODE_MODULES], False, False)]
+
+
+@pytest.mark.parametrize("call", ["fixed_points(sys_, radius=10.0)",
+                                  "critical_frequencies(sys_, [1.0, 1.0, 1.0])",
+                                  "lorenz_report(p)"])
+def test_ode_calls_with_arrays_load_numpy(tmp_path, call):
+    assert _loaded_after([_LORENZ_SETUP, call], tmp_path) == [
+        (_ODE_MODULES, False, False), (_ODE_MODULES, True, False)]
 
 
 def test_package_attributes_resolve_on_first_use(tmp_path):
@@ -603,7 +680,7 @@ print(callable(pfdensity.quadform.symmetric_eigen), type(module) is types.Module
      ["bell", "empirical", "poly"]),
     (["compare", "--sample", "SAMPLE", "--reference", "uniform"], ["empirical"]),
     (["ode", "euler", "--system", "SYSTEM", "--a0", "1,1,1", "--steps", "10"],
-     ["odeiter", "poly"]),
+     ["odeiter"]),
     (["lorenz", "report", "--sigma", "10", "--rho", "28", "--beta", "2.5"],
      ["lorenz", "odeiter", "poly"]),
     (["hermite", "gen", "--map", "MAP", "-n", "8"], ["bell", "poly"]),
@@ -619,8 +696,9 @@ def test_each_command_runs_only_its_modules(logistic_map_file, lorenz_system_fil
         ["import pfdensity.cli\n"
          f"assert pfdensity.cli.run({argv!r}) == 0"], tmp_path)
     assert ran == sorted(["cli", "errors", *modules])
-    # the exact chain runs in ints; every other command has arrays to handle
-    assert numpy == (argv[:2] != ["hermite", "gen"])
+    # the exact chain runs in ints and the Euler loop in floats; every other
+    # command has arrays to handle
+    assert numpy == (argv[:2] not in (["hermite", "gen"], ["ode", "euler"]))
     assert not mpmath
 
 

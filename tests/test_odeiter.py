@@ -1,6 +1,8 @@
 import copy
 import math
 import pickle
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,6 +131,18 @@ def test_seed_lattice_shape():
 def test_seed_lattice_rejects_non_finite_radius(radius):
     with pytest.raises(ValueError, match="radius must be finite"):
         seed_lattice(2, radius)
+
+
+def test_seed_lattice_rejects_a_radius_whose_span_overflows():
+    for radius in (1e308, -1e308):
+        with pytest.raises(ValueError, match=re.escape(f"radius {radius!r}")):
+            seed_lattice(2, radius)
+    [edge, *inner, end] = [x for [x] in seed_lattice(1, 8e307)]
+    assert (edge, end) == (-8e307, 8e307) and all(map(math.isfinite, inner))
+    lattice = seed_lattice(3, 10.0)
+    axis = [-10.0, -5.0, 0.0, 5.0, 10.0]
+    assert [s.tolist() for s in lattice] == [[x, y, z] for x in axis
+                                            for y in axis for z in axis]
 
 
 def test_jacobian_eigen_diagonal():
@@ -540,7 +554,8 @@ def test_jacobian_matches_central_differences():
 
 
 def test_wrong_dimension_points_are_errors():
-    for bad in ([1.0, 2.0], [1.0, 2.0, 3.0, 99.0], [[1.0, 2.0, 3.0]], 1.0):
+    for bad in ([1.0, 2.0], [1.0, 2.0, 3.0, 99.0], [[1.0, 2.0, 3.0]], 1.0,
+                np.ones((3, 1)), np.ones((1, 3)), (1.0, 2.0), "123"):
         with pytest.raises(ValueError):
             LORENZ(bad)
         with pytest.raises(ValueError):
@@ -549,6 +564,25 @@ def test_wrong_dimension_points_are_errors():
         fixed_points(LORENZ, seeds=[[1.0, 2.0]])
     with pytest.raises(ValueError):
         critical_frequencies(LORENZ, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("point", [
+    [1.5, -2.0, 3.0], (1.5, -2.0, 3.0), np.array([1.5, -2.0, 3.0]), [1, -2, 3],
+    np.array([1, -2, 3]), [Fraction(1, 3), Fraction(-2, 7), 5],
+    [np.float32(0.1), np.float32(-2.5), 3.0], [True, False, 2.0], range(3),
+    ["1.5", "-2", "3e-1"]])
+def test_point_is_what_numpy_makes_of_it(point):
+    got = LORENZ._point(point)
+    assert got == np.asarray(point, dtype=float).tolist()
+    assert all(type(v) is float for v in got)
+
+
+@pytest.mark.parametrize("point", [[[1.0, 2.0], [3.0]], [np.ones(1), 2.0, 3.0]])
+def test_ragged_points_are_errors(point):
+    with pytest.raises(ValueError):
+        np.asarray(point, dtype=float)
+    with pytest.raises(ValueError):
+        LORENZ._point(point)
 
 
 def test_term_tables_stay_out_of_equality_hash_and_repr():
