@@ -2,9 +2,9 @@
 
 Subpackages: poly (root finding substrate), bell (generating-chain
 polynomials and the triangular coefficient system), saddle (steepest
-descent zero/invariant densities), quadform (orthogonal splitting in
-R^d), empirical (orbit and zero-set statistics), odeiter (differential
-iteration), lorenz (case study), cli.
+descent zero/invariant densities), quadform (symmetric eigen-decomposition,
+an oracle for lorenz), empirical (orbit and zero-set statistics), odeiter
+(differential iteration), lorenz (case study), cli.
 
 Importing the package compiles none of its modules.  Each name of
 __all__ is bound to a module registered in sys.modules whose source is

@@ -43,10 +43,6 @@ class DomainError(ToolkitError):
     """Argument outside the mathematical domain of the operation."""
 
 
-class DegenerateForm(ToolkitError):
-    """A quadratic form has a (numerically) zero eigenvalue."""
-
-
 class DegenerateDirection(ToolkitError):
     """Projection axis with y = z = 0; the 3-D decomposition is undefined."""
 

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import pfdensity
-from pfdensity import bell, cli
+from pfdensity import bell, cli, errors
 from pfdensity.cli import _write_json, run
 from pfdensity.poly import poly_roots
 from pfdensity.saddle import logistic_closed_q
@@ -608,6 +610,13 @@ def test_ode_calls_with_arrays_load_numpy(tmp_path, call):
         (_ODE_MODULES, False, False), (_ODE_MODULES, True, False)]
 
 
+def test_first_use_of_quadform_runs_only_quadform(tmp_path):
+    assert _loaded_after(["from pfdensity.quadform import *\n"
+                          "M = [[0.0, 1.0], [1.0, 0.0]]\n"
+                          "symmetric_eigen(SymmetricForm.from_matrix(M))"],
+                         tmp_path) == [(["quadform"], True, False)]
+
+
 def test_package_attributes_resolve_on_first_use(tmp_path):
     assert _loaded_after(["import pfdensity",
                           "assert callable(pfdensity.saddle.saddle_sweep)"], tmp_path) == [
@@ -623,6 +632,24 @@ def test_every_all_entry_resolves(name):
     module = importlib.import_module(name)
     names = getattr(module, "__all__", [])  # errors has none
     assert [entry for entry in names if not hasattr(module, entry)] == []
+
+
+def test_every_error_type_is_raised_outside_errors():
+    # so that deleting the last raise of an error type deletes the type too
+    defined = {name for name, obj in vars(errors).items() if isinstance(obj, type)
+               and issubclass(obj, errors.ToolkitError) and obj is not errors.ToolkitError}
+    raised = set()
+    for path in Path(pfdensity.__file__).parent.glob("*.py"):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                # source that a module generates and compiles at run time
+                raised.update(re.findall(r"\braise (\w+)", node.value))
+    assert sorted(defined - raised) == []
 
 
 _FIRST_USE_ON_THREADS = """import threading, pfdensity

@@ -102,14 +102,16 @@ def test_q_decomposition_degenerate():
         q_decomposition((1.0, 0.0, 0.0))
 
 
-def test_q_decomposition_agrees_with_jacobi():
-    # independent route: cyclic Jacobi on the same matrix, up to column
-    # sign/permutation (eigenvalues ascending: -mu, 0, +mu)
-    direction = (0.3, 3.0, 4.0)
+@pytest.mark.parametrize("direction", [(0.3, 3.0, 4.0), *direction_grid()])
+def test_q_decomposition_agrees_with_eigh(direction):
+    # independent route: LAPACK eigh on the same matrix, up to column
+    # sign/permutation (eigenvalues ascending: -mu, 0, +mu), on the
+    # report's own grid
     dec = q_decomposition(direction)
     eig, T = symmetric_eigen(SymmetricForm.from_matrix(q_matrix(direction)))
-    assert np.allclose(eig, [-5.0, 0.0, 5.0], atol=1e-12)
-    # match columns: dec order is (0, -mu, +mu); jacobi order (-mu, 0, +mu)
+    mu = math.hypot(direction[1], direction[2])
+    assert np.allclose(eig, [-mu, 0.0, mu], atol=1e-12)
+    # match columns: dec order is (0, -mu, +mu); eigh order (-mu, 0, +mu)
     perm = [1, 0, 2]
     for j_dec, j_jac in enumerate(perm):
         a, b = dec.T[:, j_dec], T[:, j_jac]

@@ -1,13 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfdensity.bell import MapSpec1D
-from pfdensity.errors import DegenerateForm
-from pfdensity.quadform import (QuadSplit, SymmetricForm, projected_form,
-                                split_density, split_gamma, symmetric_eigen)
-from pfdensity.saddle import zero_density_q
+from pfdensity.quadform import SymmetricForm, symmetric_eigen
 
 LORENZ_Q_34 = [[0.0, 4.0, -3.0],
                [4.0, 0.0, 0.0],
@@ -23,6 +21,36 @@ def test_form_storage_is_triangular():
 def test_form_rejects_asymmetric():
     with pytest.raises(ValueError):
         SymmetricForm.from_matrix([[0.0, 1.0], [0.5, 0.0]])
+
+
+@pytest.mark.parametrize("M", [[[np.nan, 1.0], [2.0, 0.0]],
+                               [[0.0, np.inf], [5.0, 0.0]],
+                               [[np.inf, 0.0], [0.0, 1.0]]])
+def test_form_rejects_non_finite_entries(M):
+    # NaN compares false and inf - inf is NaN, so neither may reach the
+    # symmetry test; the constructor rejects them too
+    with pytest.raises(ValueError, match="must be finite"):
+        SymmetricForm.from_matrix(M)
+    [bad] = [x for row in M for x in row if not np.isfinite(x)]
+    with pytest.raises(ValueError, match="must be finite"):
+        SymmetricForm([[0.0], [bad, 0.0]])
+
+
+def test_form_near_the_double_range_does_not_overflow():
+    S = SymmetricForm.from_matrix([[1e308, 0.0], [0.0, 1.0]])
+    assert S.lower == ((1e308,), (0.0, 1.0))
+    eig, _ = symmetric_eigen(S)
+    assert list(eig) == [1.0, 1e308]
+    # a symmetric average of entries whose sum overflows
+    S = SymmetricForm.from_matrix([[0.0, 1.5e308], [np.nextafter(1.5e308, 0.0), 0.0]])
+    assert S.lower[1][0] == pytest.approx(1.5e308, rel=1e-15)
+
+
+def test_exactly_symmetric_form_is_stored_bit_for_bit():
+    M = [[-0.0, 5e-324, -0.0], [5e-324, 0.0, 0.3], [-0.0, 0.3, 1.7976931348623157e308]]
+    S = SymmetricForm.from_matrix(M)
+    assert [[struct.pack("<d", x) for x in row] for row in S.lower] == \
+        [[struct.pack("<d", x) for x in M[i][:i + 1]] for i in range(3)]
 
 
 def test_already_diagonal():
@@ -68,58 +96,6 @@ def test_large_dimension_converges():
     M = _random_symmetric(rng, 10)
     eig, T = symmetric_eigen(SymmetricForm.from_matrix(M))
     assert np.allclose(np.sort(np.linalg.eigvalsh(M)), eig, atol=1e-10)
-
-
-def test_projected_form_sum():
-    Q = [np.diag([1.0, 0.0]), [[0.0, 1.0], [1.0, 0.0]]]
-    S = projected_form([2.0, 3.0], Q)
-    assert np.array_equal(S.matrix(), [[2.0, 3.0], [3.0, 0.0]])
-
-
-def test_split_d1_logistic_reduces_to_direct_problem():
-    # dyadic s: the float rescaling in the dispatch is exact, so the
-    # dispatched density is bitwise equal to the direct one
-    lam = 2.0
-    for s in (0.25, 0.5, 1.0, 2.0):
-        split = split_gamma([s], [lam], [[[-0.5]]])
-        assert split.D[0] < 0.0
-        direct = zero_density_q(MapSpec1D.logistic(lam), s)
-        assert split_density(split, 0) == direct
-
-
-def test_split_d1_general_s_close():
-    lam, s = 3.9, 0.3137
-    split = split_gamma([s], [lam], [[[-0.5]]])
-    got = split_density(split, 0)
-    direct = zero_density_q(MapSpec1D.logistic(lam), s)
-    assert got == pytest.approx(direct, rel=1e-12)
-
-
-def test_split_mixed_signature():
-    # D = diag(+1, -1) after projection: one constraint, one arcsine coordinate
-    Q = [np.diag([1.0, 0.0]), np.diag([0.0, -1.0])]
-    split = split_gamma([1.0, 1.0], [0.7, 0.9], Q)
-    assert list(np.sign(split.D)) == [-1.0, 1.0]
-    assert split_density(split, 1) == 0.0
-    # the gamma_- coordinate is logistic with multiplier 0.9 / 2 at s = 2
-    q = split_density(split, 0)
-    assert q > 0.0
-    assert q == zero_density_q(MapSpec1D.logistic(0.45), 2.0)
-
-
-def test_split_degenerate_eigenvalue():
-    Q = [np.diag([1.0, 0.0]), np.diag([0.0, 0.0])]
-    with pytest.raises(DegenerateForm):
-        split_gamma([1.0, 1.0], [1.0, 1.0], Q)
-
-
-def test_split_lambda_vector():
-    # S = diag(-2, -6); ascending eigenvalues permute the coordinates,
-    # and Lambda = (s*lam)^t T follows the permutation
-    Q = [np.diag([-1.0, 0.0]), np.diag([0.0, -2.0])]
-    split = split_gamma([2.0, 3.0], [0.5, 0.25], Q)
-    assert np.allclose(split.D, [-6.0, -2.0])
-    assert np.allclose(split.Lambda, [0.75, 1.0])
 
 
 @settings(max_examples=25, deadline=None)
