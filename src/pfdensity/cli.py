@@ -311,7 +311,7 @@ def run(argv) -> int:
             ap.error("ode euler requires --a0")
     try:
         return args.fn(args)
-    except (ToolkitError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ToolkitError, ValueError, OSError) as exc:  # incl. JSONDecodeError
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(err), file=sys.stderr)
         return 1

@@ -71,14 +71,12 @@ class EmpiricalCDF:
     points: np.ndarray = field(default_factory=lambda: np.array([]))
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.size and np.any(np.diff(pts) < 0):
-            pts = np.sort(pts)
+        pts = np.sort(np.asarray(self.points, dtype=float))
         object.__setattr__(self, "points", pts)
 
     @classmethod
     def from_sample(cls, values) -> "EmpiricalCDF":
-        return cls(np.sort(np.asarray(values, dtype=float)))
+        return cls(values)
 
     def __len__(self) -> int:
         return int(self.points.size)

@@ -74,8 +74,7 @@ __all__ = [
 GUARD = 1e6
 MAX_TOTAL_DEGREE = 4
 MAX_DIM = 8
-_SINGULAR_DET = 1e-10
-_TAU_PROXIMITY = 1e-10
+_SINGULAR = 1e-10  # critical_frequency_solution's relative singularity bound
 
 
 def _max_abs(x: list) -> float:
@@ -439,7 +438,6 @@ def char_poly_faddeev(J) -> Polynomial:
 
 class JacobianEigen(NamedTuple):
     J: np.ndarray
-    char_poly: Polynomial
     eigenvalues: list
 
 
@@ -447,59 +445,45 @@ def jacobian_eigen(sys: OdeSystem, a) -> JacobianEigen:
     from .poly import poly_roots
 
     J = sys.jacobian(a)
-    cp = char_poly_faddeev(J)
-    eig = poly_roots(cp)
-    return JacobianEigen(J=J, char_poly=cp, eigenvalues=eig)
-
-
-def _real_eigenvalues(eigenvalues) -> list:
-    return [z.real for z in eigenvalues
-            if abs(z.imag) <= 1e-9 * (1.0 + abs(z.real))]
+    return JacobianEigen(J=J, eigenvalues=poly_roots(char_poly_faddeev(J)))
 
 
 def critical_frequency_solution(sys: OdeSystem, a, tau: float) -> np.ndarray:
     """Row-vector solve s (I + tau J) = 1/a.
 
-    SingularTau is raised when I + tau J is numerically singular or tau is
-    within 1e-10 of -1/lambda for a real eigenvalue lambda: that is the
-    discontinuity of the resolvent, reported with the offending eigenvalue.
+    The eigenvalues of I + tau J are 1 + tau mu for the eigenvalues mu of
+    J, so it is singular exactly where tau = -1/lambda for a real lambda.
+    SingularTau is raised, naming the real lambda (as poly.real_zeros
+    counts them) that comes closest, when
+    |1 + tau lambda| <= _SINGULAR * max(1, |tau| max|mu|): a bound
+    relative to the largest eigenvalue of I + tau J.  No determinant is
+    tested: det(0.05 I_8) = 3.9e-11 belongs to a matrix of condition
+    number 1, and a determinant far from 0 can belong to one that is
+    nearly singular.
     """
     import numpy as np
+
+    from .poly import real_zeros
 
     a = np.asarray(a, dtype=float)
     if np.any(a == 0.0):
         raise DomainError("all coordinates of a must be nonzero")
-    J, _, eig = jacobian_eigen(sys, a)
-    A = np.eye(J.shape[0]) + tau * J
-
-    real = _real_eigenvalues(eig)
-    for lam in real:
-        if lam != 0.0 and abs(tau + 1.0 / lam) < _TAU_PROXIMITY:
-            raise SingularTau(tau, lam)
-    det = float(np.linalg.det(A))
-    if abs(det) < _SINGULAR_DET:
-        nearest = min(real, key=lambda l: abs(tau + 1.0 / l) if l != 0 else np.inf,
-                      default=None)
-        raise SingularTau(tau, nearest)
-
-    rhs = 1.0 / a
-    return np.linalg.solve(A.T, rhs)
+    J, eig = jacobian_eigen(sys, a)
+    lam = min(real_zeros(eig), key=lambda l: abs(1.0 + tau * l), default=None)
+    scale = max(1.0, abs(tau) * max(map(abs, eig)))
+    if lam is not None and abs(1.0 + tau * lam) <= _SINGULAR * scale:
+        raise SingularTau(tau, lam)
+    return np.linalg.solve((np.eye(J.shape[0]) + tau * J).T, 1.0 / a)
 
 
 def _left_eigenvector(J: np.ndarray, lam: float) -> np.ndarray:
-    """Unit left eigenvector of J for eigenvalue lam, sign-normalised."""
+    """Unit left eigenvector of J for eigenvalue lam (the last right
+    singular vector of J^T - lam I), its first entry above 1e-12 in
+    modulus made positive."""
     import numpy as np
 
-    d = J.shape[0]
-    _, _, Vt = np.linalg.svd(J.T - lam * np.eye(d))
-    v = Vt[-1]
-    v = v / np.linalg.norm(v)
-    for x in v:
-        if abs(x) > 1e-12:
-            if x < 0:
-                v = -v
-            break
-    return v
+    v = np.linalg.svd(J.T - lam * np.eye(J.shape[0]))[2][-1]
+    return -v if v[np.argmax(np.abs(v) > 1e-12)] < 0 else v
 
 
 @dataclass(frozen=True)
@@ -521,17 +505,17 @@ def critical_frequencies(sys: OdeSystem, a) -> FrequencyResult:
     """
     import numpy as np
 
+    from .poly import real_zeros
+
     a = np.asarray(a, dtype=float)
-    J, _, eig = jacobian_eigen(sys, a)
-    real = [l for l in _real_eigenvalues(eig) if abs(l) > 1e-12]
+    J, eig = jacobian_eigen(sys, a)
+    real = [l for l in real_zeros(eig) if abs(l) > 1e-12]
     taus = tuple(sorted((-1.0 / l for l in real), reverse=True))
 
-    critical = None
-    vec = None
-    positives = [t for t in taus if t > 0.0]
-    if positives:
-        critical = max(positives)
-        lam = -1.0 / critical
+    critical = vec = None
+    lam = max((l for l in real if l < 0.0), default=None)
+    if lam is not None:  # -1/lam is increasing in lam < 0: the largest tau
+        critical = -1.0 / lam
         vec = _left_eigenvector(J, lam)
 
     return FrequencyResult(a=a, taus=taus, critical_tau=critical,

@@ -112,17 +112,13 @@ def logistic_closed_q(lam: float, s: float) -> float:
     return lam / (2.0 * math.pi) * math.sqrt(radicand)
 
 
-def logistic_closed_p(lam: float, s: float, normalized: bool = False) -> float:
-    """Raw closed-form invariant density lam / (2 pi sqrt(4s - s^2 lam^2)).
-
-    The raw formula integrates to 1/2 over its support (0, 4/lam^2);
-    normalized=True doubles it to unit mass.
-    """
+def logistic_closed_p(lam: float, s: float) -> float:
+    """Raw closed-form invariant density lam / (2 pi sqrt(4s - s^2 lam^2)),
+    which integrates to 1/2 over its support (0, 4/lam^2)."""
     radicand = 4.0 * s - s * s * lam * lam
     if radicand <= 0.0:
         return 0.0
-    value = lam / (2.0 * math.pi * math.sqrt(radicand))
-    return 2.0 * value if normalized else value
+    return lam / (2.0 * math.pi * math.sqrt(radicand))
 
 
 def logistic_p_mass(lam: float) -> float:

@@ -652,6 +652,22 @@ def test_every_error_type_is_raised_outside_errors():
     assert sorted(defined - raised) == []
 
 
+def test_every_module_constant_is_read_in_its_module():
+    # so that deleting the last use of a tolerance deletes the tolerance too
+    orphans = []
+    for path in sorted(Path(pfdensity.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        targets = [t for node in tree.body if isinstance(node, ast.Assign)
+                   for t in node.targets]
+        targets += [node.target for node in tree.body if isinstance(node, ast.AnnAssign)]
+        defined = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+                   and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", n.id)}
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        orphans += [f"{path.name}: {name}" for name in sorted(defined - read)]
+    assert orphans == []
+
+
 _FIRST_USE_ON_THREADS = """import threading, pfdensity
 names = [("poly", "poly_roots"), ("bell", "chain_roots"), ("saddle", "saddle_sweep"),
          ("lorenz", "lorenz_report"), ("quadform", "symmetric_eigen"),

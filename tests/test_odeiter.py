@@ -199,6 +199,21 @@ def test_frequency_solution_singular():
     assert exc.value.eigenvalue == pytest.approx(-2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_frequency_solution_well_conditioned_with_a_small_determinant(d):
+    # I + 0.95 J = 0.05 I has det 0.05^d (3.9e-11 at d = 8) and condition 1
+    s = critical_frequency_solution(OdeSystem.linear(-np.eye(d)), np.ones(d), 0.95)
+    assert s.tolist() == [1.0 / (1.0 - 0.95)] * d  # 19.999999999999982
+
+
+def test_frequency_solution_singular_relative_to_the_spectrum():
+    # 1 + tau lambda = 1e-10 against |tau| max|mu| = 2: condition number 1e10
+    sys_ = OdeSystem.linear([[-1e-6, 0.0], [0.0, -2e-6]])
+    with pytest.raises(SingularTau) as exc:
+        critical_frequency_solution(sys_, [1.0, 1.0], 1e6 - 1e-4)
+    assert exc.value.eigenvalue == pytest.approx(-1e-6, rel=1e-9)
+
+
 def test_frequency_solution_rejects_zero_coordinate():
     with pytest.raises(DomainError):
         critical_frequency_solution(DIAG23, [1.0, 0.0], 0.1)
@@ -230,6 +245,18 @@ def test_critical_frequencies_diag():
     J = DIAG23.jacobian([1.0, 1.0])
     v = res.eigenvector
     assert np.max(np.abs(v @ J - (-2.0) * v)) < 1e-10
+
+
+def test_critical_frequencies_eigenvector_sign_is_normalised():
+    # LAPACK's last singular vector here is (-0.6154, 0.7882): the sign flips
+    sys_ = OdeSystem.linear([[-3.0, -2.0], [-2.0, -2.0]])
+    res = critical_frequencies(sys_, [1.0, 1.0])
+    lam = (-5.0 + math.sqrt(17.0)) / 2.0      # the largest negative eigenvalue
+    assert res.critical_tau == pytest.approx(-1.0 / lam, rel=1e-14)
+    want = np.array([2.0, -3.0 - lam]) / math.hypot(2.0, -3.0 - lam)
+    v = res.eigenvector
+    assert v == pytest.approx(want, abs=1e-14)  # (0.6154..., -0.7882...)
+    assert np.max(np.abs(v @ sys_.jacobian([1.0, 1.0]) - lam * v)) < 1e-14
 
 
 def test_critical_frequencies_rotation_empty():

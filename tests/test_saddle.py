@@ -204,9 +204,6 @@ def test_p_shape_is_arcsine():
 def test_raw_p_mass_is_half():
     for lam in (0.5, 2.0):
         assert logistic_p_mass(lam) == pytest.approx(0.5, abs=1e-9)
-        # the normalized variant doubles the raw formula
-        assert logistic_closed_p(lam, 1.0 / (lam * lam), normalized=True) == \
-            pytest.approx(2.0 * logistic_closed_p(lam, 1.0 / (lam * lam)), rel=0)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.9])
