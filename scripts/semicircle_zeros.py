@@ -3,11 +3,11 @@
 
 For the logistic map with multiplier lam, the real zeros of H_n(y) scaled
 by t = lam*sqrt(y/n)/2 approach the semicircle density on (0, 1) as n
-grows.  This script tabulates the KS distance for n = 8, 16, ..., 1024,
+grows.  This script tabulates the KS distance for n = 8, 16, ..., 2048,
 fits log KS on log n by least squares and writes the scaled samples to
 CSV.  The zeros come from bell.chain_roots, each certified to 2^-40.  The
-whole run takes about 2.2 s on a 2-vCPU host (Python 3.11, numpy 2.4);
-n = 1024 takes about 1.6 s of it, n = 512 about 0.4 s and n <= 256
+whole run takes about 1.4 s on a 2-vCPU host (Python 3.11, numpy 2.4);
+n = 2048 takes about 0.8 s of it, n = 1024 about 0.2 s and n <= 512
 together about 0.2 s.
 
 Usage: python scripts/semicircle_zeros.py [outdir]
@@ -25,7 +25,7 @@ from pfdensity.empirical import (EmpiricalCDF, half_semicircle_cdf,
 from pfdensity.poly import real_zeros
 
 LAM = 2.0
-ORDERS = (8, 16, 32, 64, 128, 256, 512, 1024)
+ORDERS = (8, 16, 32, 64, 128, 256, 512, 1024, 2048)
 
 
 def main() -> None:

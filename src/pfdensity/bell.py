@@ -14,16 +14,22 @@ they are i! f_i.  Over the lcm D of their denominators (a power of two for
 a float map) the recurrence runs in plain ints, so no rounding enters the
 chain; callers read it as exact Fractions or as correctly rounded floats.
 chain_roots solves H_n(y, 0) by the recurrence itself in doubles (Bini,
-Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005), for quadratic
-maps from where the half-semicircle law puts the zeros, and certifies each
-real root by integer signs: Horner on truncated-int balls decides them,
-exact ints only where a ball holds 0.  The resolving gap and the
-triangular coefficient system built on the gaps live here too.  Only
-chain_roots' sweeps import numpy; the chain, gap and system run without it.
+Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005) and certifies
+each real root by the signs at the ends of a 2^-40 bracket.  A quadratic
+map's chain is a scaled Hermite polynomial: its zeros start at the
+eigenvalues of a Laguerre Jacobi matrix (Golub & Welsch), and interval
+ratios in doubles decide its signs, the exact three-term recurrence at an
+end they leave open, so it builds the int chain only to fall back to
+poly_roots.  Any other map starts from the Newton polygon of its int row,
+and Horner on truncated-int balls decides its signs, exact ints only where
+a ball holds 0.  The resolving gap and the triangular coefficient system
+built on the gaps live here too.  Only chain_roots' sweeps, starts and
+ratio signs import numpy; the chain, gap and system run without it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -234,57 +240,131 @@ def _ball_signs(terms, points, K: int) -> list:
     return signs
 
 
-def _certified(row, D, m0: int, xs) -> bool:
-    """Whether each x of xs lies within 2^-40 |x| of its own real root of Q.
+def _int_signs(row, D, m0: int, ends) -> list:
+    """The sign of Q = H_n / y^m0 at each double of ends, from H_n's int row.
 
-    Each bracket end x(1 -+ 2^-40) is an int P over one 2^E, where Q has the
-    sign of sum_k row[k] P^(k-m0) (2^E D)^(deg-k).  Disjoint brackets, each
-    with a strict sign change (none at x = 0), hold one root each.  The
-    signs come from _ball_signs at deg + _BALL_BITS bits, and from exact int
-    Horner for the ends a ball leaves at 0."""
-    E = max(x.as_integer_ratio()[1].bit_length() for x in xs) + 39
-    Ms = [int(Fraction(x) * 2**E) for x in xs]  # exact, multiples of 2^40
-    ends = [P for M in Ms for P in sorted((M - (M >> 40), M + (M >> 40)))]
-    if any(a >= b for a, b in zip(ends, ends[1:])):
-        return False
+    Each end is an int P over one 2^E, where Q has the sign of
+    sum_k row[k] P^(k-m0) (2^E D)^(deg-k).  The signs come from _ball_signs
+    at deg + _BALL_BITS bits, and from exact int Horner for the ends a ball
+    leaves at 0."""
+    E = max(x.as_integer_ratio()[1].bit_length() for x in ends) - 1
+    Ps = [int(Fraction(x) * 2**E) for x in ends]  # exact
     q, deg = 2**E * D, len(row) - 1
     terms = [row[k] * q ** (deg - k) for k in range(m0, deg + 1)]
-    signs = _ball_signs(terms, ends, deg + _BALL_BITS)
+    signs = _ball_signs(terms, Ps, deg + _BALL_BITS)
     for j in [j for j, sign in enumerate(signs) if not sign]:
-        v = _horner(terms, ends[j])
+        v = _horner(terms, Ps[j])
         signs[j] = (v > 0) - (v < 0)
-    return all(lo * hi < 0 for lo, hi in zip(signs[::2], signs[1::2]))
+    return signs
 
 
-def _semicircle_quantiles(p):
-    """The t in (0, 1) with half_semicircle_cdf(t) = p, for each p of an array.
+def _ratio_signs(lam: float, c2: float, n: int, ends) -> list:
+    """The sign of H_n(y, 0) at each end y for f = lam a + c2 a^2, in
+    doubles, or 0 where it stays open.
 
-    With t = sin(th) this is g(th) = sin(2 th) + 2 th - pi p = 0.  g is
-    increasing and concave on [0, pi/2], so Newton from th = 0 climbs to
-    each root without passing it; 20 steps settle p up to 1 - 2^-17."""
+    There H_m = y (lam H_{m-1} + 2 c2 (m-1) H_{m-2}), so the ratios
+    rho_m = H_m / H_{m-1} run rho_1 = lam y, rho_m = g(rho_{m-1}) with
+    g(rho) = y (lam + 2 c2 (m-1) / rho) (Gautschi, SIAM Rev. 9, 1967), and
+    H_n has the sign (-1)^(the number of negative rho_m).  Each rho_m is an
+    interval [lo, hi] (Moore, Interval Analysis, 1966).  Where 2 c2 y < 0,
+    as at every root, g increases on each branch rho < 0 and rho > 0, so
+    while [lo, hi] excludes 0 its image is [g(lo), g(hi)]: each operation
+    of g(lo) is stepped one ulp by nextafter in the direction that lowers
+    g, which covers its rounding to nearest, and of g(hi) in the one that
+    raises it.  An end where some interval holds 0 or NaN, or where
+    2 c2 y >= 0, stays open.  2 c2 must be finite, hence exact, as
+    chain_roots has it once _chain_step has built its weights."""
     import numpy as np
 
-    th = np.zeros_like(p)
-    for _ in range(20):
-        th -= (np.sin(2 * th) + 2 * th - np.pi * p) / (4 * np.cos(th) ** 2)
-    return np.sin(th)
+    y, b = np.array(ends), 2 * c2
+    out = np.array([[-np.inf], [np.inf]])  # rows lo, hi: down, up
+    toward = np.sign(y) * out  # lowers, raises y s
+    rho = np.nextafter(lam * y, out)
+    closed, neg = b * y < 0, np.zeros(len(ends), dtype=bool)
+    for m in range(2, n + 1):
+        closed &= rho[0] * rho[1] > 0
+        neg ^= rho[1] < 0
+        q = np.nextafter((m - 1) / rho, -out)  # 2 c2 y < 0: q up lowers g
+        s = np.nextafter(lam + np.nextafter(b * q, toward), toward)
+        rho = np.nextafter(y * s, out)
+    closed &= rho[0] * rho[1] > 0
+    neg ^= rho[1] < 0
+    return np.where(closed, np.where(neg, -1, 1), 0).tolist()
 
 
-def _starts(f: MapSpec1D, row, D, n: int, N: int):
+def _exact_sign(lam: float, c2: float, n: int, y: float) -> int:
+    """The sign of H_n(y, 0) for f = lam a + c2 a^2, exactly.
+
+    With y lam = a / 2^t and 2 c2 y = b / 2^(2t) for ints a and b, the ints
+    G_m = H_m 2^(t m) run G_0 = 1, G_1 = a, G_m = a G_{m-1} + b (m-1) G_{m-2}:
+    n steps on ints of about n (t + log2|y lam|) bits, no int chain."""
+    A, B = Fraction(y) * Fraction(lam), Fraction(y) * Fraction(2 * c2)
+    kA, kB = A.denominator.bit_length() - 1, B.denominator.bit_length() - 1
+    t = max(kA, (kB + 1) // 2)
+    a, b = A.numerator << (t - kA), B.numerator << (2 * t - kB)
+    g0, g1 = 1, a
+    for m in range(2, n + 1):
+        g0, g1 = g1, a * g1 + b * (m - 1) * g0
+    return (g1 > 0) - (g1 < 0)
+
+
+def _hermite_signs(lam: float, c2: float, n: int, ends) -> list:
+    """The sign of Q = H_n / y^ceil(n/2) at each end for f = lam a + c2 a^2,
+    from H_n's: _ratio_signs in doubles, and _exact_sign at the ends those
+    leave open."""
+    flip = (n + 1) // 2 % 2  # sign(y)^ceil(n/2) is -1 for y < 0
+    return [(sign or _exact_sign(lam, c2, n, y)) * (-1 if y < 0 and flip else 1)
+            for sign, y in zip(_ratio_signs(lam, c2, n, ends), ends)]
+
+
+def _certified(xs, signs) -> bool:
+    """Whether each x of the sorted xs lies within 2^-40 |x| of its own real
+    root of Q = H_n / y^m0, signs(ends) giving Q's sign at each end.
+
+    x's bracket ends are the doubles a and b one step inside x(1 -+ 2^-40):
+    x -+ |x| 2^-40 rounds by at most half an ulp (and 2^-1075 more where
+    |x| 2^-40 is subnormal), and nextafter towards x moves it a whole ulp.
+    Disjoint brackets, each with a strict sign change (none at x = 0), hold
+    one root each, so N of them hold all of Q's."""
+    ends = []
+    for x in xs:
+        d = math.ldexp(abs(x), -40)
+        ends += [math.nextafter(x - d, x), math.nextafter(x + d, x)]
+    if not all(a < b for a, b in zip(ends, ends[1:])):
+        return False
+    got = signs(ends)
+    return all(lo * hi < 0 for lo, hi in zip(got[::2], got[1::2]))
+
+
+def _quadratic(f: MapSpec1D):
+    """(lam, c2) where f = lam a + c2 a^2 with both nonzero, else None."""
+    c = _trim(f.coeffs)
+    return c[1:] if len(c) == 3 and c[1] else None
+
+
+def _starts(f: MapSpec1D, last, n: int, N: int):
     """Aberth start points for the N roots of Q = H_n / y^m0.
 
-    A quadratic f = lam a + c2 a^2 is the logistic map up to a -> -2 c2 a,
-    so its zeros are -2 c2 over the logistic's, y = -2 c2 n (2 t / lam)^2
-    with t on the half-semicircle law; each starts at its quantile, a little
-    off the axis.  Any other map starts from the Newton polygon of
-    log2|row[k] / D^k|, on 2^-slope circles placed as _newton_starts does.
+    For a quadratic f = lam a + c2 a^2 the chain is Hermite,
+    H_n(y, 0) = (-2 c2 y)^(n/2) He_n(lam sqrt(y) / sqrt(-2 c2)), so Q's
+    roots are y = -4 c2 u / lam^2 over the zeros u of the Laguerre
+    polynomial L_N^(alpha), alpha = n mod 2 - 1/2 (the squared zeros of the
+    physicists' H_n).  They start on the real axis at the eigenvalues of its
+    Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969), diagonal
+    2k + alpha + 1 and off-diagonal sqrt(k (k + alpha)).  Any other map
+    starts from the Newton polygon of log2|row[k] / D^k|, (row, D) = last(),
+    on 2^-slope circles placed as _newton_starts does.
     """
     import numpy as np
 
-    lam, *rest = _trim(f.coeffs)[1:]
-    if len(rest) == 1 and lam and rest[0]:
-        t = _semicircle_quantiles((2 * np.arange(1, N + 1) - 1 + n % 2) / n)
-        return -2 * rest[0] * n * (2 * t / lam) ** 2 * (1 + 1e-3j)
+    quad = _quadratic(f)
+    if quad:
+        lam, c2 = quad
+        a, k, J = n % 2 - 0.5, np.arange(N), np.zeros((N, N))
+        J[k, k] = 2 * k + a + 1
+        J[k[1:], k[:-1]] = np.sqrt(k[1:] * (k[1:] + a))  # eigvalsh reads the lower half
+        return -4 * c2 * np.linalg.eigvalsh(J) / np.square(lam)
+    row, D = last()
     hull = _upper_hull([(k, math.log2(abs(c)) - k * math.log2(D))
                         for k, c in enumerate(row) if c])
     return np.array(_circle_starts([(k2 - k1, np.exp2((y1 - y2) / (k2 - k1)))
@@ -292,36 +372,49 @@ def _starts(f: MapSpec1D, row, D, n: int, N: int):
                                    np.pi / (2 * N), np.pi, np.exp))
 
 
+def _last_row(derivs, n: int):
+    """(row, D) of H_n as _int_chain gives it, trailing zeros trimmed."""
+    D, rows = _int_chain(derivs, n)
+    return _trim(deque(rows, maxlen=1)[0]), D
+
+
 def chain_roots(f: MapSpec1D, n: int) -> list:
     """All roots of H_n(y, 0), with multiplicity, sorted like poly_roots.
 
-    H_n = y^m0 Q(y), m0 exact.  Aberth sweeps by the recurrence start from
-    _starts: the half-semicircle quantiles for a quadratic map, else the
-    Newton polygon of log2|row[k] / D^k|, which converts no coefficient.
-    Unless the real parts of Q's N roots are finite and _certified, every
-    root comes from poly_roots on the exact H_n instead.
+    H_n = y^m0 Q(y) with deg Q = N: for a quadratic map and n >= 1,
+    m0 = ceil(n/2) and N = floor(n/2) (see _starts), else both from the
+    exact int row of H_n.  Aberth sweeps by the recurrence start from
+    _starts.  Unless the real parts of Q's N roots are finite and
+    _certified, every root comes from poly_roots on the exact H_n instead.
+    A quadratic map's signs come from _hermite_signs, so it builds the int
+    chain only to fall back to poly_roots; any other map's from _int_signs.
     """
     import numpy as np
 
     derivs = _derivs_at_0(f)
-    D, rows = _int_chain(derivs, n)
-    row = _trim(deque(rows, maxlen=1)[0])
-    if not any(row):
-        raise DegreeZero(f"H_{n} is identically zero for this map")
-    m0 = next(k for k, c in enumerate(row) if c)
-    N = len(row) - 1 - m0
+    last = functools.cache(lambda: _last_row(derivs, n))
+    quad = _quadratic(f) if n >= 1 else None
+    if quad:
+        m0, N = (n + 1) // 2, n // 2
+        signs = functools.partial(_hermite_signs, *quad, n)
+    else:
+        row, D = last()
+        if not any(row):
+            raise DegreeZero(f"H_{n} is identically zero for this map")
+        m0 = next(k for k, c in enumerate(row) if c)
+        N = len(row) - 1 - m0
+        signs = functools.partial(_int_signs, row, D, m0)
     if N > 0:
         try:
             evaluate = _chain_step(derivs, n, m0)
         except OverflowError:  # a weight beyond the double range
-            return poly_roots(_exact(row, D))
+            return poly_roots(_exact(*last()))
         with np.errstate(all="ignore"):
-            z = _starts(f, row, D, n, N)
-            z, ok = _batch_aberth(evaluate, z[None])
-        xs = sorted(float(r.real) for r in z[0])
-        if ok[0] and all(map(math.isfinite, xs)) and _certified(row, D, m0, xs):
-            return sorted([0j] * m0 + list(map(complex, xs)), key=lambda r: r.real)
-    return poly_roots(_exact(row, D))
+            z, ok = _batch_aberth(evaluate, _starts(f, last, n, N)[None])
+            xs = sorted(float(r.real) for r in z[0])
+            if ok[0] and all(map(math.isfinite, xs)) and _certified(xs, signs):
+                return sorted([0j] * m0 + list(map(complex, xs)), key=lambda r: r.real)
+    return poly_roots(_exact(*last()))
 
 
 def _gap_row(f: MapSpec1D, n: int):

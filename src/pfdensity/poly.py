@@ -67,7 +67,8 @@ _LEVELS = (53, 128, 256, 512, 1024)  # working precisions, in bits, in turn
 _TARGET = 2.0 ** -40  # every root's relative error estimate must reach this
 _REAL_AXIS_TOL = 1e-8  # |Im z| <= tol (1 + |Re z|) counts as real
 # A batched solve takes rows in blocks of about this many entries of its
-# (rows, n, n) Aberth arrays, so a long grid never holds all of them at once.
+# (rows, n, n) Aberth arrays, so a long grid never holds all of them at once;
+# an Aberth sweep builds those arrays in blocks of columns of the same size.
 _BATCH_ENTRIES = 1 << 16
 
 __all__ = [
@@ -456,13 +457,14 @@ def _batch_aberth(evaluate, z):
     whether it may freeze and whether it is good there (for _horner_step:
     Horner's bound and _TARGET).  The Jacobi form of _aberth: each sweep steps
     every unfrozen root from the roots of the sweep before, and a root
-    freezes after that step.  Returns the roots and, per row, whether every
-    root froze within MAX_SWEEPS, stayed finite and was good where it froze.
+    freezes after that step.  The sums of 1/(z_i - z_j) run over j in turn,
+    built in blocks of about _BATCH_ENTRIES entries.  Returns the roots and,
+    per row, whether every root froze within MAX_SWEEPS, stayed finite and
+    was good where it froze.
     """
     import numpy as np
 
     n = z.shape[1]
-    off = ~np.eye(n, dtype=bool)
     good = np.isfinite(z).all(axis=1)
     active = np.repeat(good[:, None], n, axis=1)
     for _ in range(MAX_SWEEPS):
@@ -471,12 +473,16 @@ def _batch_aberth(evaluate, z):
             break
         zr, act = z[rows], active[rows]
         ratio, near, settled = evaluate(rows, zr)
-        diff = zr[:, :, None] - zr[:, None, :]
-        diff[diff == 0] = _DOUBLE.tiny
-        inv = np.where(off, 1 / diff, 0)
-        total = inv[:, :, 0]
-        for j in range(1, n):
-            total = total + inv[:, :, j]
+        width = max(1, _BATCH_ENTRIES // (rows.size * n))  # columns per block
+        total = None
+        for lo in range(0, n, width):
+            diff = zr[:, :, None] - zr[:, None, lo:lo + width]
+            diff[diff == 0] = _DOUBLE.tiny
+            inv = 1 / diff
+            cols = np.arange(lo, min(n, lo + width))
+            inv[:, cols, cols - lo] = 0
+            for j in range(inv.shape[2]):
+                total = inv[:, :, j] if total is None else total + inv[:, :, j]
         step = np.where(ratio == 0, 0, ratio / (1 - ratio * total))
         frozen = act & near
         z[rows] = zr = np.where(act, zr - step, zr)

@@ -15,7 +15,7 @@ from pfdensity.bell import (MapSpec1D, bell_sequence, bell_sequence_exact,
                             chain_roots, resolving_gap, resolving_gap_exact,
                             solve_coefficient_system)
 from pfdensity.cli import run
-from pfdensity.errors import CoefficientOverflow, ResonanceDetected
+from pfdensity.errors import CoefficientOverflow, DegreeZero, ResonanceDetected
 from pfdensity.poly import Polynomial, _horner, poly_roots, real_zeros
 
 
@@ -358,20 +358,27 @@ def golub_welsch_positive_nodes(n):
     Golub & Welsch: the eigenvalues of the Jacobi matrix with off-diagonal
     sqrt(k/2).  eigvalsh alone leaves them 5.4e-15 off at n = 64 and 1.5e-14
     at n = 256, above the bound they serve, so each gets two Newton steps on
-    the three-term recurrence at 128 bits.
+    the three-term recurrence in 128-bit fixed point: Python ints over 2^128,
+    both terms shifted down together once they pass 256 bits (their ratio is
+    all the step reads).  That matches the same steps in mpmath at 128 bits
+    within 1.5e-38 (n = 64 and 256) and takes 0.04 s at n = 256, not 0.5 s.
     """
     off = np.sqrt(np.arange(1, n) / 2)
     h = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    out = []
-    with mpmath.workprec(128):
-        for x in h[h > 1e-8]:  # the zero eigenvalue of odd n is about 1e-17
-            x = mpmath.mpf(float(x))
-            for _ in range(2):
-                prev, cur = mpmath.mpf(1), 2 * x
-                for k in range(1, n):
-                    prev, cur = cur, 2 * x * cur - 2 * k * prev
-                x -= cur / (2 * n * prev)
-            out.append(x)
+    P, out = 128, []
+    for x in h[h > 1e-8]:  # the zero eigenvalue of odd n is about 1e-17
+        p, q = float(x).as_integer_ratio()
+        X = (p << P) // q  # exact: q is a power of two below 2^P
+        for _ in range(2):
+            prev, cur = 1 << P, X << 1  # H_0 and H_1 = 2x, over 2^P
+            for k in range(1, n):
+                prev, cur = cur, ((X * cur) >> (P - 1)) - 2 * k * prev
+                s = cur.bit_length() - 2 * P
+                if s > 0:
+                    prev, cur = prev >> s, cur >> s
+            X -= (cur << P) // (2 * n * prev)  # H_n / H_n' = H_n / (2n H_{n-1})
+        with mpmath.workprec(P):
+            out.append(mpmath.mpf(X) / 2**P)
     return out
 
 
@@ -381,9 +388,10 @@ def _no_fallback(monkeypatch):
     monkeypatch.setattr(bell, "poly_roots", fail)
 
 
-def _assert_logistic_zeros(lam, n, nodes):
+def _logistic_zero_errors(lam, n, nodes):
     # The positive zeros of the logistic H_n(y, 0) are y = 2h^2/lam^2 over
     # the positive Hermite nodes h; the other ceil(n/2) sit at the origin.
+    # Returns each positive zero's relative error, smallest zero first.
     zeros = real_zeros(chain_roots(MapSpec1D.logistic(lam), n))
     assert len(zeros) == n
     assert zeros.count(0.0) == (n + 1) // 2
@@ -391,9 +399,13 @@ def _assert_logistic_zeros(lam, n, nodes):
     with mpmath.workprec(128):
         want = sorted(2 * h * h / mpmath.mpf(lam) ** 2 for h in nodes)
         assert len(got) == len(want)
-        # measured against Golub-Welsch nodes: at most 4.3e-16 (n <= 64),
-        # 2.1e-16 (n = 256), 3.0e-16 (n = 512); hermgauss's own nodes: 4.0e-16
-        assert max(abs(mpmath.mpf(y) / w - 1) for y, w in zip(got, want)) <= 1e-15
+        return [abs(mpmath.mpf(y) / w - 1) for y, w in zip(got, want)]
+
+
+def _assert_logistic_zeros(lam, n, nodes):
+    # measured against Golub-Welsch nodes: at most 3.6e-16 (n <= 64),
+    # 2.1e-16 (n = 256), 4.0e-16 (n = 512); hermgauss's own nodes: 4.0e-16
+    assert max(_logistic_zero_errors(lam, n, nodes)) <= 1e-15
 
 
 def test_chain_roots_match_golub_welsch_nodes(monkeypatch):
@@ -404,10 +416,22 @@ def test_chain_roots_match_golub_welsch_nodes(monkeypatch):
 
 
 def test_chain_roots_match_golub_welsch_nodes_at_512(monkeypatch):
-    # The smallest root cycles in rounding noise (0.9-2.3e-15 corrections)
-    # and freezes on its fourth sweep within 2^-44, 2.7e-16 off.
+    # The smallest roots settle in rounding noise: 5 sweeps, the worst
+    # (the second smallest) 4.0e-16 off.
     _no_fallback(monkeypatch)
     _assert_logistic_zeros(2.0, 512, golub_welsch_positive_nodes(512))
+
+
+def test_chain_roots_match_golub_welsch_nodes_at_1024(monkeypatch):
+    # Newton steps by the double recurrence land the smallest root with a
+    # spread of 1.1e-15 relative (their standard deviation from 401 points
+    # within 200 ulps of it; 3.9e-16 for the next root, 1.4e-16 for the
+    # sixth), however the sweeps reach it.  Measured: 1.6e-15 and 6.5e-16
+    # for the two smallest, at most 4.9e-16 for the other 510.
+    _no_fallback(monkeypatch)
+    errors = _logistic_zero_errors(2.0, 1024, golub_welsch_positive_nodes(1024))
+    assert max(errors[:2]) <= 5e-15
+    assert max(errors[2:]) <= 1e-15
 
 
 def _counted_evaluator(monkeypatch):
@@ -428,15 +452,125 @@ def _counted_exact_signs(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [64, 256])
-def test_semicircle_starts_take_few_sweeps(monkeypatch, n):
-    # measured: 4 sweeps at n = 64 and 5 at n = 256 (13 and 41 from the
-    # Newton-polygon circles); the ball width decides every sign
+def test_golub_welsch_starts_take_two_sweeps(monkeypatch, n):
+    # measured: 2 sweeps at n = 64 and 256 (4 and 5 from the half-semicircle
+    # quantiles, 13 and 41 from the Newton-polygon circles); the interval
+    # ratios decide every sign, so no exact sign is taken
     _no_fallback(monkeypatch)
     sweeps = _counted_evaluator(monkeypatch)
-    exact = _counted_exact_signs(monkeypatch)
+    exact = []
+    monkeypatch.setattr(bell, "_exact_sign", lambda *args: exact.append(args))
     assert len(chain_roots(MapSpec1D.logistic(2.0), n)) == n
-    assert len(sweeps) <= 6
+    assert len(sweeps) == 2
     assert exact == []
+
+
+@pytest.mark.parametrize("lam", [2.0, -2.0])
+@pytest.mark.parametrize("c2", [-0.5, 0.3])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65])
+def test_quadratic_multiplicities_match_the_int_chain(lam, c2, n):
+    # chain_roots takes m0 = ceil(n/2) zeros at the origin and N = floor(n/2)
+    # others without the int chain; the int row says the same
+    f = MapSpec1D((0.0, lam, c2))
+    row, _ = bell._last_row(bell._derivs_at_0(f), n)
+    m0 = next(k for k, c in enumerate(row) if c)
+    roots = chain_roots(f, n)
+    assert roots.count(0j) == m0 == (n + 1) // 2
+    assert len(roots) - m0 == len(row) - 1 - m0 == n // 2
+    assert all(r.real * c2 < 0 for r in roots if r)
+
+
+def _no_int_chain(monkeypatch):
+    def fail(derivs, n):
+        raise AssertionError("the int chain was built")
+    monkeypatch.setattr(bell, "_int_chain", fail)
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 2.0, -0.5), (0.0, float(Fraction(3, 7)), 0.3)])
+@pytest.mark.parametrize("n", [64, 1024])
+def test_quadratic_chains_never_build_the_int_chain(monkeypatch, coeffs, n):
+    _no_fallback(monkeypatch)
+    _no_int_chain(monkeypatch)
+    roots = chain_roots(MapSpec1D(coeffs), n)
+    assert len(roots) == n and roots.count(0j) == (n + 1) // 2
+
+
+def _hermite_certificate(f, n):
+    """(xs, signs): the roots of Q off the origin on the quadratic path, and
+    its signs, the doubles' and then the exact recurrence's."""
+    def signs(ends):
+        return bell._hermite_signs(*f.coeffs[1:], n, ends)
+    return sorted(r.real for r in chain_roots(f, n) if r), signs
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 2.0, -0.5), (0.0, 3.9, -0.5),
+                                    (0.0, float(Fraction(3, 7)), 0.3)])
+def test_ratio_certificate_rejects_a_moved_root(monkeypatch, coeffs):
+    # One root off by 1e-9 relative: the doubles decide both ends of its
+    # bracket, with one sign, so no exact sign is taken.
+    xs, signs = _hermite_certificate(MapSpec1D(coeffs), 64)
+
+    def fail(*args):
+        raise AssertionError("an end was left open")
+    monkeypatch.setattr(bell, "_exact_sign", fail)
+    assert bell._certified(xs, signs)
+    for i in (0, 5, len(xs) - 1):
+        assert not bell._certified(xs[:i] + [xs[i] * (1 + 1e-9)] + xs[i + 1:], signs)
+
+
+def test_open_ratio_ends_take_exact_signs(monkeypatch):
+    # Every third end forced open goes to _exact_sign, alone, and the
+    # verdicts stay: the roots hold, a root moved by 1e-9 fails.
+    xs, signs = _hermite_certificate(MapSpec1D.logistic(2.0), 128)
+    moved = xs[:5] + [xs[5] * (1 + 1e-9)] + xs[6:]
+    want = [bell._certified(ys, signs) for ys in (xs, moved)]
+    assert want == [True, False]
+    _no_int_chain(monkeypatch)
+    ratio, exact = bell._ratio_signs, bell._exact_sign
+    calls = []
+    monkeypatch.setattr(bell, "_ratio_signs", lambda *args: [
+        0 if j % 3 == 0 else sign for j, sign in enumerate(ratio(*args))])
+    monkeypatch.setattr(bell, "_exact_sign", lambda *args: calls.append(1) or exact(*args))
+    assert [bell._certified(ys, signs) for ys in (xs, moved)] == want
+    assert len(calls) == 2 * len(range(0, 2 * len(xs), 3))
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 2.0, -0.5), (0.0, float(Fraction(3, 7)), 0.3),
+                                    (0.0, -1.3, 0.7)])
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 65])
+def test_hermite_signs_match_int_signs(coeffs, n):
+    # At points of both signs over the span of the zeros, near roots too:
+    # a sign the doubles decide, and every exact sign, is the int chain's.
+    # At the zeros themselves H_n is below the rounding the intervals carry,
+    # so they stay open there (measured: at every zero of n <= 256).
+    f = MapSpec1D(coeffs)
+    row, D = bell._last_row(bell._derivs_at_0(f), n)
+    span = 4 * n * abs(coeffs[2]) / coeffs[1] ** 2
+    roots = [r.real for r in chain_roots(f, n) if r]
+    assert not any(bell._ratio_signs(*f.coeffs[1:], n, roots))
+    ends = sorted({float(v) for v in np.random.default_rng(n).uniform(-span, span, 40)}
+                  | {x * (1 + e) for x in roots[::7] for e in (-1e-13, 1e-13)})
+    want = bell._int_signs(row, D, (n + 1) // 2, ends)
+    assert bell._hermite_signs(*f.coeffs[1:], n, ends) == want
+    # H_n = y^ceil(n/2) Q: the doubles' and the exact signs are H_n's
+    want = [sign * (-1 if y < 0 and (n + 1) // 2 % 2 else 1) for sign, y in zip(want, ends)]
+    ratio = bell._ratio_signs(*f.coeffs[1:], n, ends)
+    assert all(got in (0, sign) for got, sign in zip(ratio, want))
+    assert [bell._exact_sign(*f.coeffs[1:], n, y) for y in ends] == want
+
+
+@pytest.mark.parametrize("n,error", [(0, DegreeZero), (-1, ValueError)])
+def test_quadratic_chain_below_order_one_keeps_its_error(n, error):
+    # H_0 = 1 has no root to solve for; n < 0 is no chain
+    with pytest.raises(error):
+        chain_roots(MapSpec1D.logistic(2.0), n)
+
+
+def test_quadratic_chain_beyond_the_double_range_falls_back():
+    # lam = 1e300: lam^2 overflows, the starts are 0 and the sweeps fail, so
+    # the root 1e-600 of H_2 = 1e600 y^2 - y comes from poly_roots (as 0)
+    f = MapSpec1D((0.0, 1e300, -0.5))
+    assert chain_roots(f, 2) == poly_roots(bell_sequence_exact(f, 2)[2]) == [0j, 0j]
 
 
 @settings(max_examples=200, deadline=None)
@@ -462,10 +596,13 @@ def test_certificate_takes_undecided_balls_to_exact_signs(monkeypatch):
     xs = [r.real for r in chain_roots(f, 128) if r]
     moved = xs[:5] + [xs[5] * (1 + 1e-9)] + xs[6:]
     exact = _counted_exact_signs(monkeypatch)
-    want = [bell._certified(row, D, 64, x) for x in (xs, moved)]
+
+    def signs(ends):
+        return bell._int_signs(row, D, 64, ends)
+    want = [bell._certified(x, signs) for x in (xs, moved)]
     assert want == [True, False] and exact == []
     monkeypatch.setattr(bell, "_BALL_BITS", 16 - 128)
-    assert [bell._certified(row, D, 64, x) for x in (xs, moved)] == want
+    assert [bell._certified(x, signs) for x in (xs, moved)] == want
     assert 0 < len(exact) <= 4 * len(xs)
 
 
