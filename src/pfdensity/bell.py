@@ -45,7 +45,6 @@ __all__ = [
     "bell_sequence",
     "bell_sequence_exact",
     "resolving_gap",
-    "resolving_gap_exact",
     "chain_roots",
     "solve_coefficient_system",
 ]
@@ -87,9 +86,6 @@ class MapSpec1D:
 
     def exact_coeffs(self) -> tuple:
         return tuple(Fraction(c) for c in self.coeffs)
-
-    def __call__(self, x):
-        return _horner(self.coeffs, x)
 
     @classmethod
     def logistic(cls, lam: float) -> "MapSpec1D":
@@ -424,11 +420,6 @@ def _gap_row(f: MapSpec1D, n: int):
     D, rows = _int_chain(_derivs_at_0(f), n)
     row = deque(rows, maxlen=1)[0]
     return [-c for c in row[:n]] + [D**n - row[n]], D
-
-
-def resolving_gap_exact(f: MapSpec1D, n: int) -> Polynomial:
-    """e^n(y) = y^n - H_n(y, 0), exact; leading coefficient is 1 - lam^n."""
-    return _exact(*_gap_row(f, n))
 
 
 def resolving_gap(f: MapSpec1D, n: int) -> Polynomial:

@@ -170,7 +170,7 @@ def _cmd_lorenz(args) -> int:
 
 # lambdas, so that importing cli reads nothing from empirical
 _REFERENCES = {
-    "arcsine": lambda x: empirical.arcsine_cdf(x, 0.0, 1.0),
+    "arcsine": lambda x: empirical.arcsine_cdf(x),
     "half-semicircle": lambda x: empirical.half_semicircle_cdf(x),
     "uniform": lambda x: min(1.0, max(0.0, x)),
 }

@@ -243,14 +243,11 @@ def rescale(values, lo: float, hi: float):
     return lo + (values - vmin) * ((hi - lo) / (vmax - vmin))
 
 
-def arcsine_cdf(x: float, lo: float = 0.0, hi: float = 1.0) -> float:
-    """Beta(1/2,1/2) CDF on (lo, hi): (2/pi) asin(sqrt((x-lo)/(hi-lo)))."""
-    if hi <= lo:
-        raise DomainError("need hi > lo")
-    u = (x - lo) / (hi - lo)
-    if not 0.0 <= u <= 1.0:
-        raise DomainError(f"x={x!r} outside [{lo!r}, {hi!r}]")
-    return (2.0 / math.pi) * math.asin(math.sqrt(u))
+def arcsine_cdf(x: float) -> float:
+    """Beta(1/2,1/2) CDF on (0, 1): (2/pi) asin(sqrt(x))."""
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"x={x!r} outside [0.0, 1.0]")
+    return (2.0 / math.pi) * math.asin(math.sqrt(x))
 
 
 def half_semicircle_cdf(t: float) -> float:

@@ -77,11 +77,6 @@ MAX_DIM = 8
 _SINGULAR = 1e-10  # critical_frequency_solution's relative singularity bound
 
 
-def _max_abs(x: list) -> float:
-    """max |x_i|, NaN when any x_i is NaN (as np.max(np.abs(x)))."""
-    return math.nan if any(v != v for v in x) else max(map(abs, x))
-
-
 def _sums(shape, size: int, out: str) -> list:
     """Source lines that set out_k, k < size, to 0.0 and then add, for the
     n-th row (k, ((j, e), ...)) of `shape` in row order, the term
@@ -361,7 +356,7 @@ def _newton(sys: OdeSystem, xs: list) -> list:
         for i in active:
             x = xs[i]
             fa = sys._field(x)
-            tol = 1e-13 * (1.0 + _max_abs(x))
+            tol = 1e-13 * (1.0 + max(map(abs, x)))
             if all(abs(v) <= tol for v in fa):
                 # an infinite coordinate makes tol infinite, so any F passes
                 ok[i] = all(map(math.isfinite, x))

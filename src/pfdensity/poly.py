@@ -8,12 +8,13 @@ exact rational arithmetic and only round when solving for roots.
 Roots are found with the Aberth-Ehrlich simultaneous iteration at a
 working precision the solver picks itself (Bini & Fiorentino's MPSolve,
 Numer. Algorithms 23, 2000): Python complex at 53 bits, then mpmath at
-each wider level of _LEVELS, each level starting from the roots of the
-one before, until every root's relative error estimate is within
-_TARGET (_settled).  The first level starts from the Newton polygon of
-log2|a_k| (_newton_starts).  Monomial-basis conditioning decides how far
-a polynomial climbs: logistic H_12 settles at 53 bits, H_64 at 128 and
-H_128 at 256; bell.chain_roots solves such chains without that basis.
+each wider level of _LEVELS, each from the roots of the one before, until
+every root's relative error estimate is within _TARGET (_settled).  The
+first level starts from the Newton polygon of log2|a_k| (_newton_starts).
+Conditioning decides how far a polynomial climbs: logistic H_12 settles
+at 53 bits, H_64 at 128 and H_128 at 256 (bell.chain_roots solves such
+chains without the monomial basis), and the 8-fold eigenvalue of -I_8,
+the most an odeiter Jacobian (MAX_DIM = 8) carries, at the top, 512.
 A level that cannot hold the polynomial is skipped: a coefficient beyond
 the double range, a nonzero one that becomes 0 as a double, or start
 points or roots that are not finite.  A root still above _TARGET at the
@@ -63,7 +64,7 @@ if TYPE_CHECKING:
 MP_LOCK = threading.Lock()
 
 MAX_SWEEPS = 400  # Aberth sweeps per level before an unfrozen root misses
-_LEVELS = (53, 128, 256, 512, 1024)  # working precisions, in bits, in turn
+_LEVELS = (53, 128, 256, 512)  # working precisions, in bits, in turn
 _TARGET = 2.0 ** -40  # every root's relative error estimate must reach this
 _REAL_AXIS_TOL = 1e-8  # |Im z| <= tol (1 + |Re z|) counts as real
 # A batched solve takes rows in blocks of about this many entries of its

@@ -40,17 +40,12 @@ class SymmetricForm:
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("matrix must be square")
         d = M.shape[0]
-        # both triangles through __init__, which rejects a non-finite entry
-        # before the arithmetic below can warn on it; an exactly symmetric M
-        # is stored as given
+        # both triangles through __init__, which rejects a non-finite entry;
+        # M is stored as given, and only if its triangles are equal
         lower, upper = (cls(A[i, :i + 1] for i in range(d)) for A in (M, M.T))
-        if lower == upper:
-            return lower
-        half = M / 2.0  # halved first, so that no difference or sum overflows
-        scale = max(1.0, float(np.max(np.abs(M))))
-        if float(np.max(np.abs(half - half.T))) > 0.5e-12 * scale:
+        if lower != upper:
             raise ValueError("matrix is not symmetric")
-        return cls((half + half.T)[i, :i + 1] for i in range(d))
+        return lower
 
     @property
     def dim(self) -> int:

@@ -668,6 +668,27 @@ def test_every_module_constant_is_read_in_its_module():
     assert orphans == []
 
 
+def test_every_exported_name_has_a_caller():
+    # so that a capability only its own unit tests reach is deleted, not exported
+    src = Path(pfdensity.__file__).parent
+    root = src.parent.parent
+    paths = [*src.glob("*.py"), *(root / "scripts").glob("*.py"),
+             *(root / "perfbench").glob("*.py"), root / "tests" / "test_acceptance.py"]
+    used, exported = set(), []
+    for path in sorted(paths):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported += [(path.name, name) for name in ast.literal_eval(node.value)]
+    assert [f"{module}: {name}" for module, name in exported if name not in used] == []
+
+
 _FIRST_USE_ON_THREADS = """import threading, pfdensity
 names = [("poly", "poly_roots"), ("bell", "chain_roots"), ("saddle", "saddle_sweep"),
          ("lorenz", "lorenz_report"), ("quadform", "symmetric_eigen"),

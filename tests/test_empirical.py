@@ -243,7 +243,7 @@ def test_ks_affine_invariance():
     base = ks_distance(EmpiricalCDF(sample), arcsine_cdf)
     lo, hi = -3.0, 11.0
     moved = ks_distance(EmpiricalCDF(lo + sample * (hi - lo)),
-                        lambda x: arcsine_cdf(x, lo, hi))
+                        lambda x: arcsine_cdf((x - lo) / (hi - lo)))
     assert abs(moved - base) < 1e-15
 
 

@@ -68,7 +68,7 @@ def test_degree_zero_raises():
 
 def test_non_convergence_reports_worst_residual(monkeypatch):
     monkeypatch.setattr(poly, "MAX_SWEEPS", 1)
-    with pytest.raises(NonConvergence, match="in 1 sweeps") as exc:
+    with pytest.raises(NonConvergence, match="in 1 sweeps at 512 bits") as exc:
         poly_roots(Polynomial([-1.0, 0.0, 0.0, 1.0]))
     assert 0 < exc.value.worst_residual < math.inf
 
