@@ -15,16 +15,15 @@ a float map) the recurrence runs in plain ints, so no rounding enters the
 chain; callers read it as exact Fractions or as correctly rounded floats.
 chain_roots solves H_n(y, 0) by the recurrence itself in doubles (Bini,
 Gemignani & Tisseur, SIAM J. Matrix Anal. Appl. 27, 2005) and certifies
-each real root by the signs at the ends of a 2^-40 bracket.  A quadratic
-map's chain is a scaled Hermite polynomial: its zeros start at the
-eigenvalues of a Laguerre Jacobi matrix (Golub & Welsch), and interval
-ratios in doubles decide its signs, the exact three-term recurrence at an
-end they leave open, so it builds the int chain only to fall back to
-poly_roots.  Any other map starts from the Newton polygon of its int row,
-and Horner on truncated-int balls decides its signs, exact ints only where
-a ball holds 0.  The resolving gap and the triangular coefficient system
-built on the gaps live here too.  Only chain_roots' sweeps, starts and
-ratio signs import numpy; the chain, gap and system run without it.
+each real root by the signs of H_n at the ends of a 2^-40 bracket: interval
+ratios in doubles for a quadratic map, Horner on truncated-int balls for any
+other, and the recurrence in exact ints at each end those leave open.  A
+quadratic map's chain is Hermite, its zeros start at the eigenvalues of a
+Laguerre Jacobi matrix (Golub & Welsch), and it builds the int chain only to
+fall back to poly_roots; any other map starts from its int row's Newton
+polygon.  The resolving gap and the triangular coefficient system built on
+the gaps live here too.  Only chain_roots' sweeps, starts and ratio signs
+import numpy; the chain, gap and system run without it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CoefficientOverflow, DegreeZero, DomainError, ResonanceDetected
-from .poly import (Polynomial, _batch_aberth, _circle_starts, _horner, _trim,
+from .poly import (_TARGET, Polynomial, _batch_aberth, _circle_starts, _trim,
                    _upper_hull, poly_roots)
 
 __all__ = [
@@ -237,21 +236,16 @@ def _ball_signs(terms, points, K: int) -> list:
 
 
 def _int_signs(row, D, m0: int, ends) -> list:
-    """The sign of Q = H_n / y^m0 at each double of ends, from H_n's int row.
-
-    Each end is an int P over one 2^E, where Q has the sign of
-    sum_k row[k] P^(k-m0) (2^E D)^(deg-k).  The signs come from _ball_signs
-    at deg + _BALL_BITS bits, and from exact int Horner for the ends a ball
-    leaves at 0."""
+    """The sign of H_n at each double of ends from its int row, or 0 where
+    open: each end is an int P over one 2^E, where Q = H_n / y^m0 has the
+    sign of sum_k row[k] P^(k-m0) (2^E D)^(deg-k), which _ball_signs takes at
+    deg + _BALL_BITS bits, and H_n that sign times sign(y)^m0."""
     E = max(x.as_integer_ratio()[1].bit_length() for x in ends) - 1
     Ps = [int(Fraction(x) * 2**E) for x in ends]  # exact
     q, deg = 2**E * D, len(row) - 1
     terms = [row[k] * q ** (deg - k) for k in range(m0, deg + 1)]
     signs = _ball_signs(terms, Ps, deg + _BALL_BITS)
-    for j in [j for j, sign in enumerate(signs) if not sign]:
-        v = _horner(terms, Ps[j])
-        signs[j] = (v > 0) - (v < 0)
-    return signs
+    return [-sign if y < 0 and m0 % 2 else sign for sign, y in zip(signs, ends)]
 
 
 def _ratio_signs(lam: float, c2: float, n: int, ends) -> list:
@@ -288,47 +282,42 @@ def _ratio_signs(lam: float, c2: float, n: int, ends) -> list:
     return np.where(closed, np.where(neg, -1, 1), 0).tolist()
 
 
-def _exact_sign(lam: float, c2: float, n: int, y: float) -> int:
-    """The sign of H_n(y, 0) for f = lam a + c2 a^2, exactly.
+def _exact_sign(derivs, n: int, y: float) -> int:
+    """The sign of H_n(y, 0) at a nonzero double y, exactly, for a map f of
+    any degree other than f = 0.
 
-    With y lam = a / 2^t and 2 c2 y = b / 2^(2t) for ints a and b, the ints
-    G_m = H_m 2^(t m) run G_0 = 1, G_1 = a, G_m = a G_{m-1} + b (m-1) G_{m-2}:
-    n steps on ints of about n (t + log2|y lam|) bits, no int chain."""
-    A, B = Fraction(y) * Fraction(lam), Fraction(y) * Fraction(2 * c2)
-    kA, kB = A.denominator.bit_length() - 1, B.denominator.bit_length() - 1
-    t = max(kA, (kB + 1) // 2)
-    a, b = A.numerator << (t - kA), B.numerator << (2 * t - kB)
-    g0, g1 = 1, a
-    for m in range(2, n + 1):
-        g0, g1 = g1, a * g1 + b * (m - 1) * g0
-    return (g1 > 0) - (g1 < 0)
-
-
-def _hermite_signs(lam: float, c2: float, n: int, ends) -> list:
-    """The sign of Q = H_n / y^ceil(n/2) at each end for f = lam a + c2 a^2,
-    from H_n's: _ratio_signs in doubles, and _exact_sign at the ends those
-    leave open."""
-    flip = (n + 1) // 2 % 2  # sign(y)^ceil(n/2) is -1 for y < 0
-    return [(sign or _exact_sign(lam, c2, n, y)) * (-1 if y < 0 and flip else 1)
-            for sign, y in zip(_ratio_signs(lam, c2, n, ends), ends)]
+    With y f^(i)(0) = a_i / 2^(t i) for ints a_i (y and f's coefficients
+    are doubles, so dyadic), the ints G_m = H_m 2^(t m) run the
+    complete-Bell recurrence G_0 = 1, G_m = sum_i C(m-1, i-1) a_i G_{m-i}:
+    n steps on ints of O(n t) bits, no int chain."""
+    terms = [(i, v.numerator, v.denominator.bit_length() - 1)
+             for i, c in enumerate(derivs, 1) for v in [Fraction(y) * c] if v]
+    t = max(-(-k // i) for i, _, k in terms)
+    a = [(i, p << (t * i - k)) for i, p, k in terms]
+    window = deque([0] * (len(derivs) - 1) + [1], maxlen=len(derivs))  # to G_0
+    for m in range(1, n + 1):
+        window.append(functools.reduce(int.__add__, (
+            math.comb(m - 1, i - 1) * c * window[-i] for i, c in a)))
+    return (window[-1] > 0) - (window[-1] < 0)
 
 
-def _certified(xs, signs) -> bool:
-    """Whether each x of the sorted xs lies within 2^-40 |x| of its own real
-    root of Q = H_n / y^m0, signs(ends) giving Q's sign at each end.
+def _certified(xs, derivs, n: int, fast) -> bool:
+    """Whether each x of the sorted xs lies within _TARGET |x| of its own
+    real root of Q = H_n / y^m0, fast(ends) giving H_n's sign or 0 at each
+    end and _exact_sign the signs it leaves at 0.
 
-    x's bracket ends are the doubles a and b one step inside x(1 -+ 2^-40):
-    x -+ |x| 2^-40 rounds by at most half an ulp (and 2^-1075 more where
-    |x| 2^-40 is subnormal), and nextafter towards x moves it a whole ulp.
-    Disjoint brackets, each with a strict sign change (none at x = 0), hold
-    one root each, so N of them hold all of Q's."""
+    x's bracket ends are the doubles a and b one step inside x(1 -+ _TARGET):
+    x -+ |x| _TARGET rounds by at most half an ulp (and 2^-1075 more where it
+    is subnormal), and nextafter towards x moves it a whole ulp.  Disjoint
+    brackets, each with a strict sign change (none at x = 0, so Q's too),
+    hold one root each, so N of them hold all of Q's."""
     ends = []
     for x in xs:
-        d = math.ldexp(abs(x), -40)
+        d = abs(x) * _TARGET
         ends += [math.nextafter(x - d, x), math.nextafter(x + d, x)]
     if not all(a < b for a, b in zip(ends, ends[1:])):
         return False
-    got = signs(ends)
+    got = [sign or _exact_sign(derivs, n, y) for sign, y in zip(fast(ends), ends)]
     return all(lo * hi < 0 for lo, hi in zip(got[::2], got[1::2]))
 
 
@@ -382,7 +371,7 @@ def chain_roots(f: MapSpec1D, n: int) -> list:
     exact int row of H_n.  Aberth sweeps by the recurrence start from
     _starts.  Unless the real parts of Q's N roots are finite and
     _certified, every root comes from poly_roots on the exact H_n instead.
-    A quadratic map's signs come from _hermite_signs, so it builds the int
+    A quadratic map's fast signs come from _ratio_signs, so it builds the int
     chain only to fall back to poly_roots; any other map's from _int_signs.
     """
     import numpy as np
@@ -392,14 +381,14 @@ def chain_roots(f: MapSpec1D, n: int) -> list:
     quad = _quadratic(f) if n >= 1 else None
     if quad:
         m0, N = (n + 1) // 2, n // 2
-        signs = functools.partial(_hermite_signs, *quad, n)
+        fast = functools.partial(_ratio_signs, *quad, n)
     else:
         row, D = last()
         if not any(row):
             raise DegreeZero(f"H_{n} is identically zero for this map")
         m0 = next(k for k, c in enumerate(row) if c)
         N = len(row) - 1 - m0
-        signs = functools.partial(_int_signs, row, D, m0)
+        fast = functools.partial(_int_signs, row, D, m0)
     if N > 0:
         try:
             evaluate = _chain_step(derivs, n, m0)
@@ -408,7 +397,7 @@ def chain_roots(f: MapSpec1D, n: int) -> list:
         with np.errstate(all="ignore"):
             z, ok = _batch_aberth(evaluate, _starts(f, last, n, N)[None])
             xs = sorted(float(r.real) for r in z[0])
-            if ok[0] and all(map(math.isfinite, xs)) and _certified(xs, signs):
+            if ok[0] and all(map(math.isfinite, xs)) and _certified(xs, derivs, n, fast):
                 return sorted([0j] * m0 + list(map(complex, xs)), key=lambda r: r.real)
     return poly_roots(_exact(*last()))
 

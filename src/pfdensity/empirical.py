@@ -180,21 +180,14 @@ def _auto_edges(values: np.ndarray, bins: int) -> np.ndarray:
 
 
 def iterate_orbit(f: MapSpec1D, x0: float, burn: int, keep: int,
-                  seed: int = 0, bins: int = 200, edges=None) -> Histogram:
-    """Histogram of the retained orbit; values outside explicit edges are
-    counted in out_of_range rather than silently dropped."""
+                  seed: int = 0, bins: int = 200) -> Histogram:
+    """Histogram of the retained orbit in `bins` equal bins from its least
+    to its greatest value, so every value is counted."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     values = orbit_sample(f, x0, burn, keep, seed)
-    if edges is None:
-        edges = _auto_edges(values, bins)
-    else:
-        edges = np.asarray(edges, dtype=float)
-    # np.histogram counts only the values in [edges[0], edges[-1]]
-    counts, _ = np.histogram(values, bins=edges)
-    total = int(counts.sum())
-    return Histogram(edges=edges, counts=counts, total=total,
-                     out_of_range=values.size - total)
+    counts, edges = np.histogram(values, bins=_auto_edges(values, bins))
+    return Histogram(edges=edges, counts=counts, total=int(counts.sum()))
 
 
 class ScaledZeros(NamedTuple):

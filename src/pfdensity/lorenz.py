@@ -175,34 +175,27 @@ def q_decomposition(direction) -> LorenzDecomposition:
                                Q=q_matrix(direction), T=T)
 
 
-def _alpha_shift(p: LorenzParams, direction, delta: float, tag: str):
+def _alpha_shift(p: LorenzParams, direction, delta: float, tag: str) -> tuple:
     """Additive shift of L when recentring the iteration at alpha_+/-."""
-    import numpy as np
-
     if tag == "theta":
-        return np.zeros(3)
+        return (0.0, 0.0, 0.0)
     alpha = _signed_alpha(p, tag)
     x, y, z = (float(v) for v in direction)
-    return delta * np.array([
-        z * alpha - y * alpha * alpha / p.beta,
-        z * alpha,
-        -y * alpha,
-    ])
+    return tuple(delta * v for v in (z * alpha - y * alpha * alpha / p.beta,
+                                     z * alpha,
+                                     -y * alpha))
 
 
 def L_coefficients(p: LorenzParams, direction, delta: float,
                    tag: str = "theta") -> tuple:
     """Coefficients of the linear part y.f(a) - delta(zb - yc)a = L.a."""
-    import numpy as np
-
     x, y, z = (float(v) for v in direction)
-    L = np.array([
+    L = (
         x * (1.0 - delta * p.sigma) + delta * p.rho * y,
         delta * p.sigma * x + y * (1.0 - delta),
         z * (1.0 - delta * p.beta),
-    ])
-    L = L + _alpha_shift(p, direction, delta, tag)
-    return tuple(L)
+    )
+    return tuple(v + s for v, s in zip(L, _alpha_shift(p, direction, delta, tag)))
 
 
 def l_coefficients(dec: LorenzDecomposition, p: LorenzParams, delta: float,

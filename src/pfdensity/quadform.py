@@ -70,11 +70,7 @@ def symmetric_eigen(S: SymmetricForm):
     eig, V = np.linalg.eigh(S.matrix())
     for j in range(V.shape[1]):
         col = V[:, j]
-        lead = 0.0
-        for v in col:
-            if abs(v) > _SIGN_TOL * max(1.0, float(np.max(np.abs(col)))):
-                lead = v
-                break
-        if lead < 0:
+        tol = _SIGN_TOL * max(1.0, float(np.max(np.abs(col))))
+        if next((v for v in col if abs(v) > tol), 0.0) < 0:
             V[:, j] = -col
     return eig, V

@@ -447,8 +447,19 @@ def _counted_evaluator(monkeypatch):
 
 def _counted_exact_signs(monkeypatch):
     calls = []
-    monkeypatch.setattr(bell, "_horner", lambda t, x: calls.append(x) or _horner(t, x))
+    exact = bell._exact_sign
+    monkeypatch.setattr(bell, "_exact_sign", lambda *args: calls.append(args) or exact(*args))
     return calls
+
+
+def _horner_signs(row, D, ends):
+    """The sign of H_n = sum_k row[k] (y/D)^k at each double y of ends, by
+    exact int Horner: y = P / 2^E, scaled by (2^E D)^deg > 0."""
+    E = max(y.as_integer_ratio()[1].bit_length() for y in ends) - 1
+    q, deg = 2**E * D, len(row) - 1
+    terms = [c * q ** (deg - k) for k, c in enumerate(row)]
+    values = [_horner(terms, int(Fraction(y) * 2**E)) for y in ends]
+    return [(v > 0) - (v < 0) for v in values]
 
 
 @pytest.mark.parametrize("n", [64, 256])
@@ -496,11 +507,13 @@ def test_quadratic_chains_never_build_the_int_chain(monkeypatch, coeffs, n):
 
 
 def _hermite_certificate(f, n):
-    """(xs, signs): the roots of Q off the origin on the quadratic path, and
-    its signs, the doubles' and then the exact recurrence's."""
-    def signs(ends):
-        return bell._hermite_signs(*f.coeffs[1:], n, ends)
-    return sorted(r.real for r in chain_roots(f, n) if r), signs
+    """(xs, certified): the roots of Q off the origin on the quadratic path,
+    and the certificate on its fast signs, the doubles', then the exact
+    recurrence's."""
+    def certified(ys):
+        return bell._certified(ys, bell._derivs_at_0(f), n,
+                               lambda ends: bell._ratio_signs(*f.coeffs[1:], n, ends))
+    return sorted(r.real for r in chain_roots(f, n) if r), certified
 
 
 @pytest.mark.parametrize("coeffs", [(0.0, 2.0, -0.5), (0.0, 3.9, -0.5),
@@ -508,30 +521,29 @@ def _hermite_certificate(f, n):
 def test_ratio_certificate_rejects_a_moved_root(monkeypatch, coeffs):
     # One root off by 1e-9 relative: the doubles decide both ends of its
     # bracket, with one sign, so no exact sign is taken.
-    xs, signs = _hermite_certificate(MapSpec1D(coeffs), 64)
+    xs, certified = _hermite_certificate(MapSpec1D(coeffs), 64)
 
     def fail(*args):
         raise AssertionError("an end was left open")
     monkeypatch.setattr(bell, "_exact_sign", fail)
-    assert bell._certified(xs, signs)
+    assert certified(xs)
     for i in (0, 5, len(xs) - 1):
-        assert not bell._certified(xs[:i] + [xs[i] * (1 + 1e-9)] + xs[i + 1:], signs)
+        assert not certified(xs[:i] + [xs[i] * (1 + 1e-9)] + xs[i + 1:])
 
 
 def test_open_ratio_ends_take_exact_signs(monkeypatch):
     # Every third end forced open goes to _exact_sign, alone, and the
     # verdicts stay: the roots hold, a root moved by 1e-9 fails.
-    xs, signs = _hermite_certificate(MapSpec1D.logistic(2.0), 128)
+    xs, certified = _hermite_certificate(MapSpec1D.logistic(2.0), 128)
     moved = xs[:5] + [xs[5] * (1 + 1e-9)] + xs[6:]
-    want = [bell._certified(ys, signs) for ys in (xs, moved)]
+    want = [certified(ys) for ys in (xs, moved)]
     assert want == [True, False]
     _no_int_chain(monkeypatch)
-    ratio, exact = bell._ratio_signs, bell._exact_sign
-    calls = []
+    ratio = bell._ratio_signs
     monkeypatch.setattr(bell, "_ratio_signs", lambda *args: [
         0 if j % 3 == 0 else sign for j, sign in enumerate(ratio(*args))])
-    monkeypatch.setattr(bell, "_exact_sign", lambda *args: calls.append(1) or exact(*args))
-    assert [bell._certified(ys, signs) for ys in (xs, moved)] == want
+    calls = _counted_exact_signs(monkeypatch)
+    assert [certified(ys) for ys in (xs, moved)] == want
     assert len(calls) == 2 * len(range(0, 2 * len(xs), 3))
 
 
@@ -540,23 +552,25 @@ def test_open_ratio_ends_take_exact_signs(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 5, 64, 65])
 def test_hermite_signs_match_int_signs(coeffs, n):
     # At points of both signs over the span of the zeros, near roots too:
-    # a sign the doubles decide, and every exact sign, is the int chain's.
-    # At the zeros themselves H_n is below the rounding the intervals carry,
-    # so they stay open there (measured: at every zero of n <= 256).
+    # a sign the doubles or the int balls decide, and every exact sign, is
+    # exact int Horner's on the int chain's row.  At the zeros themselves
+    # H_n is below the rounding the intervals carry, so they stay open there
+    # (measured: at every zero of n <= 256).
     f = MapSpec1D(coeffs)
-    row, D = bell._last_row(bell._derivs_at_0(f), n)
+    derivs = bell._derivs_at_0(f)
+    row, D = bell._last_row(derivs, n)
     span = 4 * n * abs(coeffs[2]) / coeffs[1] ** 2
     roots = [r.real for r in chain_roots(f, n) if r]
     assert not any(bell._ratio_signs(*f.coeffs[1:], n, roots))
     ends = sorted({float(v) for v in np.random.default_rng(n).uniform(-span, span, 40)}
                   | {x * (1 + e) for x in roots[::7] for e in (-1e-13, 1e-13)})
-    want = bell._int_signs(row, D, (n + 1) // 2, ends)
-    assert bell._hermite_signs(*f.coeffs[1:], n, ends) == want
-    # H_n = y^ceil(n/2) Q: the doubles' and the exact signs are H_n's
-    want = [sign * (-1 if y < 0 and (n + 1) // 2 % 2 else 1) for sign, y in zip(want, ends)]
+    want = _horner_signs(row, D, ends)
+    balls = bell._int_signs(row, D, (n + 1) // 2, ends)
+    assert all(got in (0, sign) for got, sign in zip(balls, want))
     ratio = bell._ratio_signs(*f.coeffs[1:], n, ends)
     assert all(got in (0, sign) for got, sign in zip(ratio, want))
-    assert [bell._exact_sign(*f.coeffs[1:], n, y) for y in ends] == want
+    assert [sign or bell._exact_sign(derivs, n, y) for sign, y in zip(ratio, ends)] == want
+    assert [bell._exact_sign(derivs, n, y) for y in ends] == want
 
 
 @pytest.mark.parametrize("n,error", [(0, DegreeZero), (-1, ValueError)])
@@ -588,22 +602,84 @@ def test_ball_signs_never_contradict_exact_signs(g, r, delta, K):
 
 def test_certificate_takes_undecided_balls_to_exact_signs(monkeypatch):
     # The ball width, deg H_128 + 64 bits, decides every end of H_128's
-    # brackets; at 16 bits the ends a ball leaves at 0 go to exact int
-    # Horner, with the same verdicts.
+    # brackets; at 16 bits the ends a ball leaves at 0 go to the exact
+    # recurrence, with the same verdicts.
     f = MapSpec1D.logistic(2.0)
-    D, rows = bell._int_chain(bell._derivs_at_0(f), 128)
+    derivs = bell._derivs_at_0(f)
+    D, rows = bell._int_chain(derivs, 128)
     *_, row = rows
     xs = [r.real for r in chain_roots(f, 128) if r]
     moved = xs[:5] + [xs[5] * (1 + 1e-9)] + xs[6:]
     exact = _counted_exact_signs(monkeypatch)
 
     def signs(ends):
-        return bell._int_signs(row, D, 64, ends)
-    want = [bell._certified(x, signs) for x in (xs, moved)]
+        got = bell._int_signs(row, D, 64, ends)
+        assert all(sign in (0, h) for sign, h in zip(got, _horner_signs(row, D, ends)))
+        return got
+    want = [bell._certified(x, derivs, 128, signs) for x in (xs, moved)]
     assert want == [True, False] and exact == []
     monkeypatch.setattr(bell, "_BALL_BITS", 16 - 128)
-    assert [bell._certified(x, signs) for x in (xs, moved)] == want
+    assert [bell._certified(x, derivs, 128, signs) for x in (xs, moved)] == want
     assert 0 < len(exact) <= 4 * len(xs)
+
+
+@pytest.mark.parametrize("coeffs,n", [
+    ((0.0, 2.0, -0.5), 64),                # c2 < 0: the zeros are positive
+    ((0.0, float(Fraction(3, 7)), 0.3), 41),  # c2 > 0: the zeros are negative
+    ((0.0, 2.0, 0.0, -1.0 / 3.0), 40),     # the odd cubic m_hermite(2, 3)
+    ((0.0, 1.7, 0.3, -0.2), 30),           # a dense cubic
+    ((0.0, 0.0, -0.5, 1.0), 12),           # lam = 0
+    ((0.0, 0.0, -0.5, 1.0), 13),
+    ((0.0, 1.7, 0.3, -0.2, 0.0), 31),      # a trailing zero coefficient
+])
+def test_exact_sign_matches_int_horner(coeffs, n):
+    # The complete-Bell recurrence in ints at y, for any degree of f, has
+    # exact int Horner's sign on the int chain's row, at both signs of y
+    # and next to every root.
+    f = MapSpec1D(coeffs)
+    derivs = bell._derivs_at_0(f)
+    row, D = bell._last_row(derivs, n)
+    roots = [r.real for r in poly_roots(bell_sequence_exact(f, n)[n]) if r]
+    span = 2 * max(map(abs, roots))
+    ends = sorted({float(v) for v in np.random.default_rng(n).uniform(-span, span, 40)}
+                  | {x * (1 + e) for x in roots for e in (-1e-13, 1e-13)}
+                  | {-x for x in roots} | {2.0**-60, -(2.0**-60), 3e5, -3e5})
+    want = _horner_signs(row, D, ends)
+    assert {-1, 1} <= set(want) and min(ends) < 0 < max(ends)
+    assert [bell._exact_sign(derivs, n, y) for y in ends] == want
+
+
+def _all_open(ends):
+    return [0] * len(ends)
+
+
+@pytest.mark.parametrize("f", [MapSpec1D.logistic(2.0), MapSpec1D.m_hermite(2.0, 3)],
+                         ids=["quadratic", "cubic"])
+@pytest.mark.parametrize("forced_open", [False, True])
+def test_certificate_rejects_a_moved_root_on_either_path(monkeypatch, f, forced_open):
+    # chain_roots' own fast signs (interval ratios, int balls), or none at
+    # all so that the exact recurrence takes every end: the roots hold, and
+    # any one of them moved by 1e-9 relative fails.
+    _no_fallback(monkeypatch)
+    n = 64
+    certified = []
+    real = bell._certified
+
+    def spy(xs, derivs, n, fast):
+        certified.append((xs, derivs, fast))
+        return real(xs, derivs, n, _all_open if forced_open else fast)
+    monkeypatch.setattr(bell, "_certified", spy)
+    exact = _counted_exact_signs(monkeypatch)
+    roots = chain_roots(f, n)
+    assert len(certified) == 1
+    xs, derivs, fast = certified[0]
+    assert sorted(r.real for r in roots if r) == xs
+    assert len(exact) == (2 * len(xs) if forced_open else 0)
+    if forced_open:
+        fast = _all_open
+    for i in (0, 5, len(xs) - 1):
+        moved = xs[:i] + [xs[i] * (1 + 1e-9)] + xs[i + 1:]
+        assert not real(moved, derivs, n, fast)
 
 
 @pytest.mark.parametrize("n", [*range(2, 21), 64])

@@ -76,6 +76,33 @@ def test_hermite_zeros_complex_rooted_chain_golden_bytes(tmp_path, monkeypatch):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == QUARTIC_ZEROS_SHA256
 
 
+# SHA-256 of `hermite zeros` for two real-rooted chains that chain_roots
+# certifies with no poly_roots fallback, written before their signs were
+# decided by one exact recurrence: logistic lam = 2 at n = 256 (interval
+# ratios) and m_hermite(2, 3) at n = 64 (int balls).
+CERTIFIED_ZEROS_SHA256 = {
+    ((0.0, 2.0, -0.5), 256):
+        "3f41d6e8756596715e0a7fcc24ee2c41d5bc93669222ab4361ad8cbb8e97628a",
+    ((0.0, 2.0, 0.0, -1.0 / 3.0), 64):
+        "3b27b478993285570f061ea1740077035f1d024fe88c6515adbd164be34af279",
+}
+
+
+@pytest.mark.parametrize("coeffs,n", sorted(CERTIFIED_ZEROS_SHA256))
+def test_hermite_zeros_certified_chain_golden_bytes(tmp_path, monkeypatch, coeffs, n):
+    def fail(p):
+        raise AssertionError("chain_roots fell back to poly_roots")
+    monkeypatch.setattr(bell, "poly_roots", fail)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"coeffs": list(coeffs)}))
+    out = tmp_path / "zeros.csv"
+    assert run(["hermite", "zeros", "--map", str(path), "-n", str(n),
+                "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == n + 1
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == CERTIFIED_ZEROS_SHA256[coeffs, n]
+
+
 @pytest.mark.parametrize("lam,n,kind,message", [
     (0.0, 3, "DegreeZero", "H_3 is identically zero for this map"),
     (2.0, 0, "DegreeZero", "constant polynomial has no roots to solve for"),
