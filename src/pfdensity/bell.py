@@ -321,7 +321,7 @@ def _certified(xs, derivs, n: int, fast) -> bool:
     return all(lo * hi < 0 for lo, hi in zip(got[::2], got[1::2]))
 
 
-def _quadratic(f: MapSpec1D):
+def _quadratic_map(f: MapSpec1D):
     """(lam, c2) where f = lam a + c2 a^2 with both nonzero, else None."""
     c = _trim(f.coeffs)
     return c[1:] if len(c) == 3 and c[1] else None
@@ -342,7 +342,7 @@ def _starts(f: MapSpec1D, last, n: int, N: int):
     """
     import numpy as np
 
-    quad = _quadratic(f)
+    quad = _quadratic_map(f)
     if quad:
         lam, c2 = quad
         a, k, J = n % 2 - 0.5, np.arange(N), np.zeros((N, N))
@@ -378,7 +378,7 @@ def chain_roots(f: MapSpec1D, n: int) -> list:
 
     derivs = _derivs_at_0(f)
     last = functools.cache(lambda: _last_row(derivs, n))
-    quad = _quadratic(f) if n >= 1 else None
+    quad = _quadratic_map(f) if n >= 1 else None
     if quad:
         m0, N = (n + 1) // 2, n // 2
         fast = functools.partial(_ratio_signs, *quad, n)

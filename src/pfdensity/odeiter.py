@@ -4,9 +4,9 @@ The explicit Euler step f(a) = a + delta*F(a), iterated n times with
 delta = t/n, is treated as a bounded polynomial iteration.  This module
 provides the iteration itself (with its exact partial-sum identity
 a_n - a_0 = delta * S_n), Newton location of the zeros of F, analytic
-Jacobians with Faddeev-LeVerrier characteristic polynomials, and the
-critical-frequency solve s(I + tau*J) = 1/a whose singularities sit at
-tau = -1/lambda for real eigenvalues lambda of J.
+Jacobians with their spectra from LAPACK, and the critical-frequency
+solve s(I + tau*J) = 1/a whose singularities sit at tau = -1/lambda for
+real eigenvalues lambda of J.
 
 Each OdeSystem is compiled once, at construction, into two term tables:
 `_terms` with one row per term of F_k, `_dterms` with one per term of
@@ -34,10 +34,11 @@ drop count are bit-identical to the loop of single solves, seed by seed.
 
 numpy is imported inside the functions that build or read arrays: F and J
 as arrays (OdeSystem.__call__, jacobian, linear), euler_iterate, the seed
-lattice, fixed_points and its solves, the spectra and frequency solves
-(which import poly too), and the overflow rerun of the generated code.
-OdeSystem's construction, point check and JSON, DifferentialIteration and
-its Euler loop (iterate, which returns lists) load and run without numpy.
+lattice, fixed_points and its solves, the spectra, the frequency solves
+(which import poly's real_zeros too), and the overflow rerun of the
+generated code.  OdeSystem's construction, point check and JSON,
+DifferentialIteration and its Euler loop (iterate, which returns lists)
+load and run without numpy.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ from .errors import DomainError, SingularTau, TrajectoryEscape
 if TYPE_CHECKING:
     import numpy as np
 
-    from .poly import Polynomial
-
 __all__ = [
     "OdeSystem",
     "DifferentialIteration",
@@ -65,7 +64,6 @@ __all__ = [
     "euler_iterate",
     "seed_lattice",
     "fixed_points",
-    "char_poly_faddeev",
     "jacobian_eigen",
     "critical_frequency_solution",
     "critical_frequencies",
@@ -408,39 +406,23 @@ def fixed_points(sys: OdeSystem, seeds=None, radius: float = 2.0) -> FixedPoints
     return FixedPoints([np.array(p) for p in found], dropped)
 
 
-def char_poly_faddeev(J) -> Polynomial:
-    """Characteristic polynomial det(lambda I - J) by the trace recursion,
-    returned with ascending coefficients and monic leading term."""
-    import numpy as np
-
-    from .poly import Polynomial
-
-    J = np.asarray(J, dtype=float)
-    d = J.shape[0]
-    coeffs_desc = [1.0]
-    M = np.eye(d)
-    with np.errstate(all="ignore"):  # an overflow shows as a non-finite c
-        for k in range(1, d + 1):
-            JM = J @ M
-            c = -np.trace(JM) / k
-            coeffs_desc.append(float(c))
-            M = JM + c * np.eye(d)
-    if not all(map(math.isfinite, coeffs_desc)):
-        raise DomainError("the characteristic polynomial of the Jacobian "
-                          "is not finite in doubles")
-    return Polynomial(list(reversed(coeffs_desc)))
-
-
 class JacobianEigen(NamedTuple):
     J: np.ndarray
     eigenvalues: list
 
 
 def jacobian_eigen(sys: OdeSystem, a) -> JacobianEigen:
-    from .poly import poly_roots
+    """J(a) and its eigenvalues from LAPACK's backward-stable dgeev
+    (np.linalg.eigvals) as Python complex, sorted by (real, imag) as
+    poly_roots sorts; a J that is not finite in doubles is a DomainError."""
+    import numpy as np
 
     J = sys.jacobian(a)
-    return JacobianEigen(J=J, eigenvalues=poly_roots(char_poly_faddeev(J)))
+    if not np.all(np.isfinite(J)):
+        raise DomainError("the Jacobian is not finite in doubles")
+    eig = sorted(map(complex, np.linalg.eigvals(J)),
+                 key=lambda z: (z.real, z.imag))
+    return JacobianEigen(J=J, eigenvalues=eig)
 
 
 def critical_frequency_solution(sys: OdeSystem, a, tau: float) -> np.ndarray:

@@ -12,9 +12,9 @@ each wider level of _LEVELS, each from the roots of the one before, until
 every root's relative error estimate is within _TARGET (_settled).  The
 first level starts from the Newton polygon of log2|a_k| (_newton_starts).
 Conditioning decides how far a polynomial climbs: logistic H_12 settles
-at 53 bits, H_64 at 128 and H_128 at 256 (bell.chain_roots solves such
-chains without the monomial basis), and the 8-fold eigenvalue of -I_8,
-the most an odeiter Jacobian (MAX_DIM = 8) carries, at the top, 512.
+at 53 bits, H_64 at 128, and H_128 and the 4-fold root of (x - 1)^4 at
+the top, 256 (bell.chain_roots solves such chains without the monomial
+basis).
 A level that cannot hold the polynomial is skipped: a coefficient beyond
 the double range, a nonzero one that becomes 0 as a double, or start
 points or roots that are not finite.  A root still above _TARGET at the
@@ -64,7 +64,7 @@ if TYPE_CHECKING:
 MP_LOCK = threading.Lock()
 
 MAX_SWEEPS = 400  # Aberth sweeps per level before an unfrozen root misses
-_LEVELS = (53, 128, 256, 512)  # working precisions, in bits, in turn
+_LEVELS = (53, 128, 256)  # working precisions, in bits, in turn
 _TARGET = 2.0 ** -40  # every root's relative error estimate must reach this
 _REAL_AXIS_TOL = 1e-8  # |Im z| <= tol (1 + |Re z|) counts as real
 # A batched solve takes rows in blocks of about this many entries of its
@@ -202,7 +202,7 @@ def _circle_starts(edges, offset, pi, exp):
     return z
 
 
-def _quadratic(c0, c1, c2, sqrt):
+def _quadratic_roots(c0, c1, c2, sqrt):
     """Stable closed form; a zero discriminant yields an exact double root."""
     sq = sqrt(c1 * c1 - 4 * c2 * c0)
     q = -0.5 * (c1 + sq if (c1.conjugate() * sq).real >= 0 else c1 - sq)
@@ -313,7 +313,7 @@ def _level(coeffs, ar: _Arith, z):
         roots, settled = [-scaled[0] / scaled[1]], [True]
     elif len(c) == 3:
         c0, c1, c2 = scaled
-        roots = _quadratic(c0, c1, c2, ar.sqrt)
+        roots = _quadratic_roots(c0, c1, c2, ar.sqrt)
         settled = [_settled(scaled, r,
                             8 * ar.unit * (abs(c0) + abs(c1 * r) + abs(c2 * r * r)),
                             c1 + 2 * c2 * r) for r in roots]
@@ -402,7 +402,7 @@ def _horner_rows(c, z):
 
 
 def _batch_quadratic(c):
-    """_quadratic on every row of c (m, 3); roots and whether both settle."""
+    """_quadratic_roots on every row of c (m, 3); roots and whether both settle."""
     import numpy as np
 
     c0, c1, c2 = c[:, :1], c[:, 1:2], c[:, 2:]

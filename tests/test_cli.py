@@ -374,14 +374,34 @@ def test_ode_euler_non_finite_delta_exit_code_and_json(lorenz_system_file, capsy
     assert err["type"] == "ValueError" and "delta" in err["message"]
 
 
-def test_ode_frequencies_overflowing_jacobian_exit_code_and_json(lorenz_system_file,
-                                                                  capsys):
-    assert run(["ode", "frequencies", "--system", lorenz_system_file,
-                "--a=1e300,1e300,1e300"]) == 1
+def test_ode_frequencies_overflowing_jacobian_exit_code_and_json(tmp_path, capsys):
+    # d(a0^3)/da0 = 3 a0^2 overflows to inf at a0 = 1e200
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({"dim": 1, "components": [[
+        {"exps": [3], "coef": 1.0}]]}))
+    assert run(["ode", "frequencies", "--system", str(path), "--a=1e200"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     err = _strict_json(captured.err)["error"]
     assert err["type"] == "DomainError" and "Jacobian" in err["message"]
+
+
+def test_ode_frequencies_huge_finite_jacobian_matches_mpmath(lorenz_system_file,
+                                                             capsys):
+    # The Lorenz Jacobian at a = (1e300, 1e300, 1e300) is finite; 800-digit
+    # mpmath.eig gives -20 and 19/6 +- 1.0000000000000000525e300 i, so the
+    # one real eigenvalue gives tau = 0.05
+    assert run(["ode", "frequencies", "--system", lorenz_system_file,
+                "--a=1e300,1e300,1e300"]) == 0
+    obj = _strict_json(capsys.readouterr().out)
+    got = [complex(*z) for z in obj["eigenvalues"]]
+    want = [-20.0, complex(19 / 6, -1.0000000000000000525e300),
+            complex(19 / 6, 1.0000000000000000525e300)]
+    assert len(got) == 3
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-15 * abs(w)
+    assert obj["taus"] == pytest.approx([0.05], rel=1e-15, abs=0)
+    assert obj["critical_tau"] == pytest.approx(0.05, rel=1e-15, abs=0)
 
 
 def test_ode_fixed_points_golden_bytes(lorenz_system_file, tmp_path):
@@ -427,8 +447,9 @@ def test_lorenz_report_cli(tmp_path):
 
 
 # SHA-256 of `lorenz report` at sigma = 10, rho = 28, beta = 8/3, written
-# while the report still decomposed each direction once per fixed point.
-LORENZ_REPORT_SHA256 = "a7c0e93aa2cf473ae9c38d46095dbfcf031b0e4e2adf262ef4c4161c4059123f"
+# once the spectra came from LAPACK; each eigenvalue is within 2.7e-16 of
+# its modulus of 60-digit mpmath.eig.
+LORENZ_REPORT_SHA256 = "867dc1d823adb72f3783ca8ca6a52fd63fae6658ea73d7d3d3bfeaf65992c4d6"
 
 
 def test_lorenz_report_golden_bytes(capsys):

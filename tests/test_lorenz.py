@@ -14,7 +14,7 @@ from pfdensity.lorenz import (FIXED_POINT_TAGS, CycleSample, LorenzParams,
                               lorenz_report, lorenz_system, projection_value,
                               q_decomposition, q_matrix)
 from pfdensity.odeiter import jacobian_eigen
-from pfdensity.poly import poly_roots
+from pfdensity.poly import poly_roots, real_zeros
 from pfdensity.quadform import SymmetricForm, symmetric_eigen
 
 P = LorenzParams(10.0, 28.0, 8.0 / 3.0)
@@ -77,6 +77,18 @@ def test_characteristic_matches_jacobian_eigen(tag):
     eig = jacobian_eigen(SYS, fixed_point(P, tag)).eigenvalues
     for a in roots:
         assert min(abs(a - b) for b in eig) < 1e-9
+
+
+@pytest.mark.parametrize("tag", FIXED_POINT_TAGS)
+def test_jacobian_spectrum_is_real_or_exact_conjugate_pairs(tag):
+    # dgeev returns a real eigenvalue with imaginary part 0.0 and a complex
+    # one with its exact conjugate; the factored cubic counts the real ones
+    theta, alpha = characteristic_at_fixed_points(P)
+    cubic = theta if tag == "theta" else alpha
+    eig = jacobian_eigen(SYS, fixed_point(P, tag)).eigenvalues
+    assert [z.imag for z in eig].count(0.0) == len(real_zeros(poly_roots(cubic)))
+    assert sorted((z.conjugate() for z in eig),
+                  key=lambda z: (z.real, z.imag)) == eig
 
 
 def test_q_matrix_form():

@@ -68,9 +68,38 @@ def test_degree_zero_raises():
 
 def test_non_convergence_reports_worst_residual(monkeypatch):
     monkeypatch.setattr(poly, "MAX_SWEEPS", 1)
-    with pytest.raises(NonConvergence, match="in 1 sweeps at 512 bits") as exc:
+    with pytest.raises(NonConvergence, match="in 1 sweeps at 256 bits") as exc:
         poly_roots(Polynomial([-1.0, 0.0, 0.0, 1.0]))
     assert 0 < exc.value.worst_residual < math.inf
+
+
+def test_sevenfold_root_does_not_converge():
+    # a 7-fold root misses the 2^-40 target at every level up to 256 bits,
+    # and the solver says so instead of returning it
+    with pytest.raises(NonConvergence, match="7 of 7 roots .* at 256 bits"):
+        poly_roots(Polynomial([math.comb(7, k) * (-1) ** (7 - k)
+                               for k in range(8)]))
+
+
+def test_every_precision_level_has_a_polynomial_that_needs_it(monkeypatch):
+    # A level that no polynomial needs is dead code: logistic H_64 settles
+    # at 128 bits, and the 4-fold root of (x - 1)^4 at 256
+    level = poly._level
+    reached = []
+
+    def record(coeffs, ar, z):
+        reached.append(round(-math.log2(ar.unit)))
+        return level(coeffs, ar, z)
+
+    monkeypatch.setattr(poly, "_level", record)
+    top = {}
+    for name, p in (("H_64", bell_sequence_exact(MapSpec1D.logistic(2.0), 64)[64]),
+                    ("(x-1)^4", Polynomial([1, -4, 6, -4, 1]))):
+        reached.clear()
+        poly_roots(p)
+        top[name] = max(reached)
+    assert top == {"H_64": 128, "(x-1)^4": 256}
+    assert set(top.values()) == set(poly._LEVELS[1:])
 
 
 def test_worst_residual_is_in_the_polynomials_units(monkeypatch):
