@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 ORBIT_GUARD = 1e6
-_ORBIT_CHUNK = 1 << 12  # orbit steps per list before they go into the array
-_UNROLL = 8  # Horner steps per pass of the generated loop, at most
+_ORBIT_CHUNK = 1 << 12  # orbit steps between two guard checks
+_UNROLL = 16  # Horner steps per pass of the generated loop, at most
 _UNROLL_TERMS = 512  # and at most this many coefficients written out per pass
 _HORNER_DEPTH = 64  # coefficients per expression: bounds the compiler's nesting
 
@@ -95,7 +95,7 @@ def _seed_perturbation(seed: int) -> float:
 
 
 def _horner_lines(count: int, x: str, y: str) -> list:
-    """Source lines that set y to ((c_0*x + c_1)*x + ...)*x + c_{count-1},
+    """Source lines that set y to (((c_0*x + c_1)*x + ...)*x + c_{count-1})*x,
     one expression per _HORNER_DEPTH coefficients through the local h."""
     lines, acc = [], "c_0"
     for i in range(1, count):
@@ -103,71 +103,84 @@ def _horner_lines(count: int, x: str, y: str) -> list:
             lines.append(f"h = {acc}")
             acc = "h"
         acc = f"({acc})*{x} + c_{i}"
-    return lines + [f"{y} = {acc}"]
+    return lines + [f"{y} = ({acc})*{x}"]
 
 
 @functools.lru_cache(maxsize=32)
 def _horner_chunk(count: int):
-    """Generated `chunk(x, steps, c_0, .., c_{count-1})`: the list of the
-    next `steps` iterates of the Horner step, written out u steps to a loop
-    pass, u = _UNROLL down to 1 as count grows past _UNROLL_TERMS / _UNROLL,
-    so compiling a long step stays linear in count.  The last pass may run
-    up to u - 1 steps past `steps` and those iterates are deleted; running
-    on is harmless, since float products and sums overflow to inf or NaN
-    and never raise."""
+    """Generated `chunk(buf, lo, hi, x, c_0, .., c_{count-1})` and its unroll
+    u: writes to buf[lo:hi], a buffer of doubles that struct addresses in
+    bytes (8 to a double), the next hi - lo iterates of
+    x -> P(x)*x, P(x) = (c_0*x + c_1)*x + ... + c_{count-1} by Horner.  It
+    writes u steps to a loop pass, u = _UNROLL down to 1 as count grows past
+    _UNROLL_TERMS / _UNROLL, so compiling a long step stays linear in count;
+    each pass stores its u iterates with one struct `pack_into`.  The last
+    pass may run up to u - 1 steps past hi, into buf[hi:hi + u - 1]; running
+    on is harmless, since float products and sums overflow to inf or NaN and
+    never raise."""
     unroll = max(1, min(_UNROLL, _UNROLL_TERMS // count))
     names = [f"x_{k}" for k in range(1, unroll)] + ["x"]
     unrolled = [line for x, y in zip(["x"] + names, names)
                 for line in _horner_lines(count, x, y)]
-    src = (f"def chunk(x, steps, {', '.join(f'c_{i}' for i in range(count))}):\n"
-           "    out = []\n"
-           f"    for _ in range(-(-steps // {unroll})):\n"
+    src = (f"def chunk(buf, lo, hi, x, {', '.join(f'c_{i}' for i in range(count))},"
+           " pack_into=pack_into):\n"
+           f"    for at in range(8 * lo, 8 * hi, {8 * unroll}):\n"
            + "".join(f"        {line}\n" for line in unrolled)
-           + f"        out.extend(({', '.join(names)},))\n"
-           "    del out[steps:]\n"
-           "    return out\n")
-    scope = {}
+           + f"        pack_into(buf, at, {', '.join(names)})\n")
+    scope = {"pack_into": struct.Struct(f"{unroll}d").pack_into}
     exec(compile(src, f"<horner {count}>", "exec"), scope)
-    return scope["chunk"]
+    return scope["chunk"], unroll
 
 
 def orbit_sample(f: MapSpec1D, x0: float, burn: int, keep: int,
                  seed: int = 0) -> np.ndarray:
     """x_{burn+1} .. x_{burn+keep} under x -> f(x) from a finite x0,
-    guarded at |x| <= 1e6."""
+    guarded at |x| <= 1e6.
+
+    The generated step computes f(x) - c = P(x)*x, c = f.coeffs[0] = +-0,
+    and c is added once a chunk is stored, as one numpy sum.  The orbit has
+    the bits of the loop that adds c at every step:
+    - adding +-0 leaves every nonzero double unchanged;
+    - an orbit that reaches a zero stays on zeros, since P(+-0) is finite;
+    - +0.0 sends both signed zeros to +0.0;
+    - -0.0 is the identity on every double."""
     if burn < 0:
         raise ValueError("burn must be >= 0")
     if keep < 1:
         raise ValueError("keep must be >= 1")
     if not math.isfinite(x0):
         raise ValueError(f"x0 = {x0!r} is not finite")
-    coeffs = tuple(reversed(f.coeffs))
+    coeffs = tuple(reversed(f.coeffs[1:]))
     if coeffs[0] == 0:
         # Horner started at 0.0 * x + c, which can differ from a zero c in
         # its sign; a nonzero c equals it exactly, so only then start at c
         coeffs = (0.0,) + coeffs
-    chunk = _horner_chunk(len(coeffs))
+    chunk, unroll = _horner_chunk(len(coeffs))
     x = x0 + _seed_perturbation(seed)
-    out = np.empty(keep)
     # Iterate i = -burn .. keep - 1 in chunks of generated straight-line
-    # Horner steps, so the list never holds the whole orbit; burn-in chunks
-    # (i < 0) are dropped.  Each chunk is checked once, after it has run: an
-    # orbit that escapes runs on (to inf, then NaN) to the chunk's end, and
-    # its first iterate with ~(|x| <= 1e6) is the escape.  A chunk enters
-    # numpy packed by struct, which converts its floats a few times faster
-    # than assigning the list to an array does.
+    # Horner steps, stored in place: kept chunks (i >= 0) at out[i], burn-in
+    # chunks over the head of out, which the kept ones overwrite.  out has
+    # unroll - 1 spare doubles for the last pass's run-on, and each chunk
+    # starts from the last iterate stored, not from the run-on.  Each chunk
+    # is checked once, after it has run: an orbit that escapes runs on (to
+    # inf, then NaN) to the chunk's end, and its first iterate with
+    # ~(|x| <= 1e6) is the escape.  The chunk writes through a memoryview:
+    # struct gets at its buffer faster than at the array's.
+    out = np.empty(max(keep, min(burn, _ORBIT_CHUNK)) + unroll - 1)
+    view = memoryview(out)
     starts = [*range(-burn, 0, _ORBIT_CHUNK), *range(0, keep, _ORBIT_CHUNK)]
     for lo, hi in zip(starts, starts[1:] + [keep]):
-        xs = chunk(x, hi - lo, *coeffs)
-        x = xs[-1]
-        arr = np.frombuffer(struct.pack(f"{hi - lo}d", *xs))
+        at = max(lo, 0)
+        end = at + hi - lo
+        chunk(view, at, end, x, *coeffs)
+        arr = out[at:end]
+        arr += f.coeffs[0]
         bad = ~(np.abs(arr) <= ORBIT_GUARD)
         if bad.any():
             i = int(bad.argmax())
-            raise OrbitEscape(burn + 1 + lo + i, xs[i])
-        if lo >= 0:
-            out[lo:hi] = arr
-    return out
+            raise OrbitEscape(burn + 1 + lo + i, arr.item(i))
+        x = arr.item(-1)
+    return out[:keep]
 
 
 def _auto_edges(values: np.ndarray, bins: int) -> np.ndarray:

@@ -35,10 +35,9 @@ drop count are bit-identical to the loop of single solves, seed by seed.
 numpy is imported inside the functions that build or read arrays: F and J
 as arrays (OdeSystem.__call__, jacobian, linear), euler_iterate, the seed
 lattice, fixed_points and its solves, the spectra, the frequency solves
-(which import poly's real_zeros too), and the overflow rerun of the
-generated code.  OdeSystem's construction, point check and JSON,
-DifferentialIteration and its Euler loop (iterate, which returns lists)
-load and run without numpy.
+and the overflow rerun of the generated code.  OdeSystem's construction,
+point check and JSON, DifferentialIteration and its Euler loop (iterate,
+which returns lists) load and run without numpy.
 """
 
 from __future__ import annotations
@@ -430,8 +429,8 @@ def critical_frequency_solution(sys: OdeSystem, a, tau: float) -> np.ndarray:
 
     The eigenvalues of I + tau J are 1 + tau mu for the eigenvalues mu of
     J, so it is singular exactly where tau = -1/lambda for a real lambda.
-    SingularTau is raised, naming the real lambda (as poly.real_zeros
-    counts them) that comes closest, when
+    SingularTau is raised, naming the real lambda (one whose imaginary
+    part dgeev returns as exactly 0.0) that comes closest, when
     |1 + tau lambda| <= _SINGULAR * max(1, |tau| max|mu|): a bound
     relative to the largest eigenvalue of I + tau J.  No determinant is
     tested: det(0.05 I_8) = 3.9e-11 belongs to a matrix of condition
@@ -440,13 +439,12 @@ def critical_frequency_solution(sys: OdeSystem, a, tau: float) -> np.ndarray:
     """
     import numpy as np
 
-    from .poly import real_zeros
-
     a = np.asarray(a, dtype=float)
     if np.any(a == 0.0):
         raise DomainError("all coordinates of a must be nonzero")
     J, eig = jacobian_eigen(sys, a)
-    lam = min(real_zeros(eig), key=lambda l: abs(1.0 + tau * l), default=None)
+    lam = min((z.real for z in eig if z.imag == 0.0),
+              key=lambda l: abs(1.0 + tau * l), default=None)
     scale = max(1.0, abs(tau) * max(map(abs, eig)))
     if lam is not None and abs(1.0 + tau * lam) <= _SINGULAR * scale:
         raise SingularTau(tau, lam)
@@ -477,16 +475,16 @@ def critical_frequencies(sys: OdeSystem, a) -> FrequencyResult:
 
     The maximal positive tau is flagged as the critical asymptotic
     frequency together with its left eigenvector; complex eigenvalues are
-    reported but excluded from the tau candidates.  An empty tau list (no
-    real eigenvalue) is a reported condition, not an error.
+    reported but excluded from the tau candidates.  An eigenvalue is real
+    when its imaginary part is exactly 0.0, as dgeev returns every real
+    one, so a pair off the real axis by 1e-9 stays complex.  An empty tau
+    list (no real eigenvalue) is a reported condition, not an error.
     """
     import numpy as np
 
-    from .poly import real_zeros
-
     a = np.asarray(a, dtype=float)
     J, eig = jacobian_eigen(sys, a)
-    real = [l for l in real_zeros(eig) if abs(l) > 1e-12]
+    real = [z.real for z in eig if z.imag == 0.0 and abs(z.real) > 1e-12]
     taus = tuple(sorted((-1.0 / l for l in real), reverse=True))
 
     critical = vec = None

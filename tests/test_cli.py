@@ -216,6 +216,20 @@ def test_orbit_histogram_schema(logistic_map_file, tmp_path):
     assert total == 1000
 
 
+# SHA-256 of the stdout of `orbit` on the fully chaotic logistic map
+# 4a - 4a^2, written before the orbit kernel stored its iterates in place.
+ORBIT_SHA256 = "1988ec9a590f0a438e122ef59aaf75b6bb05f873df2ed798e5b759fc6eb5518a"
+
+
+def test_orbit_golden_bytes(capsys, tmp_path):
+    path = tmp_path / "logistic4.json"
+    path.write_text(json.dumps({"coeffs": [0.0, 4.0, -4.0]}))
+    assert run(["orbit", "--map", str(path), "--x0", "0.3", "--burn", "1000",
+                "--keep", "100000", "--bins", "200"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_SHA256
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--burn", "-5", "burn must be >= 0"), ("--bins", "0", "bins must be >= 1")])
 def test_orbit_bad_burn_or_bins_is_a_json_error(logistic_map_file, capsys,

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from pfdensity.bell import MapSpec1D
-from pfdensity.empirical import (EmpiricalCDF, Histogram, arcsine_cdf,
-                                 half_semicircle_cdf, histogram_ks,
-                                 iterate_orbit, ks_distance, orbit_sample,
-                                 rescale, zeros_to_scaled_sample)
+from pfdensity.empirical import (EmpiricalCDF, Histogram, _seed_perturbation,
+                                 arcsine_cdf, half_semicircle_cdf,
+                                 histogram_ks, iterate_orbit, ks_distance,
+                                 orbit_sample, rescale, zeros_to_scaled_sample)
 from pfdensity.errors import DomainError, EmptySample, OrbitEscape
 
 CHAOTIC = MapSpec1D((0.0, 4.0, -0.5))  # conjugate to the fully chaotic case
@@ -52,7 +52,7 @@ def test_orbit_deterministic_in_seed():
 def _reference_orbit(f, x0, burn, keep, seed=0):
     """The orbit loop as it stood before the Horner start and the split
     burn-in, kept verbatim as the reference."""
-    from pfdensity.empirical import ORBIT_GUARD, _seed_perturbation
+    from pfdensity.empirical import ORBIT_GUARD
     coeffs = tuple(reversed(f.coeffs))
     x = x0 + _seed_perturbation(seed)
     out = np.empty(keep)
@@ -69,6 +69,9 @@ def _reference_orbit(f, x0, burn, keep, seed=0):
     return out
 
 
+_ON_ROOT = -1.0 - _seed_perturbation(0)  # starts at -1.0 under seed 0
+
+
 @pytest.mark.parametrize("coeffs, x0, burn, keep", [
     ((0.0, 4.0, -0.5), 1.7, 100, 500),
     ((0.0, 4.0, -0.5), 1.7, 9000, 10_000),  # several chunks of each
@@ -80,13 +83,26 @@ def _reference_orbit(f, x0, burn, keep, seed=0):
     # every remainder mod 8 of the burn-in and of the last kept chunk
     *[((0.0, 3.7, -3.7), 0.3, burn, 4096 + 5 * burn + 1) for burn in range(8)],
     *[((0.0, 3.7, -3.7), 0.3, 4096 + burn, burn + 1) for burn in range(8)],
+    # x -> x*(1 + x) + c from exactly -1, a root of P(x) = 1 + x: the bare
+    # product P(x)*x is -0.0, which c = 0.0 turns into 0.0 and c = -0.0 keeps
+    ((0.0, 1.0, 1.0), _ON_ROOT, 0, 500),
+    ((-0.0, 1.0, 1.0), _ON_ROOT, 0, 500),
+    ((-0.0, 1.0, 1.0), _ON_ROOT, 3, 500),
+    # the remainders 8 .. 15 mod 16, the unroll of a quadratic map
+    *[((0.0, 3.7, -3.7), 0.3, burn, 4096 + 5 * burn + 1) for burn in range(8, 16)],
+    *[((0.0, 3.7, -3.7), 0.3, 4096 + burn, burn + 1) for burn in range(8, 16)],
 ])
 def test_orbit_matches_the_reference_loop_bitwise(coeffs, x0, burn, keep):
     f = MapSpec1D(coeffs)
+    if x0 == _ON_ROOT:
+        assert x0 + _seed_perturbation(0) == -1.0
     for seed in (0, 9):
         got = orbit_sample(f, x0, burn, keep, seed=seed)
         want = _reference_orbit(f, x0, burn, keep, seed=seed)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        again = orbit_sample(f, x0, burn, keep, seed=seed)
+        assert got.shape == again.shape == (keep,)
+        assert not np.shares_memory(got, again)
 
 
 def test_high_degree_orbit_matches_the_reference_loop_bitwise():
@@ -172,7 +188,6 @@ def test_non_finite_start_is_rejected_before_iterating(x0):
 def test_zero_signs_of_two_maps_stay_apart():
     # From x = 0.0, x -> -x + c gives -0.0, 0.0, -0.0, ... for c = -0.0 and
     # 0.0 throughout for c = 0.0; the generated step takes each map's own c.
-    from pfdensity.empirical import _seed_perturbation
     x0 = -_seed_perturbation(0)
     maps = {"plus": MapSpec1D((0.0, -1.0)), "minus": MapSpec1D((-0.0, -1.0))}
     runs = {}

@@ -288,6 +288,30 @@ def test_critical_frequencies_rotation_empty():
     assert len(res.eigenvalues) == 2
 
 
+NEAR_REAL_PAIR = OdeSystem.linear([[-1.0, 1e-9], [-1e-9, -1.0]])  # -1 +- 1e-9 i
+
+
+def test_critical_frequencies_near_real_pair_is_complex():
+    res = critical_frequencies(NEAR_REAL_PAIR, [1.0, 1.0])
+    assert [z.imag for z in res.eigenvalues] == [-1e-9, 1e-9]
+    assert res.taus == ()
+    assert res.critical_tau is None
+
+
+def test_frequency_solution_near_real_pair_is_not_singular():
+    # no real eigenvalue, so no tau is singular: I + J = [[0, 1e-9], [-1e-9, 0]]
+    s = critical_frequency_solution(NEAR_REAL_PAIR, [1.0, 1.0], 1.0)
+    assert s.tolist() == pytest.approx([1e9, -1e9], rel=1e-15)
+
+
+def test_defective_jacobian_keeps_its_exact_double_eigenvalue():
+    sys_ = OdeSystem.linear([[-1.0, 1.0], [0.0, -1.0]])
+    assert jacobian_eigen(sys_, [1.0, 1.0]).eigenvalues == [-1 + 0j, -1 + 0j]
+    with pytest.raises(SingularTau) as exc:
+        critical_frequency_solution(sys_, [1.0, 1.0], 1.0)
+    assert exc.value.eigenvalue == -1.0
+
+
 def test_general_solution_structure():
     """s_a + c*vec solves up to c*vec(I + tau J); the eigen-direction
     annihilates I + tau J exactly at tau = -1/lambda."""
