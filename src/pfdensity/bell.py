@@ -327,10 +327,11 @@ def _quadratic_map(f: MapSpec1D):
     return c[1:] if len(c) == 3 and c[1] else None
 
 
-def _starts(f: MapSpec1D, last, n: int, N: int):
+def _starts(quad, last, n: int, N: int):
     """Aberth start points for the N roots of Q = H_n / y^m0.
 
-    For a quadratic f = lam a + c2 a^2 the chain is Hermite,
+    quad is (lam, c2) for a quadratic f = lam a + c2 a^2 (_quadratic_map),
+    else None.  For a quadratic map the chain is Hermite,
     H_n(y, 0) = (-2 c2 y)^(n/2) He_n(lam sqrt(y) / sqrt(-2 c2)), so Q's
     roots are y = -4 c2 u / lam^2 over the zeros u of the Laguerre
     polynomial L_N^(alpha), alpha = n mod 2 - 1/2 (the squared zeros of the
@@ -342,7 +343,6 @@ def _starts(f: MapSpec1D, last, n: int, N: int):
     """
     import numpy as np
 
-    quad = _quadratic_map(f)
     if quad:
         lam, c2 = quad
         a, k, J = n % 2 - 0.5, np.arange(N), np.zeros((N, N))
@@ -395,7 +395,7 @@ def chain_roots(f: MapSpec1D, n: int) -> list:
         except OverflowError:  # a weight beyond the double range
             return poly_roots(_exact(*last()))
         with np.errstate(all="ignore"):
-            z, ok = _batch_aberth(evaluate, _starts(f, last, n, N)[None])
+            z, ok = _batch_aberth(evaluate, _starts(quad, last, n, N)[None])
             xs = sorted(float(r.real) for r in z[0])
             if ok[0] and all(map(math.isfinite, xs)) and _certified(xs, derivs, n, fast):
                 return sorted([0j] * m0 + list(map(complex, xs)), key=lambda r: r.real)

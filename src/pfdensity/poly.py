@@ -9,8 +9,10 @@ Roots are found with the Aberth-Ehrlich simultaneous iteration at a
 working precision the solver picks itself (Bini & Fiorentino's MPSolve,
 Numer. Algorithms 23, 2000): Python complex at 53 bits, then mpmath at
 each wider level of _LEVELS, each from the roots of the one before, until
-every root's relative error estimate is within _TARGET (_settled).  The
-first level starts from the Newton polygon of log2|a_k| (_newton_starts).
+every root's relative error estimate is within _TARGET.  One rule,
+_within_target, decides that for Aberth, the quadratic closed form and the
+batch kernel alike.  The first level starts from the Newton polygon of
+log2|a_k| (_newton_starts).
 Conditioning decides how far a polynomial climbs: logistic H_12 settles
 at 53 bits, H_64 at 128, and H_128 and the 4-fold root of (x - 1)^4 at
 the top, 256 (bell.chain_roots solves such chains without the monomial
@@ -203,11 +205,13 @@ def _circle_starts(edges, offset, pi, exp):
 
 
 def _quadratic_roots(c0, c1, c2, sqrt):
-    """Stable closed form; a zero discriminant yields an exact double root."""
+    """Stable closed form; a zero discriminant yields an exact double root.
+
+    c0, c2 != 0 and max|c_k| >= 1 (in [1, 2) once normalised), so the
+    larger of c1 +- sq, hence q, is never 0.
+    """
     sq = sqrt(c1 * c1 - 4 * c2 * c0)
     q = -0.5 * (c1 + sq if (c1.conjugate() * sq).real >= 0 else c1 - sq)
-    if q == 0:
-        return [0j, 0j]
     return [q / c2, c0 / q]
 
 
@@ -216,38 +220,33 @@ def _within_target(z, eps, a, b):
 
     eps is Horner's error bound at the root z, the most by which rounding
     moves p there, and a = |p'(z)|, b = |p''(z)|: h is how far that moves
-    the root.  Works elementwise on numpy arrays too.
+    the root.  b keeps h finite at an exact double root, where a = 0 (the
+    logistic saddle at s = 4 / lam^2).  Works elementwise on numpy arrays.
     """
     return 2 * eps <= _TARGET * abs(z) * (a + (a * a + 2 * b * eps) ** 0.5)
 
 
-def _settled(c, z, eps, dv) -> bool:
-    """Whether the root z of the working numbers c is within _TARGET.
-
-    dv is p'(z).  The first-order h = eps / |p'(z)| is never smaller than
-    the h of _within_target, so p'' is computed only where that misses; it
-    keeps h finite at an exact double root, where p'(z) = 0 (the logistic
-    saddle at s = 4 / lam^2).
-    """
-    a = abs(dv)
-    if eps <= _TARGET * abs(z) * a:
-        return True
-    b = abs(_horner([k * (k - 1) * x for k, x in enumerate(c)][2:] or [0], z))
-    return _within_target(z, eps, a, b)
+def _quadratic_ok(c0, c1, c2, z, unit):
+    """_within_target for a root z of c0 + c1 x + c2 x^2 from the closed
+    form, whose eps is 8 units of the terms; elementwise on arrays too."""
+    eps = 8 * unit * (abs(c0) + abs(c1 * z) + abs(c2 * z * z))
+    return _within_target(z, eps, abs(c1 + 2 * c2 * z), abs(2 * c2))
 
 
 def _aberth(c, ar: _Arith, z):
     """Aberth-Ehrlich iteration on working numbers c from start points z.
 
     Returns the roots and, for each, whether it met Horner's error bound
-    and, where it did, _TARGET (_settled).  A root whose residual meets the
-    bound still takes the step computed there before it is frozen; freezing
-    it first costs accuracy at high degree (logistic H_128 leaves its
-    128-bit level 3e-9 off the Hermite nodes instead of 3e-11, and the
-    256-bit level starts from there).
+    and, where it did, _TARGET (_within_target; the first-order estimate
+    eps / |p'(z)| is never below its h, so p'' is evaluated only where that
+    misses).  A root whose residual meets the bound still takes the step
+    computed there before it is frozen; freezing it first costs accuracy at
+    high degree (logistic H_128 leaves its 128-bit level 3e-9 off the
+    Hermite nodes instead of 3e-11, and the 256-bit level starts from there).
     """
     n = len(c) - 1
     d = [k * c[k] for k in range(1, n + 1)]
+    dd = [k * (k - 1) * c[k] for k in range(2, n + 1)]
     mags = [abs(x) for x in c]
     bound = 4 * n * ar.unit  # running-error bound of Horner, in units of sum|a_k||z|^k
     z = list(z)
@@ -280,7 +279,9 @@ def _aberth(c, ar: _Arith, z):
                 z[i] = zi - (ratio if den == 0 else ratio / den)
             if abs(pv) <= eps:
                 frozen[i] = True
-                settled[i] = _settled(c, zi, eps, dv)
+                a = abs(dv)
+                settled[i] = eps <= _TARGET * abs(zi) * a or _within_target(
+                    zi, eps, a, abs(_horner(dd, zi)))
     return z, settled
 
 
@@ -314,9 +315,7 @@ def _level(coeffs, ar: _Arith, z):
     elif len(c) == 3:
         c0, c1, c2 = scaled
         roots = _quadratic_roots(c0, c1, c2, ar.sqrt)
-        settled = [_settled(scaled, r,
-                            8 * ar.unit * (abs(c0) + abs(c1 * r) + abs(c2 * r * r)),
-                            c1 + 2 * c2 * r) for r in roots]
+        settled = [_quadratic_ok(c0, c1, c2, r, ar.unit) for r in roots]
     else:
         z = _newton_starts(scaled, ar) if z is None else [ar.num(x) for x in z]
         if not all(map(ar.isfinite, z)):  # a radius beyond the double range
@@ -399,19 +398,6 @@ def _horner_rows(c, z):
     other rows it is solved with.
     """
     return _horner(list(c.T[:, :, None]), z)
-
-
-def _batch_quadratic(c):
-    """_quadratic_roots on every row of c (m, 3); roots and whether both settle."""
-    import numpy as np
-
-    c0, c1, c2 = c[:, :1], c[:, 1:2], c[:, 2:]
-    sq = np.sqrt(c1 * c1 - 4 * c2 * c0)
-    q = -0.5 * np.where((c1.conj() * sq).real >= 0, c1 + sq, c1 - sq)
-    z = np.hstack([q / c2, c0 / q])
-    eps = 8 * _DOUBLE.unit * (np.abs(c0) + np.abs(c1 * z) + np.abs(c2 * z * z))
-    ok = _within_target(z, eps, np.abs(c1 + 2 * c2 * z), np.abs(2 * c2))
-    return z, ok.all(axis=1)
 
 
 def _companion_starts(c):
@@ -514,8 +500,12 @@ def _batch_level(coeffs):
         c = c[rows]
         if n == 1:  # its error estimate is 8 units
             z, good = -c[:, :1] / c[:, 1:], np.ones(len(rows), dtype=bool)
-        elif n == 2:
-            z, good = _batch_quadratic(c)
+        elif n == 2:  # _quadratic_roots on every row
+            c0, c1, c2 = c[:, :1], c[:, 1:2], c[:, 2:]
+            sq = np.sqrt(c1 * c1 - 4 * c2 * c0)
+            q = -0.5 * np.where((c1.conj() * sq).real >= 0, c1 + sq, c1 - sq)
+            z = np.hstack([q / c2, c0 / q])
+            good = _quadratic_ok(c0, c1, c2, z, _DOUBLE.unit).all(axis=1)
         else:
             z, good = _batch_aberth(_horner_step(c), _companion_starts(c))
         good &= np.isfinite(z).all(axis=1)

@@ -50,6 +50,8 @@ def test_map_validation():
         MapSpec1D((1.0, 2.0))  # fixed point not at the origin
     with pytest.raises(ValueError):
         MapSpec1D((0.0,))  # degree 0
+    with pytest.raises(ValueError, match="m must be >= 2"):
+        MapSpec1D.m_hermite(2.0, 1)
 
 
 def test_map_json_roundtrip():
@@ -236,6 +238,23 @@ def test_resonance_at_minus_one():
     with pytest.raises(ResonanceDetected) as exc:
         solve_coefficient_system(MapSpec1D((0.0, -1.0, 0.3)), 4, 1.0)
     assert exc.value.order == 2
+
+
+def test_coefficient_system_and_gap_reject_an_empty_order():
+    f = MapSpec1D.logistic(2.0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        solve_coefficient_system(f, 0, 1.0)
+    with pytest.raises(ValueError, match="b_n must be nonzero"):
+        solve_coefficient_system(f, 3, 0.0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        resolving_gap(f, 0)
+
+
+def test_resonance_check_skips_a_power_beyond_the_double_range():
+    # 1e200**2 raises OverflowError; that order cannot resonate, so the
+    # solve goes on to the chain, whose order-2 coefficient overflows
+    with pytest.raises(CoefficientOverflow, match="exceeds float range at order 2"):
+        solve_coefficient_system(MapSpec1D((0.0, 1e200, -0.5)), 2, 1.0)
 
 
 def test_system_base_case_empty():

@@ -576,6 +576,27 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["density", "saddle", "--s", "0.1:1"], "range must be lo:hi:count, got '0.1:1'"),
+    (["density", "saddle", "--s", "0.1:1:0"], "range count must be >= 1"),
+    (["density", "invariant", "--s", "0.1:1:3", "--support", "0:1:2"],
+     "interval must be lo:hi, got '0:1:2'"),
+    (["ode", "frequencies"], "ode frequencies requires --a"),
+])
+def test_malformed_or_missing_flag_is_a_usage_error(logistic_map_file, lorenz_system_file,
+                                                    capsys, argv, message):
+    # argparse prints an ArgumentTypeError's own message, a ValueError's
+    # only as "invalid ... value"
+    source = ["--system", lorenz_system_file] if argv[0] == "ode" else [
+        "--map", logistic_map_file]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + source)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(message)
+
+
 def _fresh_python(args, cwd):
     """`python args` in a new interpreter, with this checkout's src first."""
     env = dict(os.environ)
@@ -680,10 +701,18 @@ def test_first_use_of_quadform_runs_only_quadform(tmp_path):
 
 
 def test_package_attributes_resolve_on_first_use(tmp_path):
+    # a write or a delete is a first use too, and runs the source before it
     assert _loaded_after(["import pfdensity",
-                          "assert callable(pfdensity.saddle.saddle_sweep)"], tmp_path) == [
+                          "assert callable(pfdensity.saddle.saddle_sweep)",
+                          "pfdensity.quadform.symmetric_eigen = None",
+                          "assert pfdensity.quadform.symmetric_eigen is None",
+                          "del pfdensity.lorenz.lorenz_report\n"
+                          "assert not hasattr(pfdensity.lorenz, 'lorenz_report')"],
+                         tmp_path) == [
         ([], False, False),
         (["errors", "poly", "saddle"], True, False),
+        *[(["errors", "poly", "quadform", "saddle"], True, False)] * 2,
+        (["errors", "lorenz", "odeiter", "poly", "quadform", "saddle"], True, False),
     ]
 
 
@@ -727,6 +756,39 @@ def test_every_module_constant_is_read_in_its_module():
         read = {n.id for n in ast.walk(tree)
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         orphans += [f"{path.name}: {name}" for name in sorted(defined - read)]
+    assert orphans == []
+
+
+def test_every_top_level_helper_is_referenced_in_src():
+    # so that a function or class that only its tests still call is deleted
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(pfdensity.__file__).parent.glob("*.py"))}
+    uses = []  # (top-level statement, the names it reads)
+    for tree in trees.values():
+        for node in tree.body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    names.update(alias.name for alias in sub.names)
+            uses.append((node, names))
+    orphans = []
+    for module, tree in trees.items():
+        exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)
+                    for name in ast.literal_eval(node.value)}
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            # a statement's reads of its own name (recursion) do not count
+            if name not in exported and not any(
+                    name in names for other, names in uses if other is not node):
+                orphans.append(f"{module}: {name}")
     assert orphans == []
 
 
@@ -782,20 +844,26 @@ def test_first_use_on_many_threads_never_sees_a_half_run_module(tmp_path):
 
 
 def test_a_load_that_raises_leaves_the_module_unloaded(tmp_path):
+    # quadform's and saddle's numpy imports raise while numpy is None
     code = """import sys, types, pfdensity
-sys.modules["numpy"] = None  # quadform's first line then raises
-try:
-    pfdensity.quadform.symmetric_eigen
-except ImportError:
-    pass
-module = sys.modules["pfdensity.quadform"]
-print(type(module) is types.ModuleType)
-del sys.modules["numpy"]
-print(callable(pfdensity.quadform.symmetric_eigen), type(module) is types.ModuleType)
+for name, attr in (("quadform", "symmetric_eigen"), ("saddle", "saddle_sweep")):
+    numpy = sys.modules.get("numpy")  # the second pass keeps the first's numpy
+    sys.modules["numpy"] = None
+    try:
+        getattr(getattr(pfdensity, name), attr)
+    except ImportError:
+        pass
+    module = sys.modules["pfdensity." + name]
+    print(type(module) is types.ModuleType)
+    if numpy is None:
+        del sys.modules["numpy"]
+    else:
+        sys.modules["numpy"] = numpy
+    print(callable(getattr(module, attr)), type(module) is types.ModuleType)
 """
     proc = _fresh_python(["-c", code], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\nTrue True\n"
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout == "False\nTrue True\n" * 2
 
 
 @pytest.mark.parametrize("argv, modules", [

@@ -214,6 +214,8 @@ def test_seed_perturbation_bounded():
 def test_orbit_rejects_negative_burn_and_no_bins():
     with pytest.raises(ValueError, match="burn must be >= 0"):
         orbit_sample(CHAOTIC, 0.3, burn=-5, keep=10)
+    with pytest.raises(ValueError, match="keep must be >= 1"):
+        orbit_sample(CHAOTIC, 0.3, burn=10, keep=0)
     with pytest.raises(ValueError, match="bins must be >= 1"):
         iterate_orbit(CHAOTIC, 0.3, burn=10, keep=10, bins=0)
 

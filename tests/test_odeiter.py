@@ -28,6 +28,8 @@ def test_system_validation():
         OdeSystem(9, [[] for _ in range(9)])  # dim > 8
     with pytest.raises(ValueError):
         OdeSystem(2, [[((1,), 1.0)], []])  # exponent tuple of wrong length
+    with pytest.raises(ValueError, match="need one component per dimension"):
+        OdeSystem(2, [[((1, 0), 1.0)]])
 
 
 def test_system_json_roundtrip():

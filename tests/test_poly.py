@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -461,3 +462,42 @@ def test_batch_rows_the_kernel_cannot_take_go_to_poly_roots(monkeypatch):
 def test_batch_non_finite_coefficient_is_a_domain_error(bad):
     with pytest.raises(DomainError, match="a_1"):
         poly_roots_batch(np.array([[1.0, 2.0, 1.0], [1.0, bad, 1.0]]))
+
+
+# SHA-256 over every root the corpus below gets from poly_roots and
+# poly_roots_batch, taken before the acceptance rule was written once
+ROOTS_SHA256 = "eaec7e0caac0c547a6b7d948c152f9a4bf0712717f4c33b9557cb01f61094516"
+
+
+def test_root_solver_bits_are_pinned():
+    # random polynomials of degree 1-12 with zero coefficients and
+    # coefficients over 60 decades, (x - 1)^2 and (x - 1)^4, logistic H_20 to
+    # H_64 (128 bits), batch stacks of degree 2-6, and the logistic critical
+    # rows at and within 1e-12 of s = 4 / lam^2, which all fall back to
+    # poly_roots and climb to 128 bits
+    rng = np.random.default_rng(33)
+    scalar = []
+    for _ in range(60):
+        degree = int(rng.integers(1, 13))
+        c = rng.uniform(-1, 1, degree + 1) * 10.0 ** rng.integers(-30, 31, degree + 1)
+        c[rng.random(degree + 1) < 0.25] = 0.0
+        c[-1] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.integers(-30, 31)
+        scalar.append(Polynomial(list(c)))
+    scalar += [Polynomial([1, -2, 1]), Polynomial([1, -4, 6, -4, 1])]
+    chain = bell_sequence_exact(MapSpec1D.logistic(2.0), 64)
+    scalar += [chain[n] for n in range(20, 65, 11)]
+    stacks = [rng.uniform(-1, 1, (40, d + 1)) * 10.0 ** rng.integers(-8, 9, (40, 1))
+              for d in range(2, 7)]
+    rows = []
+    for lam in (0.5, 1.0, 2.0, 3.9, 4.0):
+        s0 = 4 / lam**2
+        for s in [s0, *np.nextafter(s0, [0, 10]),
+                  *(s0 * (1 + np.linspace(-1e-12, 1e-12, 11)))]:
+            rows.append([-1.0, s * lam, -s])
+    stacks.append(np.array(rows))
+    digest = hashlib.sha256()
+    for p in scalar:
+        digest.update(np.array(poly_roots(p), dtype=complex).tobytes())
+    for stack in stacks:
+        digest.update(poly_roots_batch(stack).tobytes())
+    assert digest.hexdigest() == ROOTS_SHA256

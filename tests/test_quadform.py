@@ -23,6 +23,13 @@ def test_form_rejects_asymmetric():
         SymmetricForm.from_matrix([[0.0, 1.0], [0.5, 0.0]])
 
 
+def test_form_rejects_ragged_or_non_square_input():
+    with pytest.raises(ValueError, match="lower triangle rows must have lengths 1..d"):
+        SymmetricForm([[1.0], [2.0]])
+    with pytest.raises(ValueError, match="matrix must be square"):
+        SymmetricForm.from_matrix([[1.0, 2.0]])
+
+
 @pytest.mark.parametrize("M", [[[np.nan, 1.0], [2.0, 0.0]],
                                [[0.0, np.inf], [5.0, 0.0]],
                                [[np.inf, 0.0], [0.0, 1.0]]])
