@@ -23,7 +23,7 @@ Laguerre Jacobi matrix (Golub & Welsch), and it builds the int chain only to
 fall back to poly_roots; any other map starts from its int row's Newton
 polygon.  The resolving gap and the triangular coefficient system built on
 the gaps live here too.  Only chain_roots' sweeps, starts and ratio signs
-import numpy; the chain, gap and system run without it.
+use numpy, so the chain, gap and system run without it.
 """
 
 from __future__ import annotations
@@ -34,9 +34,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _OnFirstUse
 from .errors import CoefficientOverflow, DegreeZero, DomainError, ResonanceDetected
 from .poly import (_TARGET, Polynomial, _batch_aberth, _circle_starts, _trim,
                    _upper_hull, poly_roots)
+
+np = _OnFirstUse("numpy", globals(), "np")
 
 __all__ = [
     "MapSpec1D",
@@ -184,8 +187,6 @@ def _chain_step(derivs, n: int, m0: int):
     and a freeze once that is within a few ulps of |y|, or once it has been
     within 2^-44 |y| for four sweeps: rounding can keep a root cycling just
     above the few ulps (the smallest root of logistic H_512, at 0.9-2.3e-15)."""
-    import numpy as np
-
     w = [[(i, math.comb(m - 1, i - 1) * float(c)) for i, c in enumerate(derivs[:m], 1)
           if c] or [(1, 0.0)] for m in range(1, n + 1)]
     near = 0  # sweeps each root has spent within 2^-44 |y|; y holds all N roots
@@ -264,8 +265,6 @@ def _ratio_signs(lam: float, c2: float, n: int, ends) -> list:
     raises it.  An end where some interval holds 0 or NaN, or where
     2 c2 y >= 0, stays open.  2 c2 must be finite, hence exact, as
     chain_roots has it once _chain_step has built its weights."""
-    import numpy as np
-
     y, b = np.array(ends), 2 * c2
     out = np.array([[-np.inf], [np.inf]])  # rows lo, hi: down, up
     toward = np.sign(y) * out  # lowers, raises y s
@@ -341,8 +340,6 @@ def _starts(quad, last, n: int, N: int):
     starts from the Newton polygon of log2|row[k] / D^k|, (row, D) = last(),
     on 2^-slope circles placed as _newton_starts does.
     """
-    import numpy as np
-
     if quad:
         lam, c2 = quad
         a, k, J = n % 2 - 0.5, np.arange(N), np.zeros((N, N))
@@ -374,8 +371,6 @@ def chain_roots(f: MapSpec1D, n: int) -> list:
     A quadratic map's fast signs come from _ratio_signs, so it builds the int
     chain only to fall back to poly_roots; any other map's from _int_signs.
     """
-    import numpy as np
-
     derivs = _derivs_at_0(f)
     last = functools.cache(lambda: _last_row(derivs, n))
     quad = _quadratic_map(f) if n >= 1 else None

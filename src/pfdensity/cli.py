@@ -19,8 +19,10 @@ import json
 import math
 import sys
 
-from . import bell, empirical, lorenz, odeiter, poly, saddle
+from . import _OnFirstUse, bell, empirical, lorenz, odeiter, poly, saddle
 from .errors import DomainError, EmptySample, ToolkitError
+
+np = _OnFirstUse("numpy", globals(), "np")
 
 __all__ = ["main", "run"]
 
@@ -184,8 +186,6 @@ def _finite(text: str) -> float:
 
 
 def _read_sample(path: str):
-    import numpy as np
-
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
         rest = fh.read().splitlines()

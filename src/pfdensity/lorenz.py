@@ -16,24 +16,22 @@ diagonalising basis a = T u, where
 y.f(Tu) = m1*u + (m2*v - d*v^2) + (m3*w + d*w^2) with m = L T and
 d = delta*mu/2 holds to rounding.
 
-numpy is imported inside the functions that build arrays: the fixed points,
-Q, T, the L- and l-coefficients, cycle_sample and lorenz_report.
 LorenzParams, lorenz_system, the characteristic cubics and direction_grid
-load and run without it.
+run without numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
+from . import _OnFirstUse
 from .errors import DegenerateDirection, DomainError
 from .odeiter import OdeSystem, jacobian_eigen
 from .poly import Polynomial, poly_roots
 
-if TYPE_CHECKING:
-    import numpy as np
+np = _OnFirstUse("numpy", globals(), "np")
 
 __all__ = [
     "LorenzParams",
@@ -101,8 +99,6 @@ def _signed_alpha(p: LorenzParams, tag: str) -> float:
 
 
 def fixed_point(p: LorenzParams, tag: str) -> np.ndarray:
-    import numpy as np
-
     if tag == "theta":
         return np.zeros(3)
     a = _signed_alpha(p, tag)
@@ -141,8 +137,6 @@ def characteristic_at_fixed_points(p: LorenzParams):
 
 def q_matrix(direction) -> np.ndarray:
     """Hessian of the projected quadratic (zb - yc)a for axis (x, y, z)."""
-    import numpy as np
-
     _, y, z = (float(v) for v in direction)
     return np.array([[0.0, z, -y],
                      [z, 0.0, 0.0],
@@ -159,8 +153,6 @@ class LorenzDecomposition:
 
 def q_decomposition(direction) -> LorenzDecomposition:
     """Constant orthogonal eigenbasis of Q: columns of T for (0, -mu, +mu)."""
-    import numpy as np
-
     x, y, z = (float(v) for v in direction)
     mu = math.hypot(y, z)
     if mu == 0.0:
@@ -201,8 +193,6 @@ def L_coefficients(p: LorenzParams, direction, delta: float,
 def l_coefficients(dec: LorenzDecomposition, p: LorenzParams, delta: float,
                    tag: str = "theta") -> tuple:
     """l = L T^t: the coefficients the condition surfaces are written in."""
-    import numpy as np
-
     L = np.array(L_coefficients(p, dec.direction, delta, tag))
     return tuple(float(v) for v in L @ dec.T.T)
 
@@ -220,8 +210,6 @@ def factor_coefficients(dec: LorenzDecomposition, p: LorenzParams,
                         delta: float, tag: str = "theta") -> tuple:
     """(m, d): linear coefficients m = L T and quadratic weight d = delta*mu/2
     of the exact factorisation in the diagonalising basis a = T u."""
-    import numpy as np
-
     L = np.array(L_coefficients(p, dec.direction, delta, tag))
     return tuple(L @ dec.T), delta * dec.mu / 2.0
 
@@ -254,8 +242,6 @@ def cycle_sample(dec: LorenzDecomposition) -> CycleSample:
     density q = |l2| sqrt(8 mu - l2^2) / (8 pi mu) when l2^2 < 8 mu, else 0.
     The l1 and l3 values locate the condition surfaces reported alongside.
     """
-    import numpy as np
-
     l = np.array(dec.direction) @ dec.T.T
     l1, l2, l3 = (float(v) for v in l)
     mu = dec.mu
@@ -285,8 +271,6 @@ def lorenz_report(p: LorenzParams, delta: float = 1e-3) -> dict:
     """JSON-able end-to-end report: fixed points with spectra, per-tag
     condition surfaces on direction_grid(), admissibility mask and densities.
     Surfaces that overflow doubles are a DomainError naming delta."""
-    import numpy as np
-
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta!r}")
     grid = direction_grid()

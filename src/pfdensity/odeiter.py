@@ -32,12 +32,8 @@ solves seed by seed, so only a seed whose own J is singular stops.  LAPACK
 solves each matrix of a stack as it solves it alone, so the points and the
 drop count are bit-identical to the loop of single solves, seed by seed.
 
-numpy is imported inside the functions that build or read arrays: F and J
-as arrays (OdeSystem.__call__, jacobian, linear), euler_iterate, the seed
-lattice, fixed_points and its solves, the spectra, the frequency solves
-and the overflow rerun of the generated code.  OdeSystem's construction,
-point check and JSON, DifferentialIteration and its Euler loop (iterate,
-which returns lists) load and run without numpy.
+OdeSystem's construction, point check and JSON, DifferentialIteration and
+its Euler loop (iterate, which returns lists) run without numpy.
 """
 
 from __future__ import annotations
@@ -46,12 +42,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
+from . import _OnFirstUse
 from .errors import DomainError, SingularTau, TrajectoryEscape
 
-if TYPE_CHECKING:
-    import numpy as np
+np = _OnFirstUse("numpy", globals(), "np")
 
 __all__ = [
     "OdeSystem",
@@ -126,8 +122,6 @@ def _generated(kind: str, table: tuple, dim: int, size: int, x: list, *args):
     try:
         return fn(coefs, x, *args)
     except OverflowError:
-        import numpy as np
-
         with np.errstate(all="ignore"):
             return fn(coefs, [np.float64(u) for u in x], *args)
 
@@ -202,13 +196,9 @@ class OdeSystem:
         return [float(v) for v in a]
 
     def __call__(self, a) -> np.ndarray:
-        import numpy as np
-
         return np.array(self._field(self._point(a)))
 
     def jacobian(self, a) -> np.ndarray:
-        import numpy as np
-
         d = self.dim
         return np.reshape(
             _generated("sums", self._dterms, d, d * d, self._point(a)), (d, d))
@@ -218,8 +208,6 @@ class OdeSystem:
 
     @classmethod
     def linear(cls, matrix) -> "OdeSystem":
-        import numpy as np
-
         M = np.asarray(matrix, dtype=float)
         d = M.shape[0]
         comps = []
@@ -296,8 +284,6 @@ class EulerResult(NamedTuple):
 
 def euler_iterate(it: DifferentialIteration, a0) -> EulerResult:
     """it.iterate(a0) as arrays."""
-    import numpy as np
-
     a, S = it.iterate(a0)
     return EulerResult(a_n=np.array(a), S_n=np.array(S))
 
@@ -309,8 +295,6 @@ def seed_lattice(dim: int, radius: float) -> list:
     if not math.isfinite(2.0 * radius):  # linspace would overflow the span
         raise ValueError(f"radius {radius!r} is too large: the lattice's "
                          "span 2*radius overflows doubles")
-    import numpy as np
-
     axis = np.linspace(-radius, radius, 5)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     return [np.array(pt) for pt in zip(*(g.ravel() for g in grids))]
@@ -325,8 +309,6 @@ def _newton_steps(J: list, F: list, dim: int) -> list:
     """The Newton steps J_k^-1 F_k as lists, from one stacked solve; where
     that raises LinAlgError, from one solve per k, with None for a
     singular J_k."""
-    import numpy as np
-
     Js = np.reshape(J, (len(J), dim, dim))
     Fs = np.array(F, dtype=float)
     try:
@@ -387,8 +369,6 @@ def fixed_points(sys: OdeSystem, seeds=None, radius: float = 2.0) -> FixedPoints
     solve raises.  Every step, point and drop is bit-identical to a loop
     of single solves, seed by seed, and acceptance and deduplication run
     in seed order."""
-    import numpy as np
-
     if seeds is None:
         seeds = seed_lattice(sys.dim, radius)
     found = []
@@ -414,8 +394,6 @@ def jacobian_eigen(sys: OdeSystem, a) -> JacobianEigen:
     """J(a) and its eigenvalues from LAPACK's backward-stable dgeev
     (np.linalg.eigvals) as Python complex, sorted by (real, imag) as
     poly_roots sorts; a J that is not finite in doubles is a DomainError."""
-    import numpy as np
-
     J = sys.jacobian(a)
     if not np.all(np.isfinite(J)):
         raise DomainError("the Jacobian is not finite in doubles")
@@ -437,8 +415,6 @@ def critical_frequency_solution(sys: OdeSystem, a, tau: float) -> np.ndarray:
     number 1, and a determinant far from 0 can belong to one that is
     nearly singular.
     """
-    import numpy as np
-
     a = np.asarray(a, dtype=float)
     if np.any(a == 0.0):
         raise DomainError("all coordinates of a must be nonzero")
@@ -455,8 +431,6 @@ def _left_eigenvector(J: np.ndarray, lam: float) -> np.ndarray:
     """Unit left eigenvector of J for eigenvalue lam (the last right
     singular vector of J^T - lam I), its first entry above 1e-12 in
     modulus made positive."""
-    import numpy as np
-
     v = np.linalg.svd(J.T - lam * np.eye(J.shape[0]))[2][-1]
     return -v if v[np.argmax(np.abs(v) > 1e-12)] < 0 else v
 
@@ -480,8 +454,6 @@ def critical_frequencies(sys: OdeSystem, a) -> FrequencyResult:
     one, so a pair off the real axis by 1e-9 stays complex.  An empty tau
     list (no real eigenvalue) is a reported condition, not an error.
     """
-    import numpy as np
-
     a = np.asarray(a, dtype=float)
     J, eig = jacobian_eigen(sys, a)
     real = [z.real for z in eig if z.imag == 0.0 and abs(z.real) > 1e-12]

@@ -38,7 +38,7 @@ critical polynomials of a density grid, at once: the closed forms and the
 Aberth sweeps run as numpy operations on every row, from the eigenvalues
 of the companion matrices, with the same freeze rule and _TARGET at 53
 bits, and a row that misses them goes to poly_roots.  Only this batch
-code imports numpy; Polynomial, poly_roots and real_zeros run without it.
+code uses numpy, so Polynomial, poly_roots and real_zeros run without it.
 The solver follows what the caller holds: a stack takes the batch kernel,
 a single polynomial the scalar path.  Running poly_roots' 53-bit level
 through the batch kernel on one row made the mpmath levels, which climb
@@ -52,17 +52,16 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
+from . import _OnFirstUse
 from .errors import DegreeZero, DomainError, NonConvergence
 
-if TYPE_CHECKING:
-    import numpy as np
+np = _OnFirstUse("numpy", globals(), "np")
+mpmath = _OnFirstUse("mpmath", globals(), "mpmath")
 
 # mpmath's working precision is process-global state; hold this lock around
 # any block that changes it so that concurrent library callers stay correct.
-# mpmath itself is imported where it is used: most processes never climb
-# past 53 bits, and importing it costs about 40 ms of start-up.
 MP_LOCK = threading.Lock()
 
 MAX_SWEEPS = 400  # Aberth sweeps per level before an unfrozen root misses
@@ -141,8 +140,6 @@ _DOUBLE = _Arith(num=complex, one=1.0, exp=cmath.exp, sqrt=cmath.sqrt,
 
 def _mp_arith(bits: int) -> _Arith:
     """mpmath arithmetic; build and use it under mpmath.workprec(bits)."""
-    import mpmath
-
     return _Arith(num=mpmath.mpmathify, one=mpmath.mpf(1), exp=mpmath.exp,
                   sqrt=mpmath.sqrt, frexp=mpmath.frexp,
                   isfinite=mpmath.isfinite, pi=+mpmath.pi,
@@ -291,48 +288,48 @@ def _level(coeffs, ar: _Arith, z):
     coeffs has degree >= 1 and a nonzero constant term; z is None on the
     first level that runs, which starts from the Newton polygon.  Returns
     None where this level cannot hold the polynomial or its roots, else the
-    roots and the residuals of those that miss _TARGET.
+    roots and the residuals of those that miss _TARGET.  An OverflowError
+    anywhere in its arithmetic (an int or Fraction beyond the double range,
+    or a modulus |p(z)| that is not finite as a double) skips the level too.
     """
     try:
         c = [ar.num(x) for x in coeffs]
-    except OverflowError:  # an int or Fraction beyond the double range
-        return None
-    # Power-of-two normalisation to max|c_k| in [1, 2).  The exponent comes
-    # from the working type: a float would overflow for an mpf beyond the
-    # double range and leave c unscaled.
-    scale = (2 * ar.one) ** (ar.frexp(max(map(abs, c)))[1] - 1)
-    scaled = [x / scale for x in c]
-    if len(c) <= 3 and scale > 1 and [x * scale for x in scaled] != c:
-        # The scale changes no rounding unless, above 1, it rounds a double
-        # into the subnormal range or to zero (1e300 x^2 + 1e-300 would gain
-        # a double root at 0); the closed forms keep c then.
-        scaled = c
-    # Only doubles flush (2^-1100 -> 0.0), which would move the roots
-    if any(x == 0 and y != 0 for x, y in zip(scaled, coeffs)):
-        return None
-    if len(c) == 2:  # its error estimate is 8 units at every level
-        roots, settled = [-scaled[0] / scaled[1]], [True]
-    elif len(c) == 3:
-        c0, c1, c2 = scaled
-        roots = _quadratic_roots(c0, c1, c2, ar.sqrt)
-        settled = [_quadratic_ok(c0, c1, c2, r, ar.unit) for r in roots]
-    else:
-        z = _newton_starts(scaled, ar) if z is None else [ar.num(x) for x in z]
-        if not all(map(ar.isfinite, z)):  # a radius beyond the double range
+        # Power-of-two normalisation to max|c_k| in [1, 2).  The exponent
+        # comes from the working type: a float would overflow for an mpf
+        # beyond the double range and leave c unscaled.
+        scale = (2 * ar.one) ** (ar.frexp(max(map(abs, c)))[1] - 1)
+        scaled = [x / scale for x in c]
+        if len(c) <= 3 and scale > 1 and [x * scale for x in scaled] != c:
+            # The scale changes no rounding unless, above 1, it rounds a
+            # double into the subnormal range or to zero (1e300 x^2 + 1e-300
+            # would gain a double root at 0); the closed forms keep c then.
+            scaled = c
+        # Only doubles flush (2^-1100 -> 0.0), which would move the roots
+        if any(x == 0 and y != 0 for x, y in zip(scaled, coeffs)):
             return None
-        roots, settled = _aberth(scaled, ar, z)
-    if not all(map(ar.isfinite, roots)):
+        if len(c) == 2:  # its error estimate is 8 units at every level
+            roots, settled = [-scaled[0] / scaled[1]], [True]
+        elif len(c) == 3:
+            c0, c1, c2 = scaled
+            roots = _quadratic_roots(c0, c1, c2, ar.sqrt)
+            settled = [_quadratic_ok(c0, c1, c2, r, ar.unit) for r in roots]
+        else:
+            z = _newton_starts(scaled, ar) if z is None else [ar.num(x) for x in z]
+            if not all(map(ar.isfinite, z)):  # a radius beyond the double range
+                return None
+            roots, settled = _aberth(scaled, ar, z)
+        if not all(map(ar.isfinite, roots)):
+            return None
+        # the residuals of the roots that miss, in the caller's units
+        return roots, [float(abs(_horner(scaled, r)) * scale)
+                       for r, ok in zip(roots, settled) if not ok]
+    except OverflowError:
         return None
-    # the residuals of the roots that miss, in the caller's units
-    return roots, [float(abs(_horner(scaled, r)) * scale)
-                   for r, ok in zip(roots, settled) if not ok]
 
 
 def _to_double(r) -> complex:
     out = complex(r)
     if not cmath.isfinite(out):
-        import mpmath
-
         mant, exp2 = mpmath.frexp(abs(r))
         decades = math.log10(mant) + exp2 * math.log10(2)
         raise DomainError(
@@ -347,8 +344,6 @@ def _solve(coeffs) -> list:
         if bits == 53:
             out = _level(coeffs, _DOUBLE, z)
         else:
-            import mpmath
-
             with MP_LOCK, mpmath.workprec(bits):
                 out = _level(coeffs, _mp_arith(bits), z)
         if out is not None:
@@ -406,8 +401,6 @@ def _companion_starts(c):
     A row whose companion matrix is not finite (c_n tiny against the rest)
     gets NaN starts.
     """
-    import numpy as np
-
     m, n = c.shape[0], c.shape[1] - 1
     comp = np.zeros((m, n, n), dtype=complex)
     comp[:, 1:, :-1] = np.eye(n - 1)
@@ -420,8 +413,6 @@ def _companion_starts(c):
 
 def _horner_step(c):
     """_batch_aberth's evaluator for the coefficient rows c (m, n + 1)."""
-    import numpy as np
-
     n = c.shape[1] - 1
     d = c[:, 1:] * np.arange(1, n + 1)
     dd = d[:, 1:] * np.arange(1, n)
@@ -449,8 +440,6 @@ def _batch_aberth(evaluate, z):
     per row, whether every root froze within MAX_SWEEPS, stayed finite and
     was good where it froze.
     """
-    import numpy as np
-
     n = z.shape[1]
     good = np.isfinite(z).all(axis=1)
     active = np.repeat(good[:, None], n, axis=1)
@@ -484,8 +473,6 @@ def _batch_level(coeffs):
     c_n nonzero, an exact power-of-two normalisation, and every root finite,
     within Horner's bound and _TARGET.
     """
-    import numpy as np
-
     m, n = coeffs.shape[0], coeffs.shape[1] - 1
     roots = np.full((m, n), np.nan, dtype=complex)
     ok = np.zeros(m, dtype=bool)
@@ -530,8 +517,6 @@ def poly_roots_batch(coeffs) -> np.ndarray:
     about _BATCH_ENTRIES / n^2, and a row's result does not depend on the
     rows it is solved with.
     """
-    import numpy as np
-
     coeffs = np.asarray(coeffs)
     m, n = coeffs.shape[0], coeffs.shape[1] - 1
     out = np.full((m, n), np.nan, dtype=complex)

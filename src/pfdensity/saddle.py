@@ -24,8 +24,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _OnFirstUse
 from .errors import DomainError
 from .poly import MP_LOCK, _horner, _trim, poly_roots_batch
+
+mpmath = _OnFirstUse("mpmath", globals(), "mpmath")
 
 if TYPE_CHECKING:
     from .bell import MapSpec1D
@@ -123,8 +126,6 @@ def logistic_closed_p(lam: float, s: float) -> float:
 
 def logistic_p_mass(lam: float) -> float:
     """Integral of the raw closed-form p over its support (tanh-sinh quadrature)."""
-    import mpmath
-
     hi = 4.0 / (lam * lam)
     with MP_LOCK, mpmath.workdps(30):
         val = mpmath.quad(

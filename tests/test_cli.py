@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import typing
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import pfdensity
-from pfdensity import bell, cli, errors
+from pfdensity import bell, cli, errors, lorenz, odeiter, poly
 from pfdensity.cli import _write_json, run
 from pfdensity.poly import poly_roots
 from pfdensity.saddle import logistic_closed_q
@@ -759,6 +760,33 @@ def test_every_module_constant_is_read_in_its_module():
     assert orphans == []
 
 
+def test_numpy_and_mpmath_are_imported_only_at_module_top_level():
+    # any other module binds them on first use (pfdensity._OnFirstUse), so
+    # the loading rule is not restated inside functions or TYPE_CHECKING
+    nested = []
+    for path in sorted(Path(pfdensity.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if id(node) not in top and any(name.split(".")[0] in ("numpy", "mpmath")
+                                           for name in names):
+                nested.append(f"{path.name}:{node.lineno}")
+    assert nested == []
+
+
+def test_array_annotations_resolve():
+    assert typing.get_type_hints(odeiter.EulerResult) == {"a_n": np.ndarray,
+                                                          "S_n": np.ndarray}
+    assert typing.get_type_hints(lorenz.LorenzDecomposition)["T"] is np.ndarray
+    assert typing.get_type_hints(poly.poly_roots_batch)["return"] is np.ndarray
+
+
 def test_every_top_level_helper_is_referenced_in_src():
     # so that a function or class that only its tests still call is deleted
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -841,6 +869,73 @@ def test_first_use_on_many_threads_never_sees_a_half_run_module(tmp_path):
         proc = _fresh_python(["-c", _FIRST_USE_ON_THREADS], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+
+_ARRAY_CALLS = """import sys
+import pfdensity.cli as cli
+from pfdensity import bell, lorenz, odeiter, poly
+f, p = bell.MapSpec1D.logistic(2.0), lorenz.LorenzParams(10.0, 28.0, 2.5)
+system = lorenz.lorenz_system(p)
+calls = [lambda: bell.chain_roots(f, 8),
+         lambda: cli._read_sample(sys.argv[1]),
+         lambda: lorenz.fixed_point(p, "alpha_plus"),
+         lambda: lorenz.q_matrix((1.0, 0.0, 0.0)),
+         lambda: odeiter.seed_lattice(3, 1.0),
+         lambda: odeiter.jacobian_eigen(system, [1.0, 1.0, 1.0]),
+         lambda: poly.poly_roots_batch([[1.0, 3.0, 1.0, 1.0]]),
+         lambda: poly.poly_roots(poly.Polynomial([1, -4, 6, -4, 1]))]  # 256 bits
+assert "numpy" not in sys.modules and "mpmath" not in sys.modules
+modules = [bell, cli, lorenz, odeiter, poly]
+"""
+
+
+def test_first_use_rebinds_numpy_and_mpmath(tmp_path):
+    # after one array call each module reads numpy and mpmath themselves, so
+    # no stand-in stays between a call and the module it names
+    sample = tmp_path / "sample.txt"
+    sample.write_text("0.1\n0.5\n")
+    code = _ARRAY_CALLS + """from pfdensity import saddle
+before = [type(m.np).__name__ for m in modules]
+before += [type(poly.mpmath).__name__, type(saddle.mpmath).__name__]
+for call in calls:
+    call()
+saddle.logistic_p_mass(2.0)
+import mpmath, numpy
+print(before)
+print([m.np is numpy for m in modules], poly.mpmath is mpmath, saddle.mpmath is mpmath)
+"""
+    proc = _fresh_python(["-c", code, str(sample)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [str(["_OnFirstUse"] * 7),
+                                        "[True, True, True, True, True] True True"]
+
+
+def test_first_numpy_use_on_many_threads_succeeds(tmp_path):
+    # eight threads make the first numpy or mpmath call of five modules at
+    # once, and each gets what a later call on one thread gets
+    sample = tmp_path / "sample.txt"
+    sample.write_text("0.1\n0.5\n")
+    code = _ARRAY_CALLS + """import threading
+barrier, failed, results = threading.Barrier(len(calls)), [], [None] * len(calls)
+def use(i):
+    barrier.wait()
+    try:
+        results[i] = repr(calls[i]())
+    except Exception as exc:
+        failed.append(repr(exc))
+threads = [threading.Thread(target=use, args=(i,)) for i in range(len(calls))]
+sys.setswitchinterval(1e-6)
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+print(failed, [t.is_alive() for t in threads].count(True),
+      results == [repr(call()) for call in calls])
+"""
+    for _ in range(3):
+        proc = _fresh_python(["-c", code, str(sample)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[] 0 True\n"
 
 
 def test_a_load_that_raises_leaves_the_module_unloaded(tmp_path):

@@ -3,6 +3,7 @@ import hashlib
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -462,6 +463,63 @@ def test_batch_rows_the_kernel_cannot_take_go_to_poly_roots(monkeypatch):
 def test_batch_non_finite_coefficient_is_a_domain_error(bad):
     with pytest.raises(DomainError, match="a_1"):
         poly_roots_batch(np.array([[1.0, 2.0, 1.0], [1.0, bad, 1.0]]))
+
+
+def test_empty_coefficient_list_is_the_zero_constant():
+    assert Polynomial([]).coeffs == (0,)
+    with pytest.raises(DegreeZero):
+        poly_roots(Polynomial([]))
+
+
+def test_batch_of_constants_raises_degree_zero():
+    with pytest.raises(DegreeZero):
+        poly_roots_batch(np.array([[3.0], [1.0]]))
+
+
+CUBE_ROOTS_OF_ONE = sorted((cmath.exp(2j * math.pi * k / 3) for k in range(3)),
+                           key=lambda z: (z.real, z.imag))
+
+
+@pytest.mark.parametrize("starts", [[0j, 1j, -1 - 0.5j], [2j, 2j, -1]],
+                         ids=["stationary-point", "coincident"])
+def test_aberth_leaves_a_stationary_or_coincident_start(starts):
+    # p'(0) = 0 for x^3 - 1, where the Newton ratio has no value, and a start
+    # on another divides the Aberth sum by 0: the first is nudged off, the
+    # second counts 1/tiny; both still reach the roots and freeze within the
+    # target
+    c = [complex(x) for x in (-1, 0, 0, 1)]
+    roots, settled = poly._aberth(c, poly._DOUBLE, starts)
+    assert settled == [True] * 3
+    got = sorted(roots, key=lambda z: (z.real, z.imag))
+    assert all(abs(r - w) <= 1e-15 for r, w in zip(got, CUBE_ROOTS_OF_ONE))
+
+
+# p(z) at an Aberth iterate has finite parts but a modulus beyond the double
+# range at the 53-bit level
+OVERFLOWING_MODULUS = [-6.038534957295376e+31, 0.0, 7486597.352005427,
+                       -8.886792109940802e-62, -2.6729107715356327e-75,
+                       -5.773444512123205e-25, -1e-97]
+
+
+def test_overflow_in_a_levels_arithmetic_skips_the_level(monkeypatch):
+    with mpmath.workdps(60):
+        want = [complex(r) for r in mpmath.polyroots(
+            OVERFLOWING_MODULUS[::-1], maxsteps=200, extraprec=400)]
+    level, reached = poly._level, []
+
+    def record(coeffs, ar, z):
+        out = level(coeffs, ar, z)
+        reached.append((round(-math.log2(ar.unit)), out is not None))
+        return out
+
+    monkeypatch.setattr(poly, "_level", record)
+    scalar = poly_roots(Polynomial(OVERFLOWING_MODULUS))
+    assert reached == [(53, False), (128, True)]
+    batch = poly_roots_batch(np.array([OVERFLOWING_MODULUS, [1.0] * 7]))
+    for got in (scalar, list(batch[0])):
+        assert len(got) == 6
+        for w in want:
+            assert min(abs(r - w) for r in got) <= 2.0**-40 * abs(w)
 
 
 # SHA-256 over every root the corpus below gets from poly_roots and

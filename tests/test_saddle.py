@@ -84,6 +84,15 @@ def test_closed_q_values():
                                                          abs=1e-15)
     assert logistic_closed_q(2.0, 1.0) == 0.0
     assert logistic_closed_q(1.0, 4.0) == 0.0
+    assert logistic_closed_q(2.0, 0.0) == 0.0
+    assert logistic_closed_q(2.0, -0.5) == 0.0
+
+
+def test_closed_p_is_zero_outside_its_support():
+    # the support of p for lam = 2 is (0, 1)
+    assert logistic_closed_p(2.0, 0.5) == pytest.approx(1.0 / math.pi, rel=1e-15)
+    for s in (-1.0, 0.0, 1.0, 1.5):
+        assert logistic_closed_p(2.0, s) == 0.0
 
 
 def test_saddle_selection_maximal_real_part():
