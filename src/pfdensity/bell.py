@@ -326,34 +326,6 @@ def _quadratic_map(f: MapSpec1D):
     return c[1:] if len(c) == 3 and c[1] else None
 
 
-def _starts(quad, last, n: int, N: int):
-    """Aberth start points for the N roots of Q = H_n / y^m0.
-
-    quad is (lam, c2) for a quadratic f = lam a + c2 a^2 (_quadratic_map),
-    else None.  For a quadratic map the chain is Hermite,
-    H_n(y, 0) = (-2 c2 y)^(n/2) He_n(lam sqrt(y) / sqrt(-2 c2)), so Q's
-    roots are y = -4 c2 u / lam^2 over the zeros u of the Laguerre
-    polynomial L_N^(alpha), alpha = n mod 2 - 1/2 (the squared zeros of the
-    physicists' H_n).  They start on the real axis at the eigenvalues of its
-    Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969), diagonal
-    2k + alpha + 1 and off-diagonal sqrt(k (k + alpha)).  Any other map
-    starts from the Newton polygon of log2|row[k] / D^k|, (row, D) = last(),
-    on 2^-slope circles placed as _newton_starts does.
-    """
-    if quad:
-        lam, c2 = quad
-        a, k, J = n % 2 - 0.5, np.arange(N), np.zeros((N, N))
-        J[k, k] = 2 * k + a + 1
-        J[k[1:], k[:-1]] = np.sqrt(k[1:] * (k[1:] + a))  # eigvalsh reads the lower half
-        return -4 * c2 * np.linalg.eigvalsh(J) / np.square(lam)
-    row, D = last()
-    hull = _upper_hull([(k, math.log2(abs(c)) - k * math.log2(D))
-                        for k, c in enumerate(row) if c])
-    return np.array(_circle_starts([(k2 - k1, np.exp2((y1 - y2) / (k2 - k1)))
-                                    for (k1, y1), (k2, y2) in zip(hull, hull[1:])],
-                                   np.pi / (2 * N), np.pi, np.exp))
-
-
 def _last_row(derivs, n: int):
     """(row, D) of H_n as _int_chain gives it, trailing zeros trimmed."""
     D, rows = _int_chain(derivs, n)
@@ -363,37 +335,56 @@ def _last_row(derivs, n: int):
 def chain_roots(f: MapSpec1D, n: int) -> list:
     """All roots of H_n(y, 0), with multiplicity, sorted like poly_roots.
 
-    H_n = y^m0 Q(y) with deg Q = N: for a quadratic map and n >= 1,
-    m0 = ceil(n/2) and N = floor(n/2) (see _starts), else both from the
-    exact int row of H_n.  Aberth sweeps by the recurrence start from
-    _starts.  Unless the real parts of Q's N roots are finite and
-    _certified, every root comes from poly_roots on the exact H_n instead.
-    A quadratic map's fast signs come from _ratio_signs, so it builds the int
-    chain only to fall back to poly_roots; any other map's from _int_signs.
+    H_n = y^m0 Q(y) with deg Q = N.  Aberth sweeps by the recurrence find
+    Q's roots; unless their real parts are finite and _certified, every root
+    comes from poly_roots on the exact H_n instead.  For n >= 2 and a
+    quadratic map f = lam a + c2 a^2 (_quadratic_map) the chain is Hermite,
+    H_n(y, 0) = (-2 c2 y)^(n/2) He_n(lam sqrt(y) / sqrt(-2 c2)), so
+    m0 = ceil(n/2), N = floor(n/2) and Q's roots are y = -4 c2 u / lam^2 over
+    the zeros u of the Laguerre polynomial L_N^(alpha), alpha = n mod 2 - 1/2
+    (the squared zeros of the physicists' H_n).  They start at the
+    eigenvalues of its Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969),
+    diagonal 2k + alpha + 1 and off-diagonal sqrt(k (k + alpha)), and their
+    signs come from _ratio_signs, so the int chain is built only to fall
+    back.  Any other map takes m0 and N from the int row of H_n, starts from
+    the Newton polygon of log2|row[k] / D^k| as poly._newton_starts does,
+    and takes its signs from _int_signs.
     """
     derivs = _derivs_at_0(f)
     last = functools.cache(lambda: _last_row(derivs, n))
-    quad = _quadratic_map(f) if n >= 1 else None
-    if quad:
-        m0, N = (n + 1) // 2, n // 2
-        fast = functools.partial(_ratio_signs, *quad, n)
-    else:
-        row, D = last()
-        if not any(row):
-            raise DegreeZero(f"H_{n} is identically zero for this map")
-        m0 = next(k for k, c in enumerate(row) if c)
-        N = len(row) - 1 - m0
-        fast = functools.partial(_int_signs, row, D, m0)
-    if N > 0:
+    quad = _quadratic_map(f) if n >= 2 else None
+    with np.errstate(all="ignore"):
+        if quad:
+            lam, c2 = quad
+            m0, N = (n + 1) // 2, n // 2
+            a, k, J = n % 2 - 0.5, np.arange(N), np.zeros((N, N))
+            J[k, k] = 2 * k + a + 1
+            J[k[1:], k[:-1]] = np.sqrt(k[1:] * (k[1:] + a))  # eigvalsh reads this half
+            starts = -4 * c2 * np.linalg.eigvalsh(J) / np.square(lam)
+            fast = functools.partial(_ratio_signs, lam, c2, n)
+        else:
+            row, D = last()
+            if not any(row):
+                raise DegreeZero(f"H_{n} is identically zero for this map")
+            m0 = next(k for k, c in enumerate(row) if c)
+            N = len(row) - 1 - m0
+            if N == 0:  # H_n = c y^m0
+                return poly_roots(_exact(row, D))
+            hull = _upper_hull([(k, math.log2(abs(c)) - k * math.log2(D))
+                                for k, c in enumerate(row) if c])
+            starts = np.array(_circle_starts(
+                [(k2 - k1, np.exp2((y1 - y2) / (k2 - k1)))
+                 for (k1, y1), (k2, y2) in zip(hull, hull[1:])],
+                np.pi / (2 * N), np.pi, np.exp))
+            fast = functools.partial(_int_signs, row, D, m0)
         try:
             evaluate = _chain_step(derivs, n, m0)
         except OverflowError:  # a weight beyond the double range
             return poly_roots(_exact(*last()))
-        with np.errstate(all="ignore"):
-            z, ok = _batch_aberth(evaluate, _starts(quad, last, n, N)[None])
-            xs = sorted(float(r.real) for r in z[0])
-            if ok[0] and all(map(math.isfinite, xs)) and _certified(xs, derivs, n, fast):
-                return sorted([0j] * m0 + list(map(complex, xs)), key=lambda r: r.real)
+        z, ok = _batch_aberth(evaluate, starts[None])
+        xs = sorted(float(r.real) for r in z[0])
+        if ok[0] and all(map(math.isfinite, xs)) and _certified(xs, derivs, n, fast):
+            return sorted([0j] * m0 + list(map(complex, xs)), key=lambda r: r.real)
     return poly_roots(_exact(*last()))
 
 

@@ -195,7 +195,13 @@ def _read_sample(path: str):
             raise EmptySample("the histogram has a header and no rows")
         if any(len(r) < 3 for r in rows):
             raise ValueError("every histogram row needs bin_lo,bin_hi,count")
-        edges = [_finite(r[0]) for r in rows] + [_finite(rows[-1][1])]
+        los = [_finite(r[0]) for r in rows]
+        his = [_finite(r[1]) for r in rows]
+        for i in range(1, len(rows)):
+            if los[i] != his[i - 1]:
+                raise ValueError(f"histogram row {i + 1}: bin_lo {los[i]!r} is not "
+                                 f"the bin_hi {his[i - 1]!r} of the row before")
+        edges = los + his[-1:]
         counts = [int(r[2]) for r in rows]
         return "histogram", (np.array(edges), np.array(counts))
     values = []

@@ -221,6 +221,16 @@ def zeros_to_scaled_sample(zeros, n: int, lam: float) -> ScaledZeros:
     return ScaledZeros(values, dropped)
 
 
+def _cdf_at(reference: Callable[[float], float], x) -> float:
+    """reference(x), which a CDF keeps in [0, 1]; any other value, NaN
+    included, is a DomainError rather than a term that max would drop."""
+    fx = reference(float(x))
+    if not 0.0 <= fx <= 1.0:
+        raise DomainError(f"the reference CDF at x={float(x)!r} is {fx!r}, "
+                          "outside [0, 1]")
+    return fx
+
+
 def ks_distance(sample: EmpiricalCDF, reference: Callable[[float], float]) -> float:
     """sup |F_emp - F_ref| for a sorted sample against a CDF callable."""
     if len(sample) == 0:
@@ -228,7 +238,7 @@ def ks_distance(sample: EmpiricalCDF, reference: Callable[[float], float]) -> fl
     n = len(sample)
     d = 0.0
     for k, x in enumerate(sample.points, start=1):
-        fx = reference(float(x))
+        fx = _cdf_at(reference, x)
         d = max(d, abs(k / n - fx), abs(fx - (k - 1) / n))
     return d
 
@@ -236,7 +246,7 @@ def ks_distance(sample: EmpiricalCDF, reference: Callable[[float], float]) -> fl
 def histogram_ks(hist: Histogram, reference: Callable[[float], float]) -> float:
     """KS evaluated at the bin edges, where the histogram CDF is exact."""
     cdf = hist.cdf_at_edges()
-    return max(abs(c - reference(float(e))) for c, e in zip(cdf, hist.edges))
+    return max(abs(c - _cdf_at(reference, e)) for c, e in zip(cdf, hist.edges))
 
 
 def rescale(values, lo: float, hi: float):
@@ -257,7 +267,10 @@ def arcsine_cdf(x: float) -> float:
 
 
 def half_semicircle_cdf(t: float) -> float:
-    """Normalised semicircle mass on (0, 1): (2/pi)(t sqrt(1-t^2) + asin t)."""
+    """Normalised semicircle mass on (0, 1): (2/pi)(t sqrt(1-t^2) + asin t).
+
+    At some t within about 1.2e-11 below 1 the rounded formula reads
+    1 + 2^-52, so the value is capped at 1."""
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t={t!r} outside [0, 1]")
-    return (2.0 / math.pi) * (t * math.sqrt(1.0 - t * t) + math.asin(t))
+    return min(1.0, (2.0 / math.pi) * (t * math.sqrt(1.0 - t * t) + math.asin(t)))

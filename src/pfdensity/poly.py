@@ -201,14 +201,15 @@ def _circle_starts(edges, offset, pi, exp):
     return z
 
 
-def _quadratic_roots(c0, c1, c2, sqrt):
+def _quadratic_roots(c0, c1, c2, sqrt, where=lambda plus, a, b: a if plus else b):
     """Stable closed form; a zero discriminant yields an exact double root.
 
     c0, c2 != 0 and max|c_k| >= 1 (in [1, 2) once normalised), so the
-    larger of c1 +- sq, hence q, is never 0.
+    larger of c1 +- sq, hence q, is never 0.  With where=np.where and
+    sqrt=np.sqrt it works elementwise on arrays of coefficients.
     """
     sq = sqrt(c1 * c1 - 4 * c2 * c0)
-    q = -0.5 * (c1 + sq if (c1.conjugate() * sq).real >= 0 else c1 - sq)
+    q = -0.5 * where((c1.conjugate() * sq).real >= 0, c1 + sq, c1 - sq)
     return [q / c2, c0 / q]
 
 
@@ -467,41 +468,6 @@ def _batch_aberth(evaluate, z):
     return z, good & ~active.any(axis=1)
 
 
-def _batch_level(coeffs):
-    """53-bit roots of the rows of coeffs (m, n + 1), each row sorted like
-    poly_roots, and whether each row passed: finite coefficients, c_0 and
-    c_n nonzero, an exact power-of-two normalisation, and every root finite,
-    within Horner's bound and _TARGET.
-    """
-    m, n = coeffs.shape[0], coeffs.shape[1] - 1
-    roots = np.full((m, n), np.nan, dtype=complex)
-    ok = np.zeros(m, dtype=bool)
-    if n < 1:
-        return roots, ok
-    with np.errstate(all="ignore"):
-        scale = np.ldexp(1.0, np.frexp(np.abs(coeffs).max(axis=1))[1] - 1)[:, None]
-        c = (coeffs / scale).astype(complex)
-        rows = np.flatnonzero(np.isfinite(coeffs).all(axis=1)
-                              & (c[:, 0] != 0) & (c[:, -1] != 0)
-                              & (c * scale == coeffs).all(axis=1))
-        c = c[rows]
-        if n == 1:  # its error estimate is 8 units
-            z, good = -c[:, :1] / c[:, 1:], np.ones(len(rows), dtype=bool)
-        elif n == 2:  # _quadratic_roots on every row
-            c0, c1, c2 = c[:, :1], c[:, 1:2], c[:, 2:]
-            sq = np.sqrt(c1 * c1 - 4 * c2 * c0)
-            q = -0.5 * np.where((c1.conj() * sq).real >= 0, c1 + sq, c1 - sq)
-            z = np.hstack([q / c2, c0 / q])
-            good = _quadratic_ok(c0, c1, c2, z, _DOUBLE.unit).all(axis=1)
-        else:
-            z, good = _batch_aberth(_horner_step(c), _companion_starts(c))
-        good &= np.isfinite(z).all(axis=1)
-    order = np.lexsort((z.imag, z.real), axis=-1)
-    roots[rows] = np.take_along_axis(z, order, axis=-1)
-    ok[rows] = good
-    return roots, ok
-
-
 def poly_roots_batch(coeffs) -> np.ndarray:
     """The roots of every row of an (m, n + 1) array of ascending coefficients.
 
@@ -510,21 +476,43 @@ def poly_roots_batch(coeffs) -> np.ndarray:
     solved in doubles, degrees 1 and 2 in closed form and higher degrees by
     Aberth sweeps over the whole block from the eigenvalues of the companion
     matrices, with the freeze rule and _TARGET of the scalar solve.  A row
-    that misses either, or that has a zero c_0 or c_n or a non-finite
-    coefficient, is solved by poly_roots instead, which climbs in precision
-    or raises as it does for one polynomial; where its c_n is 0 it has fewer
-    roots and the rest of its row is NaN.  Rows go through in blocks of
-    about _BATCH_ENTRIES / n^2, and a row's result does not depend on the
-    rows it is solved with.
+    that misses either, that has a zero c_0 or c_n, a non-finite coefficient
+    or one the normalisation rounds, or a root that is not finite, is solved
+    by poly_roots instead, which climbs in precision or raises as it does
+    for one polynomial; where its c_n is 0 it has fewer roots and the rest
+    of its row is NaN.  Rows go through in blocks of about
+    _BATCH_ENTRIES / n^2, and a row's result does not depend on the rows it
+    is solved with.
     """
     coeffs = np.asarray(coeffs)
     m, n = coeffs.shape[0], coeffs.shape[1] - 1
+    if n < 1 and m:
+        raise DegreeZero("constant polynomial has no roots to solve for")
     out = np.full((m, n), np.nan, dtype=complex)
     size = max(1, _BATCH_ENTRIES // max(1, n * n))
     for lo in range(0, m, size):
         block = coeffs[lo:lo + size]
-        roots, ok = _batch_level(block)
-        out[lo:lo + size][ok] = roots[ok]
+        with np.errstate(all="ignore"):
+            scale = np.ldexp(1.0, np.frexp(np.abs(block).max(axis=1))[1] - 1)[:, None]
+            c = (block / scale).astype(complex)
+            rows = np.flatnonzero(np.isfinite(block).all(axis=1)
+                                  & (c[:, 0] != 0) & (c[:, -1] != 0)
+                                  & (c * scale == block).all(axis=1))
+            c = c[rows]
+            if n == 1:  # its error estimate is 8 units
+                z, good = -c[:, :1] / c[:, 1:], np.ones(len(rows), dtype=bool)
+            elif n == 2:
+                c0, c1, c2 = c[:, :1], c[:, 1:2], c[:, 2:]
+                z = np.hstack(_quadratic_roots(c0, c1, c2, np.sqrt, np.where))
+                good = _quadratic_ok(c0, c1, c2, z, _DOUBLE.unit).all(axis=1)
+            else:
+                z, good = _batch_aberth(_horner_step(c), _companion_starts(c))
+            good &= np.isfinite(z).all(axis=1)
+        ok = np.zeros(len(block), dtype=bool)
+        ok[rows] = good
+        z = z[good]
+        out[lo:lo + size][ok] = np.take_along_axis(
+            z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
         for i in np.flatnonzero(~ok):
             r = poly_roots(Polynomial(block[i].tolist()))
             out[lo + i, :len(r)] = r

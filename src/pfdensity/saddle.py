@@ -67,6 +67,8 @@ def saddle_sweep(f: MapSpec1D, s) -> SaddleSweep:
     q' = sign(Im f(a_c)) Im(f'(a_c) a') / pi, so p = -s q' in closed form.
     """
     s = np.asarray(s, dtype=float)
+    if s.ndim != 1:
+        raise ValueError("s must be a 1-D array")
     if not (np.isfinite(s) & (s > 0)).all():
         raise ValueError("s must be finite and positive")
     fc = f.coeffs

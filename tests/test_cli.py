@@ -553,6 +553,38 @@ def test_compare_bad_histogram_is_a_json_error(tmp_path, capsys, body, error):
     assert err["error"]["type"] == error
 
 
+@pytest.mark.parametrize("body, message", [
+    # a gap: read as the bins [0, 0.75) and [0.75, 1] before
+    ("0,0.25,1\n0.75,1,1\n", "histogram row 2: bin_lo 0.75 is not the bin_hi 0.25"),
+    # an overlap: read with KS 0.1 before
+    ("0,0.5,1\n0.4,1,1\n", "histogram row 2: bin_lo 0.4 is not the bin_hi 0.5"),
+    ("0,0.5,1\n0.5,0.75,1\n0.8,1,1\n", "histogram row 3: bin_lo 0.8 is not the bin_hi 0.75"),
+])
+def test_compare_histogram_rows_must_tile(tmp_path, capsys, body, message):
+    hist = tmp_path / "hist.csv"
+    hist.write_text("bin_lo,bin_hi,count\n" + body)
+    assert run(["compare", "--sample", str(hist), "--reference", "uniform"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = _strict_json(captured.err)["error"]
+    assert err["type"] == "ValueError" and err["message"].startswith(message)
+
+
+def test_orbit_compare_round_trip_keeps_the_readme_distance(tmp_path, capsys):
+    # the README's orbit and compare lines: %.17g edges read back exactly,
+    # so consecutive rows tile and the distance is the one the README prints
+    path = tmp_path / "chaotic4.json"
+    path.write_text(json.dumps({"coeffs": [0.0, 4.0, -0.5]}))
+    hist = tmp_path / "hist.csv"
+    assert run(["orbit", "--map", str(path), "--x0", "1.7", "--burn", "1000",
+                "--keep", "1000000", "--out", str(hist)]) == 0
+    capsys.readouterr()
+    assert run(["compare", "--sample", str(hist), "--reference", "arcsine",
+                "--rescale"]) == 0
+    assert capsys.readouterr().out == ('{"metric": "ks", "distance": '
+                                       '0.00033960967992202606, "reference": "arcsine"}\n')
+
+
 @pytest.mark.parametrize("lam", [1.0, 2.0])
 def test_density_is_zero_past_the_quartic_support_end(tmp_path, lam):
     # f = lam a - a^4/4: beyond s* real saddles dominate, so q = p = 0

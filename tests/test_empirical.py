@@ -256,6 +256,30 @@ def test_ks_affine_invariance():
     assert abs(moved - base) < 1e-15
 
 
+@pytest.mark.parametrize("value", [math.nan, -1e-300, 1.0000000000000002])
+def test_ks_distance_rejects_an_impossible_reference_value(value):
+    # NaN compares false, so max used to drop it and return 0.0
+    sample = EmpiricalCDF.from_sample([0.25, 0.5])
+    with pytest.raises(DomainError, match=r"x=0\.25 is .*outside \[0, 1\]"):
+        ks_distance(sample, lambda x: value)
+
+
+@pytest.mark.parametrize("value", [math.nan, -0.5, 2.0])
+def test_histogram_ks_rejects_an_impossible_reference_value(value):
+    # NaN made the result nan
+    hist = Histogram(edges=np.array([0.0, 0.5, 1.0]), counts=np.array([1, 1]), total=2)
+    with pytest.raises(DomainError, match=r"x=0\.5 is .*outside \[0, 1\]"):
+        histogram_ks(hist, lambda x: 0.0 if x < 0.5 else value)
+
+
+def test_half_semicircle_cdf_stays_within_one_below_one():
+    # the rounded (2/pi)(t sqrt(1-t^2) + asin t) reads 1 + 2^-52 at these t
+    ts = [0.9999999999888586, 0.9999999999999978, 0.9999999999999998]
+    assert [half_semicircle_cdf(t) for t in ts] == [1.0] * 3
+    # the whole sample lies where the reference CDF is 1: no DomainError
+    assert ks_distance(EmpiricalCDF.from_sample(ts), half_semicircle_cdf) == 1.0
+
+
 def test_zeros_to_scaled_sample_endpoint():
     lam, n = 2.0, 64
     out = zeros_to_scaled_sample([n * 4.0 / (lam * lam)], n, lam)

@@ -459,6 +459,30 @@ def test_batch_rows_the_kernel_cannot_take_go_to_poly_roots(monkeypatch):
     assert np.allclose(got[3], 1.0, atol=1e-15)
 
 
+def test_batch_and_scalar_quadratics_share_one_closed_form(monkeypatch):
+    # one call on the arrays of each block of a degree-2 stack, one on the
+    # complex coefficients of a single quadratic, and the same roots as
+    # without the wrapper
+    rng = np.random.default_rng(36)
+    stack = rng.uniform(-1, 1, (30, 3)) * 10.0 ** rng.integers(-8, 9, (30, 1))
+    want = poly_roots_batch(stack).tobytes()
+    scalar = poly_roots(Polynomial(list(stack[0])))
+    calls = []
+    real = poly._quadratic_roots
+
+    def counted(c0, c1, c2, *rest):
+        calls.append(type(c0))
+        return real(c0, c1, c2, *rest)
+    monkeypatch.setattr(poly, "_quadratic_roots", counted)
+    assert poly_roots_batch(stack).tobytes() == want
+    assert calls == [np.ndarray]
+    monkeypatch.setattr(poly, "_BATCH_ENTRIES", 4 * 10)  # blocks of 10 rows
+    assert poly_roots_batch(stack).tobytes() == want
+    assert calls == [np.ndarray] * 4
+    assert poly_roots(Polynomial(list(stack[0]))) == scalar
+    assert calls[4:] == [complex]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_batch_non_finite_coefficient_is_a_domain_error(bad):
     with pytest.raises(DomainError, match="a_1"):

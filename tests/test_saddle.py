@@ -309,3 +309,11 @@ def test_small_maps_keep_their_saddle(lam):
 def test_sweep_rejects_s_that_is_not_finite_and_positive(bad):
     with pytest.raises(ValueError, match="finite and positive"):
         saddle_sweep(LOGISTIC2, [0.5, bad])
+
+
+@pytest.mark.parametrize("s", [0.1, [[0.1, 0.2]], [[0.1], [0.2]]])
+def test_sweep_rejects_s_that_is_not_one_dimensional(s):
+    # measured before: IndexError, numpy's broadcast ValueError, and
+    # DegreeZero blaming the polynomial
+    with pytest.raises(ValueError, match="^s must be a 1-D array$"):
+        saddle_sweep(LOGISTIC2, s)
