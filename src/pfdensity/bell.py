@@ -439,6 +439,8 @@ def solve_coefficient_system(f: MapSpec1D, n: int, b_n: float) -> CoefficientSys
         raise ValueError("n must be >= 1")
     if b_n == 0:
         raise ValueError("b_n must be nonzero")
+    if not math.isfinite(b_n):
+        raise ValueError(f"b_n must be finite, got {b_n!r}")
     _resonance_check(f.lam, n)
 
     D, rows = _int_chain(_derivs_at_0(f), n)

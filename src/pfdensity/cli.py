@@ -28,20 +28,15 @@ __all__ = ["main", "run"]
 
 
 def _parse_range(spec: str):
-    """lo:hi:count range flag."""
+    """lo:hi:count range flag, as its count evenly spaced points."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"range must be lo:hi:count, got {spec!r}")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise argparse.ArgumentTypeError("range count must be >= 1")
-    return lo, hi, count
-
-
-def _range_points(rng):
-    lo, hi, count = rng
     if count == 1:
-        return [lo]
+        return [lo]  # lo + 0 * step would turn -0.0 into 0.0
     step = (hi - lo) / (count - 1)
     return [lo + k * step for k in range(count)]
 
@@ -60,14 +55,10 @@ def _parse_point(spec: str, flag: str):
     return point
 
 
-def _load_map(path: str) -> bell.MapSpec1D:
+def _load(path: str, kind):
+    """The kind (MapSpec1D or OdeSystem) that the JSON file at path holds."""
     with open(path, encoding="utf-8") as fh:
-        return bell.MapSpec1D.from_json(json.load(fh))
-
-
-def _load_system(path: str) -> odeiter.OdeSystem:
-    with open(path, encoding="utf-8") as fh:
-        return odeiter.OdeSystem.from_json(json.load(fh))
+        return kind.from_json(json.load(fh))
 
 
 def _write_text(path, text: str):
@@ -94,7 +85,7 @@ def _write_csv(path, header: str, row: str, rows):
 
 
 def _cmd_hermite(args) -> int:
-    f = _load_map(args.map)
+    f = _load(args.map, bell.MapSpec1D)
     if args.action == "gen":
         seq = bell.bell_sequence(f, args.n)
         _write_csv(args.out, "m,k,coeff", "%d,%d,%.17g",
@@ -107,8 +98,8 @@ def _cmd_hermite(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    f = _load_map(args.map)
-    points = _range_points(args.s)
+    f = _load(args.map, bell.MapSpec1D)
+    points = args.s
     if args.action == "invariant" and args.support is not None:
         lo, hi = args.support
         for s in points:
@@ -121,7 +112,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    f = _load_map(args.map)
+    f = _load(args.map, bell.MapSpec1D)
     hist = empirical.iterate_orbit(f, args.x0, args.burn, args.keep,
                                    seed=args.seed, bins=args.bins)
     edges = hist.edges.tolist()
@@ -131,7 +122,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_ode(args) -> int:
-    sys_ = _load_system(args.system)
+    sys_ = _load(args.system, odeiter.OdeSystem)
     if args.action == "fixed-points":
         pts, dropped = odeiter.fixed_points(sys_, radius=args.radius)
         _write_json(args.out, {
@@ -252,8 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     hermite.add_argument("action", choices=["gen", "zeros"])
     hermite.add_argument("--map", required=True, help="map JSON path")
     hermite.add_argument("-n", type=int, required=True)
-    hermite.add_argument("--out", default=None)
-    hermite.set_defaults(fn=_cmd_hermite)
 
     density = sub.add_parser("density", help="zero / invariant densities")
     density.add_argument("action", choices=["saddle", "invariant"])
@@ -263,8 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     density.add_argument("--support", type=_parse_interval, default=None,
                          metavar="LO:HI",
                          help="invariant: every s must lie inside (LO, HI)")
-    density.add_argument("--out", default=None)
-    density.set_defaults(fn=_cmd_density)
 
     orbit = sub.add_parser("orbit", help="orbit histogram")
     orbit.add_argument("--map", required=True)
@@ -272,8 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
     orbit.add_argument("--burn", type=int, default=1000)
     orbit.add_argument("--keep", type=int, default=100000)
     orbit.add_argument("--bins", type=int, default=200)
-    orbit.add_argument("--out", default=None)
-    orbit.set_defaults(fn=_cmd_orbit)
 
     ode = sub.add_parser("ode", help="differential-iteration tools")
     ode.add_argument("action", choices=["fixed-points", "frequencies", "euler"])
@@ -283,8 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ode.add_argument("--a0", default=None, help="initial point x,y,...")
     ode.add_argument("--delta", type=float, default=1e-3)
     ode.add_argument("--steps", type=int, default=1000)
-    ode.add_argument("--out", default=None)
-    ode.set_defaults(fn=_cmd_ode)
 
     lz = sub.add_parser("lorenz", help="Lorenz case study")
     lz.add_argument("action", choices=["report"])
@@ -292,8 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lz.add_argument("--rho", type=float, required=True)
     lz.add_argument("--beta", type=float, required=True)
     lz.add_argument("--delta", type=float, default=1e-3)
-    lz.add_argument("--out", default=None)
-    lz.set_defaults(fn=_cmd_lorenz)
 
     cmp_ = sub.add_parser("compare", help="empirical vs reference CDF")
     cmp_.add_argument("--sample", required=True,
@@ -301,9 +282,12 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--reference", choices=sorted(_REFERENCES), required=True)
     cmp_.add_argument("--rescale", action="store_true",
                       help="affine-rescale the sample support onto [0, 1]")
-    cmp_.add_argument("--out", default=None)
-    cmp_.set_defaults(fn=_cmd_compare)
 
+    for parser, fn in ((hermite, _cmd_hermite), (density, _cmd_density),
+                       (orbit, _cmd_orbit), (ode, _cmd_ode), (lz, _cmd_lorenz),
+                       (cmp_, _cmd_compare)):
+        parser.add_argument("--out", default=None)
+        parser.set_defaults(fn=fn)
     return ap
 
 

@@ -252,6 +252,8 @@ def histogram_ks(hist: Histogram, reference: Callable[[float], float]) -> float:
 def rescale(values, lo: float, hi: float):
     """Affine map of the observed range of `values` onto [lo, hi]."""
     values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise EmptySample("cannot rescale an empty sample")
     vmin = float(np.min(values))
     vmax = float(np.max(values))
     if vmax - vmin <= 0.0:

@@ -270,13 +270,17 @@ def direction_grid() -> list:
 def lorenz_report(p: LorenzParams, delta: float = 1e-3) -> dict:
     """JSON-able end-to-end report: fixed points with spectra, per-tag
     condition surfaces on direction_grid(), admissibility mask and densities.
-    Surfaces that overflow doubles are a DomainError naming delta."""
+    Characteristic cubics or surfaces that overflow doubles are a
+    DomainError naming sigma, rho and beta, or delta."""
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta!r}")
     grid = direction_grid()
 
-    theta_roots, alpha_roots = (None if c is None else poly_roots(c)
-                                for c in characteristic_at_fixed_points(p))
+    cubics = characteristic_at_fixed_points(p)
+    if not all(math.isfinite(v) for c in cubics if c is not None for v in c.coeffs):
+        raise DomainError(f"the characteristic cubics at sigma={p.sigma!r}, "
+                          f"rho={p.rho!r}, beta={p.beta!r} are not finite in doubles")
+    theta_roots, alpha_roots = (None if c is None else poly_roots(c) for c in cubics)
     sys = lorenz_system(p)
     points = fixed_points_by_tag(p)
 

@@ -241,6 +241,10 @@ class OdeSystem:
             raise ValueError('each term\'s "exps" must be a list of integers')
         if not all(number(t.get("coef")) for t in terms):
             raise ValueError('each term\'s "coef" must be a number')
+        for t in terms:  # json reads NaN and Infinity; an int may be any size
+            if isinstance(t["coef"], float) and not math.isfinite(t["coef"]):
+                raise DomainError(f"the coefficient of the term {tuple(t['exps'])!r} "
+                                  f"= {t['coef']!r} is not finite")
         return cls(obj["dim"], [[(tuple(t["exps"]), t["coef"]) for t in comp]
                                 for comp in comps])
 

@@ -8,7 +8,6 @@ closed-form eigenbasis of Q.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,59 +17,39 @@ __all__ = ["SymmetricForm", "symmetric_eigen"]
 _SIGN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricForm:
-    """Symmetric matrix stored as its lower triangle (symmetry by construction)."""
+    """Square, finite matrix equal to its transpose (-0.0 == 0.0), stored read-only."""
 
-    lower: tuple
+    matrix: np.ndarray
 
-    def __init__(self, lower):
-        lower = tuple(tuple(float(x) for x in row) for row in lower)
-        for i, row in enumerate(lower):
-            if len(row) != i + 1:
-                raise ValueError("lower triangle rows must have lengths 1..d")
-            bad = [x for x in row if not math.isfinite(x)]
-            if bad:
-                raise ValueError(f"form entries must be finite, got {bad[0]!r}")
-        object.__setattr__(self, "lower", lower)
+    def __post_init__(self):
+        M = np.array(self.matrix, dtype=float)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError("matrix must be square")
+        bad = M[~np.isfinite(M)]
+        if bad.size:
+            raise ValueError(f"form entries must be finite, got {float(bad[0])!r}")
+        if not np.array_equal(M, M.T):
+            raise ValueError("matrix is not symmetric")
+        M.flags.writeable = False
+        object.__setattr__(self, "matrix", M)
 
     @classmethod
     def from_matrix(cls, M) -> "SymmetricForm":
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("matrix must be square")
-        d = M.shape[0]
-        # both triangles through __init__, which rejects a non-finite entry;
-        # M is stored as given, and only if its triangles are equal
-        lower, upper = (cls(A[i, :i + 1] for i in range(d)) for A in (M, M.T))
-        if lower != upper:
-            raise ValueError("matrix is not symmetric")
-        return lower
-
-    @property
-    def dim(self) -> int:
-        return len(self.lower)
-
-    def matrix(self) -> np.ndarray:
-        d = self.dim
-        M = np.zeros((d, d))
-        for i, row in enumerate(self.lower):
-            for j, v in enumerate(row):
-                M[i, j] = v
-                M[j, i] = v
-        return M
+        return cls(M)
 
 
 def symmetric_eigen(S: SymmetricForm):
     """S = T diag(eig) T^t by LAPACK's symmetric eigensolver (np.linalg.eigh).
 
     Returns (eigenvalues ascending, T) with unit-norm columns whose first
-    non-negligible component is positive, so results are deterministic.
+    entry above 1e-12 * max(1, max |column|) is positive, so results are
+    deterministic.  eigh reads only the lower triangle.
     """
-    eig, V = np.linalg.eigh(S.matrix())
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        tol = _SIGN_TOL * max(1.0, float(np.max(np.abs(col))))
-        if next((v for v in col if abs(v) > tol), 0.0) < 0:
-            V[:, j] = -col
-    return eig, V
+    eig, T = np.linalg.eigh(S.matrix)
+    A = np.abs(T)
+    big = A > _SIGN_TOL * A.max(axis=0, initial=1.0)
+    lead = big & (np.cumsum(big, axis=0) == 1)
+    np.negative(T, out=T, where=(lead & (T < 0)).any(axis=0))
+    return eig, T

@@ -250,6 +250,13 @@ def test_coefficient_system_and_gap_reject_an_empty_order():
         resolving_gap(f, 0)
 
 
+@pytest.mark.parametrize("b_n", [math.inf, -math.inf, math.nan])
+def test_coefficient_system_rejects_a_non_finite_b_n(b_n):
+    # Fraction(b_n) raised OverflowError for an infinity, ValueError for nan
+    with pytest.raises(ValueError, match=f"b_n must be finite, got {b_n!r}"):
+        solve_coefficient_system(MapSpec1D.logistic(2.0), 3, b_n)
+
+
 def test_resonance_check_skips_a_power_beyond_the_double_range():
     # 1e200**2 raises OverflowError; that order cannot resonate, so the
     # solve goes on to the chain, whose order-2 coefficient overflows

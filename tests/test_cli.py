@@ -178,6 +178,13 @@ def test_density_invariant_outside_support_is_an_error(logistic_map_file, tmp_pa
     assert not out.exists()
 
 
+def test_range_flag_reads_as_its_points():
+    assert cli._parse_range("0:1:5") == [0.0, 0.25, 0.5, 0.75, 1.0]
+    # one point is lo itself: lo + 0 * step would turn -0.0 into 0.0
+    [lo] = cli._parse_range("-0.0:1:1")
+    assert math.copysign(1.0, lo) == -1.0
+
+
 @pytest.mark.parametrize("action", ["saddle", "invariant"])
 @pytest.mark.parametrize("grid", ["0:1:5", "0.1:nan:3", "nan:0.5:1"])
 def test_density_s_that_is_not_positive_is_an_error(logistic_map_file, tmp_path,
@@ -500,6 +507,21 @@ def test_lorenz_report_overflowing_surfaces_name_delta(tmp_path, capsys):
     assert fresh.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("sigma,rho,beta", [("1e308", "28", "2.5"), ("10", "1e308", "2.5"),
+                                            ("10", "0.5", "1e308")])
+def test_lorenz_report_overflowing_cubics_name_the_parameters(capsys, sigma, rho, beta):
+    # the cubics' coefficients overflow; poly_roots named a_0 of a cubic
+    # the user never gave
+    assert run(["lorenz", "report", "--sigma", sigma, "--rho", rho,
+                "--beta", beta]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _strict_json(captured.err)["error"] == {
+        "type": "DomainError",
+        "message": f"the characteristic cubics at sigma={float(sigma)!r}, "
+                   f"rho={float(rho)!r}, beta={float(beta)!r} are not finite in doubles"}
+
+
 def test_compare_ks(tmp_path):
     sample = tmp_path / "sample.txt"
     n = 200
@@ -551,6 +573,18 @@ def test_compare_bad_histogram_is_a_json_error(tmp_path, capsys, body, error):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == error
+
+
+@pytest.mark.parametrize("rescale", [[], ["--rescale"]], ids=["plain", "rescale"])
+def test_compare_empty_value_sample_is_empty_sample(tmp_path, capsys, rescale):
+    # --rescale gave numpy's zero-size reduction ValueError
+    sample = tmp_path / "sample.txt"
+    sample.write_text("value\n")
+    assert run(["compare", "--sample", str(sample), "--reference", "arcsine",
+                *rescale]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _strict_json(captured.err)["error"]["type"] == "EmptySample"
 
 
 @pytest.mark.parametrize("body, message", [
@@ -1115,6 +1149,23 @@ def test_system_coefficient_beyond_the_double_range_is_a_domain_error(tmp_path,
     assert _strict_json(captured.err)["error"] == {
         "type": "DomainError",
         "message": "the coefficient of the term (1,) is beyond the double range"}
+
+
+@pytest.mark.parametrize("action", [["fixed-points"], ["frequencies", "--a", "1"],
+                                    ["euler", "--a0", "1"]],
+                         ids=["fixed-points", "frequencies", "euler"])
+@pytest.mark.parametrize("coef", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_system_coefficient_is_a_domain_error(tmp_path, capsys, action,
+                                                         coef):
+    # json reads these; fixed-points gave [] and euler a TrajectoryEscape
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 1, "components": [[{"exps": [1], "coef": %s}]]}' % coef)
+    assert run(["ode", *action, "--system", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _strict_json(captured.err)["error"] == {
+        "type": "DomainError",
+        "message": f"the coefficient of the term (1,) = {float(coef)!r} is not finite"}
 
 
 def test_threads_option_is_a_usage_error(logistic_map_file):

@@ -326,6 +326,11 @@ def test_rescale_zero_width_rejected():
         rescale([1.0, 1.0], 0.0, 1.0)
 
 
+def test_rescale_empty_sample_rejected():
+    with pytest.raises(EmptySample, match="cannot rescale an empty sample"):
+        rescale([], 0.0, 1.0)
+
+
 def test_empirical_cdf_sorts():
     e = EmpiricalCDF.from_sample([3.0, 1.0, 2.0])
     assert np.array_equal(e.points, [1.0, 2.0, 3.0])
