@@ -30,6 +30,7 @@ slower.
 """
 
 import importlib.util
+import math
 import sys
 import threading
 import types
@@ -89,6 +90,14 @@ class _OnFirstUse:
         module = importlib.import_module(self._name)
         self._namespace[self._alias] = module
         return getattr(module, attr)
+
+
+def _finite(x) -> bool:
+    """math.isfinite(x), False for an int beyond the double range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _register_lazily(name: str):

@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _OnFirstUse
+from . import _finite, _OnFirstUse
 from .errors import CoefficientOverflow, DegreeZero, DomainError, ResonanceDetected
 from .poly import (_TARGET, Polynomial, _batch_aberth, _circle_starts, _trim,
                    _upper_hull, poly_roots)
@@ -439,7 +439,7 @@ def solve_coefficient_system(f: MapSpec1D, n: int, b_n: float) -> CoefficientSys
         raise ValueError("n must be >= 1")
     if b_n == 0:
         raise ValueError("b_n must be nonzero")
-    if not math.isfinite(b_n):
+    if not _finite(b_n):
         raise ValueError(f"b_n must be finite, got {b_n!r}")
     _resonance_check(f.lam, n)
 

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
+from . import _finite
 from .errors import DomainError, EmptySample, OrbitEscape
 
 if TYPE_CHECKING:
@@ -148,7 +149,7 @@ def orbit_sample(f: MapSpec1D, x0: float, burn: int, keep: int,
         raise ValueError("burn must be >= 0")
     if keep < 1:
         raise ValueError("keep must be >= 1")
-    if not math.isfinite(x0):
+    if not _finite(x0):
         raise ValueError(f"x0 = {x0!r} is not finite")
     coeffs = tuple(reversed(f.coeffs[1:]))
     if coeffs[0] == 0:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from . import _OnFirstUse
+from . import _finite, _OnFirstUse
 from .errors import DegenerateDirection, DomainError
 from .odeiter import OdeSystem, jacobian_eigen
 from .poly import Polynomial, poly_roots
@@ -66,7 +66,7 @@ class LorenzParams:
     def __post_init__(self):
         for name in ("sigma", "rho", "beta"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (_finite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     @property
@@ -272,8 +272,8 @@ def lorenz_report(p: LorenzParams, delta: float = 1e-3) -> dict:
     condition surfaces on direction_grid(), admissibility mask and densities.
     Characteristic cubics or surfaces that overflow doubles are a
     DomainError naming sigma, rho and beta, or delta."""
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta!r}")
+    if not (_finite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     grid = direction_grid()
 
     cubics = characteristic_at_fixed_points(p)

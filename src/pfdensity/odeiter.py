@@ -32,8 +32,9 @@ solves seed by seed, so only a seed whose own J is singular stops.  LAPACK
 solves each matrix of a stack as it solves it alone, so the points and the
 drop count are bit-identical to the loop of single solves, seed by seed.
 
-OdeSystem's construction, point check and JSON, DifferentialIteration and
-its Euler loop (iterate, which returns lists) run without numpy.
+OdeSystem's construction and JSON, its point check of a list or tuple of
+ints and floats, DifferentialIteration and its Euler loop (iterate, which
+returns lists) run without numpy.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from . import _OnFirstUse
+from . import _finite, _OnFirstUse
 from .errors import DomainError, SingularTau, TrajectoryEscape
 
 np = _OnFirstUse("numpy", globals(), "np")
@@ -126,21 +127,6 @@ def _generated(kind: str, table: tuple, dim: int, size: int, x: list, *args):
             return fn(coefs, [np.float64(u) for u in x], *args)
 
 
-def _shape(a) -> tuple:
-    """The shape np.asarray(a) has: an array's own; () for a str, bytes or
-    anything without a length; else len(a) and its entries' common shape,
-    a ValueError as in numpy where they differ."""
-    shape = getattr(a, "shape", None)
-    if shape is not None:
-        return tuple(shape)
-    if isinstance(a, (str, bytes)) or not hasattr(a, "__len__"):
-        return ()
-    inner = {_shape(v) for v in a}
-    if len(inner) > 1:
-        raise ValueError("point has entries of different shapes")
-    return (len(a), *next(iter(inner), ()))
-
-
 @dataclass(frozen=True)
 class OdeSystem:
     """Polynomial vector field; component l is a list of (exps, coef) terms."""
@@ -157,9 +143,10 @@ class OdeSystem:
         for terms in components:
             norm = []
             for exps, coef in terms:
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != dim or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps!r}")
+                given = tuple(exps)
+                exps = tuple(int(e) for e in given)
+                if exps != given or len(exps) != dim or any(e < 0 for e in exps):
+                    raise ValueError(f"bad exponent tuple {given!r}")
                 if sum(exps) > MAX_TOTAL_DEGREE:
                     raise ValueError(
                         f"total degree {sum(exps)} exceeds {MAX_TOTAL_DEGREE}")
@@ -187,13 +174,18 @@ class OdeSystem:
                 tuple(coef for _, coef, _ in rows)))
 
     def _point(self, a) -> list:
-        """a as the floats of np.asarray(a, dtype=float).tolist(); a point
-        of any shape but (dim,) is a ValueError."""
-        shape = _shape(a)
+        """a as the floats of np.asarray(a, dtype=float).tolist(), read
+        without numpy for a list or tuple of ints and floats; a point of
+        any shape but (dim,) is a ValueError."""
+        if isinstance(a, (list, tuple)) and all(type(v) in (int, float) for v in a):
+            shape, x = (len(a),), [float(v) for v in a]
+        else:
+            a = np.asarray(a, dtype=float)
+            shape, x = a.shape, a.tolist()
         if shape != (self.dim,):
             raise ValueError(
                 f"point has shape {shape}, the system needs ({self.dim},)")
-        return [float(v) for v in a]
+        return x
 
     def __call__(self, a) -> np.ndarray:
         return np.array(self._field(self._point(a)))
@@ -263,7 +255,7 @@ class DifferentialIteration:
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta > 0):
+        if not (_finite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
@@ -294,7 +286,7 @@ def euler_iterate(it: DifferentialIteration, a0) -> EulerResult:
 
 def seed_lattice(dim: int, radius: float) -> list:
     """5^dim Newton seeds on a regular lattice in [-radius, radius]^dim."""
-    if not math.isfinite(radius):
+    if not _finite(radius):
         raise ValueError(f"radius must be finite, got {radius!r}")
     if not math.isfinite(2.0 * radius):  # linspace would overflow the span
         raise ValueError(f"radius {radius!r} is too large: the lattice's "

@@ -13,7 +13,8 @@ polynomials of the grid are one (m, deg f + 1) array that
 poly.poly_roots_batch solves at once, and the selection, q and p are array
 operations.  zero_density_q and invariant_density_p are one-element
 sweeps, so there is one selection rule and one check on s; an s that
-overflows a coefficient of the critical polynomial is a DomainError.
+overflows a coefficient of the critical polynomial, or leaves it no term
+in a, is a DomainError.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ def saddle_sweep(f: MapSpec1D, s) -> SaddleSweep:
     if not finite.all():
         raise DomainError(f"s = {float(s[finite.argmin()])!r} overflows a "
                           "coefficient of the critical polynomial s*a*f'(a) - 1")
+    flat = (crit[:, 1:] == 0).all(axis=1)  # f' = 0, or every s*k*c_k underflows
+    if flat.any():
+        raise DomainError(f"s = {float(s[flat.argmax()])!r} leaves the critical "
+                          "polynomial s*a*f'(a) - 1 with no term in a")
     points = poly_roots_batch(crit)
 
     rows = np.arange(len(s))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import pfdensity
-from pfdensity import bell, cli, errors, lorenz, odeiter, poly
+from pfdensity import bell, cli, empirical, errors, lorenz, odeiter, poly
 from pfdensity.cli import _write_json, run
 from pfdensity.poly import poly_roots
 from pfdensity.saddle import logistic_closed_q
@@ -210,6 +210,24 @@ def test_density_overflowing_s_names_the_s(tmp_path, capsys, action):
     err = _strict_json(captured.err)["error"]
     assert err["type"] == "DomainError"
     assert err["message"].startswith("s = 1e+308 overflows")
+
+
+@pytest.mark.parametrize("action", ["saddle", "invariant"])
+@pytest.mark.parametrize("coeffs,grid,s", [
+    ([0, 0], "0.5:2:4", "0.5"),                    # f' = 0 at every s
+    ([0, 5e-324, -5e-324], "0.1:0.1:1", "0.1")])  # every s*k*c_k underflows
+def test_density_critical_polynomial_without_a_term_in_a_names_the_s(
+        tmp_path, capsys, action, coeffs, grid, s):
+    # the error names the s, not the constant polynomial s*a*f'(a) - 1 = -1
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"coeffs": coeffs}))
+    assert run(["density", action, "--map", str(path), "--s", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _strict_json(captured.err)["error"] == {
+        "type": "DomainError",
+        "message": f"s = {s} leaves the critical polynomial s*a*f'(a) - 1 "
+                   "with no term in a"}
 
 
 def test_orbit_histogram_schema(logistic_map_file, tmp_path):
@@ -520,6 +538,49 @@ def test_lorenz_report_overflowing_cubics_name_the_parameters(capsys, sigma, rho
         "type": "DomainError",
         "message": f"the characteristic cubics at sigma={float(sigma)!r}, "
                    f"rho={float(rho)!r}, beta={float(beta)!r} are not finite in doubles"}
+
+
+@pytest.mark.parametrize("delta", ["0", "-0.001"])
+def test_lorenz_report_refuses_the_euler_step_that_ode_euler_refuses(
+        lorenz_system_file, capsys, delta):
+    errors_ = []
+    for argv in (["lorenz", "report", "--sigma", "10", "--rho", "28", "--beta", "2.5"],
+                 ["ode", "euler", "--system", lorenz_system_file, "--a0=1,1,1"]):
+        assert run([*argv, f"--delta={delta}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors_.append(_strict_json(captured.err)["error"])
+    assert errors_[0] == errors_[1] == {
+        "type": "ValueError",
+        "message": f"delta must be finite and positive, got {float(delta)!r}"}
+
+
+_P = lorenz.LorenzParams(10.0, 28.0, 2.5)
+_LOGISTIC = bell.MapSpec1D.logistic(2.0)
+
+
+@pytest.mark.parametrize("big", [10**400, -10**400], ids=["+10**400", "-10**400"])
+@pytest.mark.parametrize("call,message", [
+    (lambda x: lorenz.LorenzParams(x, 28.0, 2.5),
+     "sigma must be finite and positive, got {}"),
+    (lambda x: odeiter.DifferentialIteration(lorenz.lorenz_system(_P), x, 10),
+     "delta must be finite and positive, got {}"),
+    (lambda x: odeiter.seed_lattice(3, x), "radius must be finite, got {}"),
+    (lambda x: odeiter.fixed_points(lorenz.lorenz_system(_P), radius=x),
+     "radius must be finite, got {}"),
+    (lambda x: lorenz.lorenz_report(_P, x), "delta must be finite and positive, got {}"),
+    (lambda x: empirical.orbit_sample(_LOGISTIC, x, 1, 1), "x0 = {} is not finite"),
+    (lambda x: empirical.iterate_orbit(_LOGISTIC, x, 1, 1), "x0 = {} is not finite"),
+    (lambda x: bell.solve_coefficient_system(_LOGISTIC, 3, x),
+     "b_n must be finite, got {}"),
+], ids=["LorenzParams", "DifferentialIteration", "seed_lattice", "fixed_points",
+        "lorenz_report", "orbit_sample", "iterate_orbit", "solve_coefficient_system"])
+def test_int_beyond_the_double_range_is_refused_as_inf_is(call, message, big):
+    # math.isfinite raises OverflowError on such an int
+    with pytest.raises(ValueError) as exc:
+        call(big)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message.format(big)
 
 
 def test_compare_ks(tmp_path):

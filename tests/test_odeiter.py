@@ -659,6 +659,30 @@ def test_ragged_points_are_errors(point):
         LORENZ._point(point)
 
 
+@pytest.mark.parametrize("make", [lambda: {1.5, -2.0, 3.0},
+                                  lambda: dict.fromkeys([1.5, -2.0, 3.0]),
+                                  lambda: (v for v in [1.5, -2.0, 3.0])],
+                         ids=["set", "dict", "generator"])
+def test_point_raises_what_numpy_raises(make):
+    with pytest.raises(Exception) as want:
+        np.asarray(make(), dtype=float)
+    with pytest.raises(type(want.value)) as got:
+        LORENZ._point(make())
+    assert str(got.value) == str(want.value)
+
+
+def test_non_integral_exponent_is_an_error_naming_it_as_given():
+    # truncated, int(1.5) = 1 would make the first system the field -a
+    with pytest.raises(ValueError, match=re.escape("bad exponent tuple (1.5,)")):
+        OdeSystem(1, [[((1.5,), -1.0)]])
+    with pytest.raises(ValueError, match=re.escape("bad exponent tuple (0, 2.5)")):
+        OdeSystem(2, [[((0, 2.5), 1.0)], []])
+    for whole in (2.0, np.int64(2)):
+        sys = OdeSystem(1, [[((whole,), -1.0)]])
+        assert sys == OdeSystem(1, [[((2,), -1.0)]])
+        assert type(sys.components[0][0][0][0]) is int
+
+
 def test_term_tables_stay_out_of_equality_hash_and_repr():
     twin = OdeSystem.from_json(LORENZ.to_json())
     assert twin == LORENZ and hash(twin) == hash(LORENZ)
